@@ -44,9 +44,7 @@ from .signvec import (
 from .varchenko import (
     DEFAULT_SYMBOLIC_LIMIT,
     SizeGuardError,
-    bareiss_determinant,
-    build_matrix,
-    determinant,
+    fiber_determinant,
     product_formula,
     verify,
 )
@@ -154,18 +152,21 @@ def _parse_specialize(text: str | None, nvars: int) -> Specialization | None:
     collapse = []
     for key, value in entries:
         try:
-            var = _var_from_label(key)
+            var = VarId.parse(key).index
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         if var >= nvars:
             raise InputError(f"variable {key} is outside this input's universe")
         if value == "a":
             collapse.append(var)
-        else:
-            try:
-                values[var] = int(value)
-            except ValueError as exc:
-                raise InputError(f"specialization value for {key} must be an integer or 'a'") from exc
+            continue
+        try:
+            # JSON floats and booleans would pass int() as truncated integers
+            if isinstance(value, bool) or not isinstance(value, (int, str)):
+                raise TypeError(type(value).__name__)
+            values[var] = int(value)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"specialization value for {key} must be an integer or 'a'") from exc
     if collapse:
         if len(collapse) + len(values) < nvars:
             raise InputError(
@@ -178,15 +179,6 @@ def _parse_specialize(text: str | None, nvars: int) -> Specialization | None:
     if not values:
         return None
     return Specialization.constants(nvars, values)
-
-
-def _var_from_label(label: str) -> int:
-    import re
-
-    m = re.fullmatch(r"a(\d+)([pm])", label)
-    if m is None:
-        raise ValueError(f"unknown variable {label!r} (expected a<i>p or a<i>m)")
-    return VarId(int(m.group(1)), "+" if m.group(2) == "p" else "-").index
 
 
 def _cmd_check(args) -> int:
@@ -233,21 +225,8 @@ def _cmd_faces(args) -> int:
 def _cmd_det(args) -> int:
     fiber = _as_fiber(_load_input(args))
     spec = _parse_specialize(args.specialize, 2 * fiber.n)
-    matrix = build_matrix(fiber)
-    entries = matrix.entries
-    names = None
-    nvars = matrix.nvars
-    if spec is not None:
-        entries = tuple(tuple(spec.apply_poly(e) for e in row) for row in entries)
-        names = spec.names
-        nvars = spec.nvars
-    if matrix.size > args.max_symbolic and not args.force_symbolic:
-        raise InputError(
-            f"{matrix.size} topes exceed the symbolic guard of {args.max_symbolic}; "
-            "pass --force-symbolic to override or use 'verify' in randomized mode"
-        )
-    det = bareiss_determinant([list(r) for r in entries], nvars)
-    print(poly_str(det, names))
+    det = fiber_determinant(fiber, spec, args.max_symbolic, args.force_symbolic)
+    print(poly_str(det, spec.names if spec is not None else None))
     return 0
 
 
@@ -255,30 +234,27 @@ def _cmd_formula(args) -> int:
     fiber = _as_fiber(_load_input(args))
     spec = _parse_specialize(args.specialize, 2 * fiber.n)
     form = product_formula(fiber)
-    names = None
     if spec is not None:
         form = spec.apply_factored(form)
-        names = spec.names
-    print(factored_str(form, names))
+    print(factored_str(form, spec.names if spec is not None else None))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    if args.evals < 1:
+        raise InputError(f"--evals must be at least 1, got {args.evals}")
     fiber = _as_fiber(_load_input(args))
     spec = _parse_specialize(args.specialize, 2 * fiber.n)
-    try:
-        report = verify(
-            fiber,
-            mode=args.mode,
-            seed=args.seed,
-            evals=args.evals,
-            specialize=spec,
-            max_topes=args.max_symbolic,
-            force_symbolic=args.force_symbolic,
-            workers=args.workers,
-        )
-    except SizeGuardError as exc:
-        raise InputError(str(exc)) from exc
+    report = verify(
+        fiber,
+        mode=args.mode,
+        seed=args.seed,
+        evals=args.evals,
+        specialize=spec,
+        max_topes=args.max_symbolic,
+        force_symbolic=args.force_symbolic,
+        workers=args.workers,
+    )
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -396,10 +372,7 @@ def main(argv=None) -> int:
         for line in exc.lines:
             print(line)
         return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FiberError, ExactDivisionError) as exc:
+    except (InputError, FiberError, SizeGuardError, ExactDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

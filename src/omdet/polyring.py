@@ -22,7 +22,9 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import prod
+from operator import or_
 
 LANE_BITS = 16
 LANE_MASK = (1 << LANE_BITS) - 1
@@ -67,6 +69,14 @@ class VarId:
     @property
     def label(self) -> str:
         return f"a{self.hyperplane}{'p' if self.sign == '+' else 'm'}"
+
+    @classmethod
+    def parse(cls, label: str) -> VarId:
+        """Inverse of ``label``: "a3p" is a_3^+, "a3m" is a_3^-."""
+        m = re.fullmatch(r"a(\d+)([pm])", label)
+        if m is None:
+            raise ValueError(f"unknown variable {label!r} (expected a<i>p or a<i>m)")
+        return cls(int(m.group(1)), "+" if m.group(2) == "p" else "-")
 
 
 def var_label(index: int) -> str:
@@ -295,10 +305,8 @@ class IntPolynomial:
         return monomial_degree(self.nvars, max(self._terms))
 
     def variables(self) -> frozenset[int]:
-        used = set()
-        for key in self._terms:
-            used.update(unpack_monomial(self.nvars, key))
-        return frozenset(used)
+        # a lane of the OR of all keys is nonzero iff some term uses that variable
+        return frozenset(unpack_monomial(self.nvars, reduce(or_, self._terms, 0)))
 
     # ring operations
 
@@ -421,18 +429,7 @@ class IntPolynomial:
 
     def eval_mod(self, assignment, prime: int) -> int:
         """Value of the polynomial at {variable: residue}, in the prime field."""
-        if prime <= 2:
-            raise ValueError(f"prime must exceed 2, got {prime}")
-        values = {_var_index(v): int(r) % prime for v, r in assignment.items()}
-        total = 0
-        for exps, coeff in self.monomial_exponents():
-            term = coeff % prime
-            for v, e in exps.items():
-                if v not in values:
-                    raise KeyError(f"no residue assigned to {var_label(v)}")
-                term = term * pow(values[v], e, prime) % prime
-            total = (total + term) % prime
-        return total
+        return residues_mod((self,), assignment, prime)[0]
 
     # comparisons and display
 
@@ -466,6 +463,37 @@ class IntPolynomial:
 
     def __repr__(self):
         return f"IntPolynomial({self.nvars}, {poly_str(self)!r})"
+
+
+def residues_mod(polys, assignment, prime: int) -> list[int]:
+    """Values of several polynomials at one {variable: residue} assignment.
+
+    The assignment is reduced once; each term is then evaluated by jumping
+    from one nonzero lane of its packed key to the next, so the cost follows
+    the variables a term uses rather than the size of the universe.
+    """
+    if prime <= 2:
+        raise ValueError(f"prime must exceed 2, got {prime}")
+    values = {_var_index(v): int(r) % prime for v, r in assignment.items()}
+    out = []
+    try:
+        for p in polys:
+            top = p.nvars - 1
+            lanes = (1 << (LANE_BITS * p.nvars)) - 1  # drops the stacked degree
+            total = 0
+            for key, coeff in p._terms.items():
+                key &= lanes
+                term = coeff
+                while key:
+                    lane = ((key & -key).bit_length() - 1) // LANE_BITS
+                    e = (key >> (lane * LANE_BITS)) & LANE_MASK
+                    term = term * pow(values[top - lane], e, prime) % prime
+                    key ^= e << (lane * LANE_BITS)
+                total += term
+            out.append(total % prime)
+    except KeyError as exc:
+        raise KeyError(f"no residue assigned to {var_label(exc.args[0])}") from None
+    return out
 
 
 def _resolve_name(v: int, names) -> str:
@@ -539,12 +567,7 @@ def parse_poly(text: str, nvars: int | None = None) -> IntPolynomial:
         raise ValueError("cannot mix the collapsed variable 'a' with indexed variables")
 
     def var_of(label: str) -> int:
-        if label == "a":
-            return 0
-        m = re.fullmatch(r"a(\d+)([pm])", label)
-        if m is None:
-            raise ValueError(f"unknown variable {label!r}")
-        return VarId(int(m.group(1)), "+" if m.group(2) == "p" else "-").index
+        return 0 if label == "a" else VarId.parse(label).index
 
     max_var = -1
     for kind, tok in tokens:
@@ -650,10 +673,8 @@ class FactoredPoly:
         return FactoredPoly(target, subbed)
 
     def eval_mod(self, assignment, prime: int) -> int:
-        total = 1
-        for base, exp in self.factors:
-            total = total * pow(base.eval_mod(assignment, prime), exp, prime) % prime
-        return total
+        residues = residues_mod([base for base, _ in self.factors], assignment, prime)
+        return prod(pow(r, exp, prime) for r, (_, exp) in zip(residues, self.factors)) % prime
 
     def total_degree(self) -> int:
         return sum(exp * base.total_degree() for base, exp in self.factors)

@@ -18,16 +18,17 @@ other, either symbolically or by random modular evaluation.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .polyring import (
     FactoredPoly,
     IntPolynomial,
     Specialization,
+    _resolve_name,
     factored_str,
     mul_sub_div,
     poly_str,
+    residues_mod,
 )
 from .signvec import (
     CovectorSet,
@@ -50,6 +51,19 @@ DEFAULT_SYMBOLIC_LIMIT = 16
 
 class SizeGuardError(ValueError):
     """Symbolic determinant requested beyond the tope-count guard."""
+
+
+def _check_size_guard(topes: int, max_topes: int, force: bool):
+    """The symbolic size guard, checked on the tope count before any matrix work.
+
+    Multivariate intermediate swell makes large symbolic determinants
+    expensive, so more than ``max_topes`` topes require ``force``.
+    """
+    if topes > max_topes and not force:
+        raise SizeGuardError(
+            f"symbolic determinant of {topes} topes exceeds the guard of {max_topes}; "
+            "use randomized mode or force it (--force-symbolic on the command line)"
+        )
 
 
 def _require_valid_fiber(f: FiberView):
@@ -150,21 +164,21 @@ def bareiss_determinant(rows: list[list[IntPolynomial]], nvars: int) -> IntPolyn
     return -det if sign < 0 else det
 
 
+def _specialized_entries(matrix: VarchenkoMatrix, specialize: Specialization | None):
+    """(entries, nvars) of the matrix under an optional specialization."""
+    if specialize is None:
+        return matrix.entries, matrix.nvars
+    entries = tuple(tuple(specialize.apply_poly(e) for e in row) for row in matrix.entries)
+    return entries, specialize.nvars
+
+
 def determinant(
     matrix: VarchenkoMatrix,
     max_topes: int = DEFAULT_SYMBOLIC_LIMIT,
     force: bool = False,
 ) -> IntPolynomial:
-    """Exact symbolic determinant via Bareiss elimination.
-
-    Multivariate intermediate swell makes large symbolic determinants
-    expensive, so sizes beyond ``max_topes`` require ``force=True``.
-    """
-    if matrix.size > max_topes and not force:
-        raise SizeGuardError(
-            f"symbolic determinant of a {matrix.size}x{matrix.size} matrix exceeds "
-            f"the guard of {max_topes} topes; pass force=True to override"
-        )
+    """Exact symbolic determinant via Bareiss elimination, behind the size guard."""
+    _check_size_guard(matrix.size, max_topes, force)
     return bareiss_determinant([list(r) for r in matrix.entries], matrix.nvars)
 
 
@@ -180,15 +194,15 @@ def face_multiplicities(f: FiberView):
     return out
 
 
+def _formula_from_faces(nvars: int, faces) -> FactoredPoly:
+    """prod (1 - b_v)^(beta_v) over (covector, weight, beta) with beta_v > 0."""
+    one = IntPolynomial.one(nvars)
+    return FactoredPoly(nvars, [(one - weight, beta) for _, weight, beta in faces if beta])
+
+
 def product_formula(f: FiberView) -> FactoredPoly:
     """The determinant's closed form: prod (1 - b_v)^(beta_v), beta_v > 0."""
-    nvars = 2 * f.n
-    one = IntPolynomial.one(nvars)
-    factors = []
-    for _, weight, beta in face_multiplicities(f):
-        if beta:
-            factors.append((one - weight, beta))
-    return FactoredPoly(nvars, factors)
+    return _formula_from_faces(2 * f.n, face_multiplicities(f))
 
 
 # modular evaluation
@@ -318,8 +332,15 @@ class VerificationReport:
         return doc
 
 
-def _entry_residues(entries, used_vars, assignment, prime):
-    return [[e.eval_mod(assignment, prime) if used_vars else e.constant_term() % prime for e in row] for row in entries]
+def degree_bound(entries, formula: FactoredPoly) -> int:
+    """Total-degree bound on det(entries) - formula, for the Schwartz-Zippel lemma.
+
+    Every term of the determinant takes one entry from each row, so the sum
+    of the row maxima bounds its degree; the formula side is bounded by its
+    own total degree.
+    """
+    rows = sum(max(e.total_degree() for e in row) for row in entries)
+    return max(rows, formula.total_degree())
 
 
 def randomized_compare(
@@ -328,44 +349,46 @@ def randomized_compare(
     seed: int = 0,
     evals: int = 5,
     workers: int = 1,
-    name_of=None,
+    names=None,
 ):
     """Compare det(entries) with the factored form at random modular points.
 
     Deterministic for a fixed seed: one 61-bit prime, then ``evals``
-    assignments drawn sequentially; worker count never changes the result,
-    only which thread evaluates which assignment.
+    assignments of the used variables in sorted order, evaluated one after
+    another.  ``names`` overrides the printed variable names in the records,
+    as in ``poly_str``.  ``workers`` is accepted for compatibility and has
+    no effect.
     """
     if evals < 1:
         raise ValueError("at least one evaluation is required")
-    nvars = formula.nvars
+    flat = [e for row in entries for e in row]
     used: set[int] = set()
-    for row in entries:
-        for e in row:
-            used.update(e.variables())
-    for base, _ in formula.factors:
-        used.update(base.variables())
+    for p in flat + [base for base, _ in formula.factors]:
+        used.update(p.variables())
     var_order = sorted(used)
     rng = random.Random(seed)
     prime = draw_prime(rng)
-    assignments = [
-        {v: rng.randrange(prime) for v in var_order} for _ in range(evals)
-    ]
-    if name_of is None:
-        name_of = lambda v: poly_str(IntPolynomial.variable(nvars, v))
+    m = len(entries)
+    records = []
+    for _ in range(evals):
+        assignment = {v: rng.randrange(prime) for v in var_order}
+        residues = residues_mod(flat, assignment, prime)
+        det_r = det_mod([residues[r * m : (r + 1) * m] for r in range(m)], prime)
+        readable = {_resolve_name(v, names): assignment[v] for v in var_order}
+        records.append(EvalRecord(readable, det_r, formula.eval_mod(assignment, prime)))
+    return prime, tuple(records)
 
-    def run_one(assignment):
-        det_r = det_mod(_entry_residues(entries, var_order, assignment, prime), prime)
-        formula_r = formula.eval_mod(assignment, prime)
-        readable = {name_of(v): assignment[v] for v in var_order}
-        return EvalRecord(readable, det_r, formula_r)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(run_one, assignments))
-    else:
-        records = tuple(run_one(a) for a in assignments)
-    return prime, records
+def fiber_determinant(
+    f: FiberView,
+    specialize: Specialization | None = None,
+    max_topes: int = DEFAULT_SYMBOLIC_LIMIT,
+    force: bool = False,
+) -> IntPolynomial:
+    """Symbolic determinant of a fiber's matrix: guard, build, specialize, eliminate."""
+    _check_size_guard(len(f.topes), max_topes, force)
+    entries, nvars = _specialized_entries(build_matrix(f), specialize)
+    return bareiss_determinant([list(r) for r in entries], nvars)
 
 
 def verify(
@@ -382,60 +405,39 @@ def verify(
 
     ``mode`` is "symbolic", "randomized", or "auto" (symbolic up to the
     tope-count guard, randomized beyond it).  Disagreement is report
-    content, not an exception.
+    content, not an exception.  Randomized evaluations run one after
+    another; ``workers`` is accepted for compatibility and has no effect.
     """
     if mode not in ("auto", "symbolic", "randomized"):
         raise ValueError(f"unknown mode {mode!r}")
-    matrix = build_matrix(f)
-    faces = face_multiplicities(f)
-    nvars = 2 * f.n
-    one = IntPolynomial.one(nvars)
-    formula = FactoredPoly(nvars, [(one - w, beta) for _, w, beta in faces if beta])
-
-    names = None
-    entries = matrix.entries
-    report_faces = tuple(faces)
-    if specialize is not None:
-        entries = tuple(tuple(specialize.apply_poly(e) for e in row) for row in entries)
-        formula = specialize.apply_factored(formula)
-        report_faces = tuple(
-            (u, specialize.apply_poly(w), beta) for u, w, beta in faces
-        )
-        names = specialize.names
-
+    size = len(f.topes)
     if mode == "auto":
-        mode = "symbolic" if matrix.size <= max_topes else "randomized"
+        mode = "symbolic" if size <= max_topes else "randomized"
+    if mode == "symbolic":
+        det = fiber_determinant(f, specialize, max_topes, force_symbolic)
+    else:
+        entries, _ = _specialized_entries(build_matrix(f), specialize)
+
+    faces = face_multiplicities(f)
+    nvars, names = 2 * f.n, None
+    if specialize is not None:
+        faces = [(u, specialize.apply_poly(w), beta) for u, w, beta in faces]
+        nvars, names = specialize.nvars, specialize.names
+    formula = _formula_from_faces(nvars, faces)
 
     if mode == "symbolic":
-        if matrix.size > max_topes and not force_symbolic:
-            raise SizeGuardError(
-                f"symbolic verification of {matrix.size} topes exceeds the guard of "
-                f"{max_topes}; use randomized mode or force_symbolic"
-            )
-        out_nvars = formula.nvars
-        det = bareiss_determinant([list(r) for r in entries], out_nvars)
-        agreement = det == formula.expand()
         return VerificationReport(
-            "symbolic", matrix.size, report_faces, formula, agreement, det, names=names
+            "symbolic", size, tuple(faces), formula, det == formula.expand(), det, names=names
         )
-
-    degree_bound = sum(max(e.total_degree() for e in row) for row in entries)
-    if names is None:
-        name_of = None
-    else:
-        name_of = lambda v: names[v] if v < len(names) else str(v)
-    prime, records = randomized_compare(
-        entries, formula, seed=seed, evals=evals, workers=workers, name_of=name_of
-    )
-    agreement = all(r.match for r in records)
+    prime, records = randomized_compare(entries, formula, seed=seed, evals=evals, names=names)
     return VerificationReport(
         "randomized",
-        matrix.size,
-        report_faces,
+        size,
+        tuple(faces),
         formula,
-        agreement,
+        all(r.match for r in records),
         prime=prime,
-        degree_bound=degree_bound,
+        degree_bound=degree_bound(entries, formula),
         evals=records,
         names=names,
     )

@@ -174,3 +174,14 @@ def random_wiring(rng: random.Random, max_wires: int = 6) -> WiringDiagram:
         events.append((k, k + 1))
         perm[k], perm[k + 1] = perm[k + 1], perm[k]
     return WiringDiagram.of(n, events)
+
+
+def residue_oracle(p: IntPolynomial, assignment, prime: int) -> int:
+    """p at {flat variable: value} mod prime, one pow per variable of each monomial."""
+    total = 0
+    for exps, coeff in p.monomial_exponents():
+        term = coeff
+        for v, e in exps.items():
+            term *= pow(assignment[v], e, prime)
+        total += term
+    return total % prime

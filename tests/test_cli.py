@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +213,65 @@ class TestFlags:
         code, out, _ = run(capsys, "formula", out_path)
         assert code == 0
         assert out.strip() == "(1 - a1p*a1m) * (1 - a2p*a2m)"
+
+
+class TestLimits:
+    def test_det_past_guard(self, capsys, nonpappus_cov):
+        code, out, err = run(capsys, "det", nonpappus_cov)
+        assert code == 2
+        assert out == ""
+        assert "guard" in err and "--force-symbolic" in err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_evals(self, capsys, nonpappus_cov, count):
+        code, out, err = run(
+            capsys, "verify", nonpappus_cov, "--mode", "randomized", "--evals", count
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "spec", ['{"a1p": [1]}', '{"a1p": 1.5}', '{"a1p": true}', '{"a1p": null}', '{"a1p": "x"}', "a1p=1.5"]
+    )
+    def test_specialize_rejects_non_integers(self, capsys, one_line_cov, spec):
+        code, out, err = run(capsys, "det", one_line_cov, "--specialize", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            ('{"a1p": 2}', "1 - 2*a1m"),
+            ('{"a1p": "-2"}', "1 + 2*a1m"),
+            ('{"a1p": "a", "a1m": 3}', "1 - 3*a"),
+        ],
+    )
+    def test_specialize_accepts_integers(self, capsys, one_line_cov, spec, expected):
+        code, out, _ = run(capsys, "det", one_line_cov, "--specialize", spec)
+        assert code == 0
+        assert out.strip() == expected
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "fmt, spec, name",
+    [
+        ("text", None, "verify_three_lines_plain.txt"),
+        ("json", None, "verify_three_lines_plain.json"),
+        ("text", "all=a", "verify_three_lines_all_a.txt"),
+        ("json", "all=a", "verify_three_lines_all_a.json"),
+    ],
+)
+def test_randomized_verify_golden(capsys, tmp_path, fmt, spec, name):
+    path = tmp_path / "three.cov"
+    path.write_text(format_cov(concurrent_lines()))
+    args = ["verify", str(path), "--mode", "randomized", "--seed", "0", "--evals", "2", "--format", fmt]
+    if spec is not None:
+        args += ["--specialize", spec]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from omdet.polyring import FactoredPoly, IntPolynomial, Specialization, poly_str
+from omdet.polyring import FactoredPoly, IntPolynomial, Specialization, poly_str, residues_mod
 from omdet.signvec import SignVector, compose, leq, topal_fiber, topes
 from omdet.varchenko import (
     SizeGuardError,
     build_matrix,
     cfd_check,
+    degree_bound,
     determinant,
     det_mod,
     distance,
@@ -29,6 +30,7 @@ from oracle import (
     one_line,
     parallel_affine,
     permutation_determinant,
+    residue_oracle,
     whole_fiber,
 )
 
@@ -324,3 +326,65 @@ class TestWitt:
             witt_check(s, t, t, {})
         with pytest.raises(ValueError):
             witt_check(s, SignVector.zero(3), SignVector.zero(3), {})
+
+
+class TestDegreeBound:
+    def test_equals_row_bound_when_sides_agree(self):
+        f = whole_fiber(concurrent_lines())
+        m = build_matrix(f)
+        pf = product_formula(f)
+        rows = sum(max(e.total_degree() for e in row) for row in m.entries)
+        assert degree_bound(m.entries, pf) == rows == pf.total_degree()
+
+    def test_covers_a_formula_of_higher_degree(self):
+        f = whole_fiber(concurrent_lines())
+        m = build_matrix(f)
+        pf = product_formula(f)
+        top, exp = pf.factors[-1]
+        tampered = FactoredPoly(pf.nvars, list(pf.factors[:-1]) + [(top, exp + 2)])
+        assert tampered.total_degree() > degree_bound(m.entries, pf)
+        assert degree_bound(m.entries, tampered) == tampered.total_degree()
+
+
+def _specializations(nvars):
+    yield None
+    yield Specialization.collapse_all(nvars)
+    yield Specialization.constants(nvars, {0: 0})
+    # every variable pinned: no variable is left to draw
+    yield Specialization.constants(nvars, {v: (v % 3) - 1 for v in range(nvars)})
+
+
+class TestResidueOracle:
+    """The packed-key residue walk against per-monomial pow."""
+
+    def test_entries_match_oracle(self):
+        rng = random.Random(31)
+        for name, f in corpus_fibers().items():
+            m = build_matrix(f)
+            for spec in _specializations(m.nvars):
+                entries = m.entries if spec is None else [[spec.apply_poly(e) for e in row] for row in m.entries]
+                nvars = m.nvars if spec is None else spec.nvars
+                prime = draw_prime(rng)
+                at = {v: rng.randrange(prime) for v in range(nvars)}
+                flat = [e for row in entries for e in row]
+                assert residues_mod(flat, at, prime) == [residue_oracle(e, at, prime) for e in flat], name
+
+    def test_randomized_compare_matches_oracle(self):
+        for name, f in corpus_fibers().items():
+            m = build_matrix(f)
+            for spec in _specializations(m.nvars):
+                entries = m.entries if spec is None else [[spec.apply_poly(e) for e in row] for row in m.entries]
+                formula = product_formula(f) if spec is None else spec.apply_factored(product_formula(f))
+                names = None if spec is None else spec.names
+                nvars = formula.nvars
+                index = {poly_str(P.variable(nvars, v), names): v for v in range(nvars)}
+                prime, records = randomized_compare(entries, formula, seed=11, evals=3, names=names)
+                for rec in records:
+                    at = {index[label]: value for label, value in rec.assignment.items()}
+                    rows = [[residue_oracle(e, at, prime) for e in row] for row in entries]
+                    expected = 1
+                    for base, exp in formula.factors:
+                        expected = expected * pow(residue_oracle(base, at, prime), exp, prime) % prime
+                    assert rec.det_residue == det_mod(rows, prime), name
+                    assert rec.formula_residue == expected, name
+                    assert rec.match, name
