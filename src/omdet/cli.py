@@ -64,6 +64,14 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+def _load_json(loads, path: str):
+    """loads(text of path); a malformed document of any shape is an InputError."""
+    try:
+        return loads(_read_text(path))
+    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _write_output(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
@@ -274,10 +282,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_from_arrangement(args) -> int:
-    try:
-        arr = RationalArrangement.loads(_read_text(args.input))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise InputError(f"{args.input}: {exc}") from exc
+    arr = _load_json(RationalArrangement.loads, args.input)
     try:
         if arr.affine:
             out = arrangement_fiber(arr)
@@ -290,10 +295,7 @@ def _cmd_from_arrangement(args) -> int:
 
 
 def _cmd_from_wiring(args) -> int:
-    try:
-        wd = WiringDiagram.loads(_read_text(args.input))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise InputError(f"{args.input}: {exc}") from exc
+    wd = _load_json(WiringDiagram.loads, args.input)
     report = wiring_validate(wd)
     if not report.ok:
         raise InputError("; ".join(report.problems))

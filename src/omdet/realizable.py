@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import NamedTuple
 
 from .signvec import CovectorSet, FiberView, SignVector, check_covector_axioms, loops, topal_fiber
@@ -94,14 +94,14 @@ class RationalArrangement:
 # exact feasibility
 
 
-def _substitute_equalities(equalities, constraints):
-    """Gaussian elimination of homogeneous equalities into the constraints.
+def _substitute_equalities(equalities, forms):
+    """Gaussian elimination of homogeneous equalities into the forms.
 
-    Returns the reduced strict/non-strict constraint vectors; eliminated
-    variables keep their slots with zero coefficients.
+    Returns the reduced form vectors; eliminated variables keep their slots
+    with zero coefficients.
     """
     eqs = [list(e) for e in equalities]
-    cons = [(list(vec), strict) for vec, strict in constraints]
+    forms = [list(vec) for vec in forms]
     for row in range(len(eqs)):
         eq = eqs[row]
         pivot = next((k for k, c in enumerate(eq) if c), None)
@@ -113,12 +113,26 @@ def _substitute_equalities(equalities, constraints):
             if factor:
                 ratio = factor / pc
                 eqs[other] = [a - ratio * b for a, b in zip(eqs[other], eq)]
-        for idx, (vec, strict) in enumerate(cons):
+        for idx, vec in enumerate(forms):
             factor = vec[pivot]
             if factor:
                 ratio = factor / pc
-                cons[idx] = ([a - ratio * b for a, b in zip(vec, eq)], strict)
-    return cons
+                forms[idx] = [a - ratio * b for a, b in zip(vec, eq)]
+    return forms
+
+
+def _normalized(constraints):
+    """Constraints scaled to leading coefficient +-1 and deduped (exact, so
+    deduping is sound), with 0 >= 0 dropped; None on the contradiction 0 > 0."""
+    out = {}
+    for vec, strict in constraints:
+        if not any(vec):
+            if strict:
+                return None
+            continue
+        lead = next(c for c in vec if c)
+        out[tuple(c / abs(lead) for c in vec), strict] = None
+    return list(out)
 
 
 def _fm_feasible(constraints) -> bool:
@@ -127,24 +141,12 @@ def _fm_feasible(constraints) -> bool:
     All constraints here are homogeneous, so the only failure mode is
     deriving the contradiction 0 > 0.
     """
-    active = []
-    seen = set()
-    for vec, strict in constraints:
-        vec = tuple(vec)
-        if not any(vec):
-            if strict:
-                return False
-            continue
-        # scale so the leading coefficient is +-1; exact, keeps deduping sound
-        lead = next(c for c in vec if c)
-        scaled = tuple(c / abs(lead) for c in vec)
-        if (scaled, strict) not in seen:
-            seen.add((scaled, strict))
-            active.append((scaled, strict))
+    active = _normalized(constraints)
+    if active is None:
+        return False
     if not active:
         return True
-    dim = len(active[0][0])
-    for k in range(dim):
+    for k in range(len(active[0][0])):
         pos = [c for c in active if c[0][k] > 0]
         neg = [c for c in active if c[0][k] < 0]
         untouched = [c for c in active if c[0][k] == 0]
@@ -153,43 +155,38 @@ def _fm_feasible(constraints) -> bool:
             # impose nothing on the others
             active = untouched
         else:
-            combined = []
-            seen = set()
-            for (pvec, pstrict), (nvec, nstrict) in product(pos, neg):
-                scale_p = -nvec[k]
-                scale_n = pvec[k]
-                vec = tuple(scale_p * a + scale_n * b for a, b in zip(pvec, nvec))
-                strict = pstrict or nstrict
-                if not any(vec):
-                    if strict:
-                        return False
-                    continue
-                lead = next(c for c in vec if c)
-                scaled = tuple(c / abs(lead) for c in vec)
-                if (scaled, strict) not in seen:
-                    seen.add((scaled, strict))
-                    combined.append((scaled, strict))
+            combined = _normalized(
+                (tuple(-nvec[k] * a + pvec[k] * b for a, b in zip(pvec, nvec)), pstrict or nstrict)
+                for (pvec, pstrict), (nvec, nstrict) in product(pos, neg)
+            )
+            if combined is None:
+                return False
             active = untouched + combined
         if not active:
             return True
     return True
 
 
-def _reduced_forms(arr: RationalArrangement, zero_set):
-    """Forms of the non-zero-set hyperplanes on the solution space of the
-    zero-set equalities; None when some such form vanishes there (no sign
-    vector with exactly this zero set exists)."""
-    equalities = [arr.hyperplanes[i][0] for i in zero_set]
-    rest = [i for i in range(arr.n) if i not in zero_set]
-    reduced = _substitute_equalities(
-        equalities, [(arr.hyperplanes[i][0], True) for i in rest]
-    )
+def _reduced_forms(normals, zero_set):
+    """Forms of the hyperplanes outside zero_set on the solution space of the
+    zero-set equalities, keyed by 0-based index; None when some such form
+    vanishes there (no sign vector with exactly this zero set exists)."""
+    rest = [i for i in range(len(normals)) if i not in zero_set]
+    reduced = _substitute_equalities([normals[i] for i in zero_set], [normals[i] for i in rest])
     forms = {}
-    for i, (vec, _) in zip(rest, reduced):
+    for i, vec in zip(rest, reduced):
         if not any(vec):
             return None
         forms[i] = tuple(vec)
     return forms
+
+
+def _signed_feasible(forms, plus: int) -> bool:
+    """Is there a point where each form i is positive if bit i of plus is
+    set and negative otherwise?"""
+    return _fm_feasible(
+        [(vec if plus >> i & 1 else tuple(-c for c in vec), True) for i, vec in forms.items()]
+    )
 
 
 def sign_feasible(arr: RationalArrangement, sigma: SignVector) -> bool:
@@ -199,58 +196,53 @@ def sign_feasible(arr: RationalArrangement, sigma: SignVector) -> bool:
     if sigma.n != arr.n:
         raise ValueError(f"sign vector length {sigma.n} does not match {arr.n} hyperplanes")
     zero_set = [i - 1 for i in sorted(sigma.zero_set())]
-    forms = _reduced_forms(arr, zero_set)
-    if forms is None:
-        return False
-    constraints = []
-    for i, vec in forms.items():
-        s = sigma.sign(i + 1)
-        constraints.append((tuple(s * c for c in vec), True))
-    return _fm_feasible(constraints)
+    forms = _reduced_forms([normal for normal, _ in arr.hyperplanes], zero_set)
+    return forms is not None and _signed_feasible(forms, sigma.plus)
 
 
 def enumerate_covectors(arr: RationalArrangement, check: bool = True) -> CovectorSet:
     """All attainable sign vectors of a central arrangement.
 
-    Candidates are grouped by zero set so each equality system is reduced
-    once, and sign symmetry (sigma feasible iff -sigma is) halves the scan.
-    The result must pass the covector axioms; ``check=False`` skips the
-    final validation and leaves the set unverified.
+    The arrangement is built one hyperplane at a time, keeping one
+    representative of each antipodal pair of covectors so far.  Hyperplane
+    k+1 either misses the cell of a covector of the first k hyperplanes (one
+    extension, + or -), cuts it (three: +, 0, -), or contains it (only 0,
+    when its form vanishes on the cell's span).  So each representative
+    costs one equality reduction and at most two Fourier-Motzkin tests, and
+    the work follows the output size.  The result must pass the covector
+    axioms; ``check=False`` skips the final validation and leaves the set
+    unverified.
     """
     if arr.affine:
         raise ValueError("enumerate_covectors expects a central arrangement; homogenize first")
     if arr.n == 0:
         raise ValueError("cannot enumerate covectors of an empty arrangement")
     n = arr.n
-    members = []
-    for size in range(n + 1):
-        for zero_set in combinations(range(n), size):
-            forms = _reduced_forms(arr, zero_set)
+    normals = [normal for normal, _ in arr.hyperplanes]
+    reps = [(0, 0)]  # (plus, minus) masks over the hyperplanes added so far
+    for k in range(n):
+        bit = 1 << k
+        grown = []
+        for plus, minus in reps:
+            support = plus | minus
+            forms = _reduced_forms(normals[: k + 1], [i for i in range(k) if not support >> i & 1])
             if forms is None:
-                continue
-            rest = [i for i in range(n) if i not in zero_set]
-            if not rest:
-                members.append(SignVector.zero(n))
-                continue
-            first = rest[0]
-            for signs in product((1, -1), repeat=len(rest) - 1):
-                assignment = dict(zip(rest[1:], signs))
-                assignment[first] = 1
-                constraints = [
-                    (tuple(assignment[i] * c for c in vec), True)
-                    for i, vec in forms.items()
-                ]
-                if _fm_feasible(constraints):
-                    plus = 0
-                    minus = 0
-                    for i, s in assignment.items():
-                        if s > 0:
-                            plus |= 1 << i
-                        else:
-                            minus |= 1 << i
-                    members.append(SignVector(n, plus, minus))
-                    members.append(SignVector(n, minus, plus))
-    out = CovectorSet.of(members, n=n)
+                grown.append((plus, minus))
+            elif not support:
+                # the zero vector is its own antipode: keep + and drop its mirror -
+                grown += [(bit, 0), (0, 0)]
+            elif not _signed_feasible(forms, plus | bit):
+                grown.append((plus, minus | bit))
+            elif _signed_feasible(forms, plus):
+                grown += [(plus | bit, minus), (plus, minus), (plus, minus | bit)]
+            else:
+                grown.append((plus | bit, minus))
+        reps = grown
+    out = CovectorSet.of(
+        [SignVector(n, plus, minus) for plus, minus in reps]
+        + [SignVector(n, minus, plus) for plus, minus in reps],
+        n=n,
+    )
     found = loops(out)
     if found:
         raise ValueError(f"arrangement has loops at indices {sorted(found)}")

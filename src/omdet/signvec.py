@@ -14,10 +14,12 @@ Conventions used throughout the package:
 
 A covector set becomes "verified" once it passes the four axioms (zero
 vector present, closure under negation, closure under composition,
-elimination).  A topal fiber is the subset of covectors agreeing with an
-anchor outside a free index set I; fibers produced by generators that never
-materialize the ambient covector set (wiring diagrams, fiber-format files)
-are validated structurally instead.
+elimination).  ``check_covector_axioms`` sets ``verified`` on the set it is
+given; that flag is the one exception to "immutable after construction".
+A topal fiber is the subset of covectors agreeing with an anchor outside a
+free index set I; fibers produced by generators that never materialize the
+ambient covector set (wiring diagrams, fiber-format files) are validated
+structurally instead.
 """
 
 from __future__ import annotations
@@ -636,7 +638,7 @@ def parse_cov(text: str):
     n = None
     free = None
     anchor_text = None
-    raw_members: list[str] = []
+    raw_members: dict[str, None] = {}  # insertion-ordered, O(1) duplicate check
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -663,7 +665,7 @@ def parse_cov(text: str):
                 raise ValueError(f"line {lineno}: expected {n} signs, got {len(line)}")
             if line in raw_members:
                 raise ValueError(f"line {lineno}: duplicate member {line!r}")
-            raw_members.append(line)
+            raw_members[line] = None
     if n is None:
         raise ValueError("missing n= header")
     if (free is None) != (anchor_text is None):

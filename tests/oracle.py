@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's optimized code paths:
 the determinant oracle is a permutation expansion (no elimination), the
-axiom oracle is a direct quantifier translation over sign tuples, and the
+axiom oracle is a direct quantifier translation over sign tuples, the
+enumeration oracle runs the feasibility test on every sign vector, and the
 chain oracle is a recursive longest-path search.
 """
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from omdet.polyring import IntPolynomial
-from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors
+from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors, sign_feasible
 from omdet.signvec import CovectorSet, SignVector, leq, topal_fiber
 from omdet.wiring import WiringDiagram
 
@@ -174,6 +175,16 @@ def random_wiring(rng: random.Random, max_wires: int = 6) -> WiringDiagram:
         events.append((k, k + 1))
         perm[k], perm[k + 1] = perm[k + 1], perm[k]
     return WiringDiagram.of(n, events)
+
+
+def exhaustive_covectors(arr: RationalArrangement) -> tuple[SignVector, ...]:
+    """Every sigma in {+,0,-}^n that sign_feasible accepts, in canonical order.
+
+    One independent feasibility test per sign vector (3^n of them), with no
+    incremental construction and no use of symmetry.
+    """
+    candidates = (SignVector.from_string("".join(s)) for s in product("-0+", repeat=arr.n))
+    return tuple(sigma for sigma in candidates if sign_feasible(arr, sigma))
 
 
 def residue_oracle(p: IntPolynomial, assignment, prime: int) -> int:

@@ -253,6 +253,42 @@ class TestLimits:
         assert code == 0
         assert out.strip() == expected
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "[1]",
+            '{"hyperplanes": 5}',
+            '{"dim": 2, "hyperplanes": [{"normal": [[1], 2]}]}',
+            '{"dim": 2, "hyperplanes": [{"normal": [1, 2], "offset": null}]}',
+            '{"dim": 2, "hyperplanes": [{"normal": ["1/0", 2]}]}',
+            '{"dim": 2, "hyperplanes": [{"normal": [1e400, 2]}]}',
+        ],
+    )
+    def test_from_arrangement_malformed_shape(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "from-arrangement", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"wires": 3, "events": [1]}',
+            "[3]",
+            '{"wires": 3, "events": [[null, 1]]}',
+            '{"wires": 1e400, "events": []}',
+        ],
+    )
+    def test_from_wiring_malformed_shape(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "from-wiring", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -16,7 +16,7 @@ from omdet.signvec import SignVector, check_covector_axioms, topes
 from omdet.varchenko import build_matrix, determinant, product_formula
 from omdet.polyring import IntPolynomial
 
-from oracle import random_central_arrangement
+from oracle import exhaustive_covectors, random_central_arrangement
 
 sv = SignVector.from_string
 P = IntPolynomial
@@ -128,6 +128,55 @@ class TestEnumerate:
             found += 1
 
 
+class TestEnumerationOracle:
+    """enumerate_covectors against one sign_feasible call per sign vector."""
+
+    def test_random_central(self):
+        rng = random.Random(2003)
+        proportional = 0
+        for _ in range(200):
+            arr = random_central_arrangement(rng)
+            normals = [normal for normal, _ in arr.hyperplanes]
+            proportional += any(_rank([a, b]) == 1 for a, b in combinations(normals, 2))
+            assert enumerate_covectors(arr).members == exhaustive_covectors(arr), normals
+        assert proportional >= 20
+
+    def test_four_dimensions(self):
+        rng = random.Random(4)
+        cases = [
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]],
+            [[1, 1, 0, 0], [0, 1, 1, 0], [1, 2, 1, 0], [0, 0, 1, 1], [2, 2, 0, 0], [1, 0, 0, -1]],
+        ]
+        while len(cases) < 6:
+            normals = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(rng.randint(4, 6))]
+            if all(any(normal) for normal in normals):
+                cases.append(normals)
+        for normals in cases:
+            arr = RationalArrangement.of(normals)
+            assert enumerate_covectors(arr).members == exhaustive_covectors(arr), normals
+
+    @pytest.mark.parametrize(
+        "normals, offsets",
+        [
+            ([[1], [1], [1]], [0, 1, -2]),
+            ([[1, 0], [1, 0], [0, 1], [0, 1]], [0, 1, 0, 1]),
+            ([[1, 0], [1, 0], [1, 1], [1, -1], [2, 2], [0, 1]], [0, 2, 1, 0, 1, -1]),
+        ],
+    )
+    def test_homogenized_parallel_lines(self, normals, offsets):
+        central, _, _ = homogenize(RationalArrangement.of(normals, offsets, affine=True))
+        assert enumerate_covectors(central).members == exhaustive_covectors(central)
+
+    def test_output_sensitive_twelve_planes(self):
+        # moment-curve normals (1, t, t^2) are in general position; the work
+        # must follow the 531 covectors, not the 3^12 sign patterns
+        arr = RationalArrangement.of([[1, t, t * t] for t in range(1, 13)])
+        s = enumerate_covectors(arr)
+        assert len(s) == 531
+        assert len(topes(s)) == 134 == 2 * sum(comb(11, k) for k in range(3))
+        assert s.verified
+
+
 def _rank(rows):
     rows = [list(r) for r in rows]
     m = len(rows)
@@ -147,8 +196,6 @@ def _rank(rows):
 
 
 def _in_general_position(normals, d):
-    from itertools import combinations
-
     n = len(normals)
     for size in range(1, min(n, d) + 1):
         for subset in combinations(normals, size):
