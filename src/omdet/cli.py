@@ -34,6 +34,7 @@ from .signvec import (
     CovectorSet,
     FiberError,
     FiberView,
+    as_int,
     check_covector_axioms,
     loops,
     parse_cov,
@@ -169,10 +170,7 @@ def _parse_specialize(text: str | None, nvars: int) -> Specialization | None:
             collapse.append(var)
             continue
         try:
-            # JSON floats and booleans would pass int() as truncated integers
-            if isinstance(value, bool) or not isinstance(value, (int, str)):
-                raise TypeError(type(value).__name__)
-            values[var] = int(value)
+            values[var] = as_int(value)
         except (TypeError, ValueError) as exc:
             raise InputError(f"specialization value for {key} must be an integer or 'a'") from exc
     if collapse:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .signvec import CovectorSet, FiberView, SignVector, check_covector_axioms, loops, topal_fiber
+from .signvec import CovectorSet, FiberView, SignVector, as_int, check_covector_axioms, loops, topal_fiber
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class RationalArrangement:
             [[Fraction(c) for c in h["normal"]] for h in hyperplanes],
             [Fraction(h.get("offset", "0")) for h in hyperplanes],
             affine=bool(doc.get("affine", False)),
-            dim=int(doc["dim"]) if "dim" in doc else None,
+            dim=as_int(doc["dim"]) if "dim" in doc else None,
         )
 
     def dumps(self) -> str:

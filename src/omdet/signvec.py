@@ -34,6 +34,13 @@ _SIGN_OF_CHAR = {"+": 1, "-": -1, "0": 0}
 _CHAR_OF_SIGN = {1: "+", -1: "-", 0: "0"}
 
 
+def as_int(value) -> int:
+    """int(value), but a float or bool raises ValueError instead of truncating."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 class FiberError(ValueError):
     """The input is not a valid oriented-matroid fiber."""
 
@@ -274,6 +281,22 @@ class AxiomReport:
         return out
 
 
+def _composition_gap(members) -> tuple[SignVector, SignVector, SignVector] | None:
+    """First (u, v, u o v) in member order with u o v not a member, else None.
+
+    Pairs are composed as raw (plus, minus) masks, not as SignVectors.
+    """
+    vectors = [(m.plus, m.minus) for m in members]
+    index = set(vectors)
+    for u, (up, um) in zip(members, vectors):
+        open_ = ~(up | um)
+        for vp, vm in vectors:
+            w = (up | (vp & open_), um | (vm & open_))
+            if w not in index:
+                return u, SignVector(u.n, vp, vm), SignVector(u.n, *w)
+    return None
+
+
 def check_covector_axioms(s: CovectorSet) -> AxiomReport:
     """Run the four covector axioms; marks the set verified when all pass.
 
@@ -294,20 +317,7 @@ def check_covector_axioms(s: CovectorSet) -> AxiomReport:
             negation_witness = m
             break
 
-    composition_ok = True
-    composition_witness = None
-    for up, um in vectors:
-        open_ = ~(up | um)
-        for vp, vm in vectors:
-            if (up | (vp & open_), um | (vm & open_)) not in index:
-                composition_ok = False
-                composition_witness = (
-                    SignVector(s.n, up, um),
-                    SignVector(s.n, vp, vm),
-                )
-                break
-        if not composition_ok:
-            break
+    gap = _composition_gap(s.members)
 
     # Elimination is symmetric in (u, v): S(u,v) = S(v,u) and the two
     # compositions agree outside S, so unordered pairs suffice.  Pairs that
@@ -353,10 +363,10 @@ def check_covector_axioms(s: CovectorSet) -> AxiomReport:
     report = AxiomReport(
         zero_ok,
         negation_ok,
-        composition_ok,
+        gap is None,
         elimination_ok,
         negation_witness,
-        composition_witness,
+        None if gap is None else gap[:2],
         elimination_witness,
     )
     if report.ok:
@@ -456,31 +466,33 @@ class FiberView:
         return cached
 
 
+def _anchor_check(anchor: SignVector, n: int, free_mask: int):
+    """(zero-at-fixed-indices problem or None, test: member agrees off free_mask)."""
+    fixed_mask = ((1 << n) - 1) & ~free_mask
+    bad = fixed_mask & ~anchor.support_mask
+    problem = f"anchor is zero at fixed indices {sorted(_mask_to_indices(bad))}" if bad else None
+    plus, minus = anchor.plus & fixed_mask, anchor.minus & fixed_mask
+    return problem, lambda m: (m.plus & fixed_mask) == plus and (m.minus & fixed_mask) == minus
+
+
 def topal_fiber(s: CovectorSet, free_indices, anchor: SignVector) -> FiberView:
     """Restrict s to the covectors agreeing with the anchor outside I."""
     free = frozenset(free_indices)
     free_mask = _indices_to_mask(free, s.n)
-    fixed_mask = ((1 << s.n) - 1) & ~free_mask
     if anchor not in s:
         raise ValueError("fiber anchor is not a member of the covector set")
-    if fixed_mask & ~anchor.support_mask:
-        bad = _mask_to_indices(fixed_mask & ~anchor.support_mask)
-        raise ValueError(f"anchor is zero at fixed indices {sorted(bad)}")
-    members = tuple(
-        m
-        for m in s.members
-        if (m.plus & fixed_mask) == (anchor.plus & fixed_mask)
-        and (m.minus & fixed_mask) == (anchor.minus & fixed_mask)
-    )
-    return FiberView(s, free, anchor, members)
+    problem, agrees = _anchor_check(anchor, s.n, free_mask)
+    if problem:
+        raise ValueError(problem)
+    return FiberView(s, free, anchor, tuple(m for m in s.members if agrees(m)))
 
 
 def fiber_of(members, free_indices=None, anchor: SignVector | None = None) -> FiberView:
     """Package raw fiber members (no ambient set available) as a FiberView."""
-    unique = sorted(set(members), key=SignVector.sort_key)
-    if not unique:
+    members = list(members)
+    if not members:
         raise FiberError("a fiber needs at least one member")
-    base = CovectorSet.of(unique)
+    base = CovectorSet.of(members)
     n = base.n
     free = frozenset(free_indices) if free_indices is not None else frozenset(range(1, n + 1))
     if anchor is None:
@@ -504,29 +516,17 @@ def validate_fiber(f: FiberView) -> tuple[str, ...]:
     if cached is not None:
         return cached
     problems: list[str] = []
-    fixed_mask = _indices_to_mask(f.fixed_indices, f.n)
     if f.anchor not in f:
         problems.append("anchor is not a fiber member")
-    if fixed_mask & ~f.anchor.support_mask:
-        bad = sorted(_mask_to_indices(fixed_mask & ~f.anchor.support_mask))
-        problems.append(f"anchor is zero at fixed indices {bad}")
-    for m in f.members:
-        if (m.plus & fixed_mask) != (f.anchor.plus & fixed_mask) or (
-            m.minus & fixed_mask
-        ) != (f.anchor.minus & fixed_mask):
-            problems.append(f"member {m} disagrees with the anchor on a fixed index")
-            break
-    index = f._index
-    done = False
-    for u in f.members:
-        for v in f.members:
-            w = compose(u, v)
-            if w not in index:
-                problems.append(f"not closed under composition: {u} o {v} = {w} missing")
-                done = True
-                break
-        if done:
-            break
+    problem, agrees = _anchor_check(f.anchor, f.n, f.free_mask)
+    if problem:
+        problems.append(problem)
+    stray = next((m for m in f.members if not agrees(m)), None)
+    if stray is not None:
+        problems.append(f"member {stray} disagrees with the anchor on a fixed index")
+    gap = _composition_gap(f.members)
+    if gap is not None:
+        problems.append("not closed under composition: {} o {} = {} missing".format(*gap))
     result = tuple(problems)
     f._cache["problems"] = result
     return result

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .signvec import FiberView, SignVector, fiber_of
+from .signvec import FiberView, SignVector, as_int, fiber_of
 from .varchenko import face_multiplicities
 
 
@@ -37,14 +37,14 @@ class WiringDiagram:
 
     @classmethod
     def of(cls, wires: int, events) -> WiringDiagram:
-        return cls(wires, tuple((int(lo), int(hi)) for lo, hi in events))
+        return cls(wires, tuple((as_int(lo), as_int(hi)) for lo, hi in events))
 
     def to_json(self) -> dict:
         return {"wires": self.wires, "events": [list(e) for e in self.events]}
 
     @classmethod
     def from_json(cls, doc: dict) -> WiringDiagram:
-        return cls.of(int(doc["wires"]), doc["events"])
+        return cls.of(as_int(doc["wires"]), doc["events"])
 
     def dumps(self) -> str:
         return json.dumps(self.to_json()) + "\n"

@@ -3,6 +3,7 @@
 Everything here deliberately avoids the package's optimized code paths:
 the determinant oracle is a permutation expansion (no elimination), the
 axiom oracle is a direct quantifier translation over sign tuples, the
+closure oracle composes every ordered pair of SignVector objects, the
 enumeration oracle runs the feasibility test on every sign vector, and the
 chain oracle is a recursive longest-path search.
 """
@@ -15,7 +16,7 @@ from itertools import permutations, product
 
 from omdet.polyring import IntPolynomial
 from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors, sign_feasible
-from omdet.signvec import CovectorSet, SignVector, leq, topal_fiber
+from omdet.signvec import CovectorSet, SignVector, compose, leq, topal_fiber
 from omdet.wiring import WiringDiagram
 
 
@@ -60,6 +61,17 @@ def naive_axiom_check(members) -> bool:
                 ):
                     return False
     return True
+
+
+def first_composition_gap(members):
+    """First (u, v) in member order whose composition u o v is not a member."""
+    members = list(members)
+    index = set(members)
+    for u in members:
+        for v in members:
+            if compose(u, v) not in index:
+                return u, v
+    return None
 
 
 def longest_chain_to(members, target) -> int:

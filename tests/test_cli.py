@@ -262,6 +262,8 @@ class TestLimits:
             '{"dim": 2, "hyperplanes": [{"normal": [1, 2], "offset": null}]}',
             '{"dim": 2, "hyperplanes": [{"normal": ["1/0", 2]}]}',
             '{"dim": 2, "hyperplanes": [{"normal": [1e400, 2]}]}',
+            '{"dim": 2.7, "hyperplanes": [{"normal": [1, 2]}]}',
+            json.dumps({"dim": 1, "hyperplanes": [{"normal": [k]} for k in range(1, 66)]}),
         ],
     )
     def test_from_arrangement_malformed_shape(self, capsys, tmp_path, doc):
@@ -279,6 +281,9 @@ class TestLimits:
             "[3]",
             '{"wires": 3, "events": [[null, 1]]}',
             '{"wires": 1e400, "events": []}',
+            '{"wires": 3, "events": [[0.5, 1.9]]}',
+            '{"wires": true, "events": []}',
+            '{"wires": 65, "events": []}',
         ],
     )
     def test_from_wiring_malformed_shape(self, capsys, tmp_path, doc):
@@ -288,6 +293,35 @@ class TestLimits:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_from_wiring_at_cap(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text('{"wires": 64, "events": [[0, 1]]}')
+        out_path = str(tmp_path / "wide.cov")
+        code, _, _ = run(capsys, "from-wiring", str(path), "-o", out_path)
+        assert code == 0
+        code, out, _ = run(capsys, "verify", out_path, "--mode", "randomized", "--evals", "1")
+        assert code == 0
+        assert "agreement: true" in out
+
+    def test_from_arrangement_at_cap(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"dim": 1, "hyperplanes": [{"normal": [k]} for k in range(1, 65)]}))
+        code, out, _ = run(capsys, "from-arrangement", str(path))
+        assert code == 0
+        assert out.splitlines() == ["n=64", "-" * 64, "0" * 64, "+" * 64]
+
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_fiber_file_missing_composition(self, capsys, tmp_path, command):
+        path = tmp_path / "np.cov"
+        path.write_text(format_cov(faces(non_pappus())).replace("\n---0---+-\n", "\n"))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {path}: not closed under composition: "
+            "---0--0+0 o 0--0---0- = ---0---+- missing\n"
+        )
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -310,4 +344,12 @@ def test_randomized_verify_golden(capsys, tmp_path, fmt, spec, name):
         args += ["--specialize", spec]
     code, out, _ = run(capsys, *args)
     assert code == 0
+    assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("fmt, name", [("text", "check_closure_gap.txt"), ("json", "check_closure_gap.json")])
+def test_fiber_closure_gap_golden(capsys, fmt, name):
+    args = ["check", str(GOLDEN / "closure_gap_set.cov"), "--fiber", "1,2,3", "--anchor", "++++"]
+    code, out, _ = run(capsys, *args, "--format", fmt)
+    assert code == 1
     assert out == (GOLDEN / name).read_text()

@@ -6,6 +6,7 @@ from omdet.polyring import VarId
 from omdet.signvec import (
     CovectorSet,
     FiberError,
+    FiberView,
     SignVector,
     boundary_max,
     check_covector_axioms,
@@ -25,15 +26,18 @@ from omdet.signvec import (
     validate_fiber,
     weight_exponents,
 )
+from omdet.wiring import faces
 
 from oracle import (
     concurrent_lines,
     coord_lines,
     corpus_fibers,
     corpus_sets,
+    first_composition_gap,
     longest_chain_to,
     naive_axiom_check,
     one_line,
+    random_wiring,
     whole_fiber,
 )
 
@@ -322,3 +326,61 @@ class TestCovFormat:
     def test_fiber_validation_on_parse(self):
         f = parse_cov("n=2\nI=1,2\nu=++\n++\n0+\n-+\n00\n+0\n0-\n+-\n--\n-0\n")
         assert validate_fiber(f) == ()
+
+
+def _closure_inputs():
+    """Corpus sets and fibers plus seeded wiring fibers, as FiberViews."""
+    views = {name: whole_fiber(s) for name, s in corpus_sets().items()}
+    views.update({f"fiber:{name}": f for name, f in corpus_fibers().items()})
+    rng = random.Random(4)
+    for k in range(20):
+        views[f"wiring:{k}"] = faces(random_wiring(rng, max_wires=5))
+    return views
+
+
+CLOSURE_INPUTS = _closure_inputs()
+
+
+class TestClosureOracle:
+    """Both closure scans report the oracle's first missing composition."""
+
+    @staticmethod
+    def assert_matches_oracle(f: FiberView):
+        gap = first_composition_gap(f.members)
+        closure = [p for p in validate_fiber(f) if p.startswith("not closed")]
+        witness = check_covector_axioms(CovectorSet.of(f.members, n=f.n)).composition_witness
+        if gap is None:
+            assert closure == [] and witness is None
+        else:
+            u, v = gap
+            assert closure == [f"not closed under composition: {u} o {v} = {compose(u, v)} missing"]
+            assert witness == gap
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_INPUTS))
+    def test_unmutated_inputs_are_closed(self, name):
+        f = CLOSURE_INPUTS[name]
+        assert first_composition_gap(f.members) is None
+        self.assert_matches_oracle(f)
+
+    @staticmethod
+    def mutants(f: FiberView):
+        """f with one non-tope member removed, for each non-tope in turn."""
+        for drop in f.members:
+            if not drop.is_tope:
+                kept = tuple(m for m in f.members if m != drop)
+                yield FiberView(CovectorSet.of(kept, n=f.n), f.free, f.anchor, kept)
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_INPUTS))
+    def test_one_face_removed(self, name):
+        for mutant in self.mutants(CLOSURE_INPUTS[name]):
+            self.assert_matches_oracle(mutant)
+
+    def test_mutants_open_gaps(self):
+        # rank-2 inputs stay closed when a face goes; the wiring fibers must not
+        gaps = sum(
+            first_composition_gap(m.members) is not None
+            for name, f in CLOSURE_INPUTS.items()
+            if name.startswith("wiring:")
+            for m in self.mutants(f)
+        )
+        assert gaps >= 20
