@@ -24,6 +24,7 @@ import sys
 
 from .polyring import (
     ExactDivisionError,
+    ExponentOverflowError,
     IntPolynomial,
     Specialization,
     VarId,
@@ -34,6 +35,7 @@ from .signvec import (
     CovectorSet,
     FiberError,
     FiberView,
+    SignVector,
     as_int,
     check_covector_axioms,
     loops,
@@ -101,8 +103,6 @@ def _load_input(args) -> CovectorSet | FiberView:
         )
     try:
         free = frozenset(int(tok) for tok in flag_fiber.split(",") if tok.strip())
-        from .signvec import SignVector
-
         anchor = SignVector.from_string(flag_anchor)
         return topal_fiber(parsed, free, anchor)
     except (ValueError, FiberError) as exc:
@@ -363,16 +363,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_anchor(argv):
+    """--anchor VALUE (or an abbreviation such as --anch VALUE) as
+    --anchor=VALUE, so that argparse does not read an anchor starting with
+    '-' (such as ----) as an option."""
+    out = []
+    for arg in argv:
+        if out and len(out[-1]) > 2 and "--anchor".startswith(out[-1]):
+            out[-1] = f"--anchor={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_anchor(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except _ReportedFailure as exc:
         for line in exc.lines:
             print(line)
         return 1
-    except (InputError, FiberError, SizeGuardError, ExactDivisionError) as exc:
+    except (InputError, FiberError, SizeGuardError, ExactDivisionError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

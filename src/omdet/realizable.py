@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .signvec import CovectorSet, FiberView, SignVector, as_int, check_covector_axioms, loops, topal_fiber
@@ -94,99 +95,81 @@ class RationalArrangement:
 # exact feasibility
 
 
-def _substitute_equalities(equalities, forms):
-    """Gaussian elimination of homogeneous equalities into the forms.
-
-    Returns the reduced form vectors; eliminated variables keep their slots
-    with zero coefficients.
-    """
-    eqs = [list(e) for e in equalities]
-    forms = [list(vec) for vec in forms]
-    for row in range(len(eqs)):
-        eq = eqs[row]
-        pivot = next((k for k, c in enumerate(eq) if c), None)
-        if pivot is None:
-            continue
-        pc = eq[pivot]
-        for other in range(row + 1, len(eqs)):
-            factor = eqs[other][pivot]
-            if factor:
-                ratio = factor / pc
-                eqs[other] = [a - ratio * b for a, b in zip(eqs[other], eq)]
-        for idx, vec in enumerate(forms):
-            factor = vec[pivot]
-            if factor:
-                ratio = factor / pc
-                forms[idx] = [a - ratio * b for a, b in zip(vec, eq)]
-    return forms
+def _integer_rows(arr: RationalArrangement) -> list[tuple[int, ...]]:
+    """Each normal scaled by the lcm of its denominators; a positive scaling
+    keeps every sign vector."""
+    rows = []
+    for normal, _ in arr.hyperplanes:
+        scale = lcm(*(c.denominator for c in normal))
+        rows.append(tuple(c.numerator * (scale // c.denominator) for c in normal))
+    return rows
 
 
 def _normalized(constraints):
-    """Constraints scaled to leading coefficient +-1 and deduped (exact, so
-    deduping is sound), with 0 >= 0 dropped; None on the contradiction 0 > 0."""
+    """Constraints divided by the gcd of their entries (positive, so every
+    direction is kept and deduping is exact), with 0 = 0 dropped; None on
+    the contradiction 0 > 0."""
     out = {}
-    for vec, strict in constraints:
-        if not any(vec):
+    for row, strict in constraints:
+        g = gcd(*row)
+        if not g:
             if strict:
                 return None
             continue
-        lead = next(c for c in vec if c)
-        out[tuple(c / abs(lead) for c in vec), strict] = None
+        out[tuple(c // g for c in row), strict] = None
     return list(out)
 
 
 def _fm_feasible(constraints) -> bool:
-    """Feasibility of {vec . x > 0 (strict) / >= 0} by variable elimination.
+    """Feasibility of integer constraints row . x > 0 (strict) / = 0.
 
-    All constraints here are homogeneous, so the only failure mode is
-    deriving the contradiction 0 > 0.
+    Variable k is eliminated through an equality that involves it when there
+    is one, by the fraction-free substitution row -> e[k]*row - row[k]*e with
+    e[k] > 0, which keeps every kind.  Otherwise it is eliminated by a
+    Fourier-Motzkin step; then only strict rows involve k, so every
+    combination is strict.  All constraints are homogeneous, so the only
+    failure mode is deriving the contradiction 0 > 0.
     """
     active = _normalized(constraints)
-    if active is None:
-        return False
-    if not active:
-        return True
-    for k in range(len(active[0][0])):
-        pos = [c for c in active if c[0][k] > 0]
-        neg = [c for c in active if c[0][k] < 0]
-        untouched = [c for c in active if c[0][k] == 0]
-        if not pos or not neg:
-            # the variable is unbounded in one direction; its constraints
-            # impose nothing on the others
-            active = untouched
-        else:
-            combined = _normalized(
-                (tuple(-nvec[k] * a + pvec[k] * b for a, b in zip(pvec, nvec)), pstrict or nstrict)
-                for (pvec, pstrict), (nvec, nstrict) in product(pos, neg)
+    k = 0
+    while active:
+        eq = next((row for row, strict in active if not strict and row[k]), None)
+        if eq is not None:
+            if eq[k] < 0:
+                eq = tuple(-c for c in eq)
+            active = _normalized(
+                (tuple(eq[k] * a - row[k] * b for a, b in zip(row, eq)) if row[k] else row, strict)
+                for row, strict in active
             )
-            if combined is None:
-                return False
-            active = untouched + combined
-        if not active:
-            return True
-    return True
+        else:
+            pos = [row for row, _ in active if row[k] > 0]
+            neg = [row for row, _ in active if row[k] < 0]
+            untouched = [c for c in active if not c[0][k]]
+            if not pos or not neg:
+                # the variable is unbounded in one direction; its constraints
+                # impose nothing on the others
+                active = untouched
+            else:
+                active = _normalized(
+                    untouched
+                    + [
+                        (tuple(-nrow[k] * a + prow[k] * b for a, b in zip(prow, nrow)), True)
+                        for prow, nrow in product(pos, neg)
+                    ]
+                )
+        k += 1
+    return active is not None
 
 
-def _reduced_forms(normals, zero_set):
-    """Forms of the hyperplanes outside zero_set on the solution space of the
-    zero-set equalities, keyed by 0-based index; None when some such form
-    vanishes there (no sign vector with exactly this zero set exists)."""
-    rest = [i for i in range(len(normals)) if i not in zero_set]
-    reduced = _substitute_equalities([normals[i] for i in zero_set], [normals[i] for i in rest])
-    forms = {}
-    for i, vec in zip(rest, reduced):
-        if not any(vec):
-            return None
-        forms[i] = tuple(vec)
-    return forms
-
-
-def _signed_feasible(forms, plus: int) -> bool:
-    """Is there a point where each form i is positive if bit i of plus is
-    set and negative otherwise?"""
-    return _fm_feasible(
-        [(vec if plus >> i & 1 else tuple(-c for c in vec), True) for i, vec in forms.items()]
-    )
+def _feasible(rows, plus: int, minus: int) -> bool:
+    """Is there a point where row i is positive if bit i of plus is set,
+    negative if bit i of minus is set, and zero otherwise?"""
+    constraints = []
+    for i, row in enumerate(rows):
+        if minus >> i & 1:
+            row = tuple(-c for c in row)
+        constraints.append((row, bool((plus | minus) >> i & 1)))
+    return _fm_feasible(constraints)
 
 
 def sign_feasible(arr: RationalArrangement, sigma: SignVector) -> bool:
@@ -195,9 +178,7 @@ def sign_feasible(arr: RationalArrangement, sigma: SignVector) -> bool:
         raise ValueError("sign_feasible expects a central (or homogenized) arrangement")
     if sigma.n != arr.n:
         raise ValueError(f"sign vector length {sigma.n} does not match {arr.n} hyperplanes")
-    zero_set = [i - 1 for i in sorted(sigma.zero_set())]
-    forms = _reduced_forms([normal for normal, _ in arr.hyperplanes], zero_set)
-    return forms is not None and _signed_feasible(forms, sigma.plus)
+    return _feasible(_integer_rows(arr), sigma.plus, sigma.minus)
 
 
 def enumerate_covectors(arr: RationalArrangement, check: bool = True) -> CovectorSet:
@@ -208,9 +189,10 @@ def enumerate_covectors(arr: RationalArrangement, check: bool = True) -> Covecto
     k+1 either misses the cell of a covector of the first k hyperplanes (one
     extension, + or -), cuts it (three: +, 0, -), or contains it (only 0,
     when its form vanishes on the cell's span).  So each representative
-    costs one equality reduction and at most two Fourier-Motzkin tests, and
-    the work follows the output size.  The result must pass the covector
-    axioms; ``check=False`` skips the final validation and leaves the set
+    costs at most two feasibility tests (integer Fourier-Motzkin with the
+    cell's equalities eliminated in the same loop), and the work follows
+    the output size.  The result must pass the covector axioms;
+    ``check=False`` skips the final validation and leaves the set
     unverified.
     """
     if arr.affine:
@@ -218,25 +200,28 @@ def enumerate_covectors(arr: RationalArrangement, check: bool = True) -> Covecto
     if arr.n == 0:
         raise ValueError("cannot enumerate covectors of an empty arrangement")
     n = arr.n
-    normals = [normal for normal, _ in arr.hyperplanes]
+    rows = _integer_rows(arr)
     reps = [(0, 0)]  # (plus, minus) masks over the hyperplanes added so far
     for k in range(n):
         bit = 1 << k
+        head = rows[: k + 1]
         grown = []
         for plus, minus in reps:
-            support = plus | minus
-            forms = _reduced_forms(normals[: k + 1], [i for i in range(k) if not support >> i & 1])
-            if forms is None:
-                grown.append((plus, minus))
-            elif not support:
+            if not plus | minus:
                 # the zero vector is its own antipode: keep + and drop its mirror -
-                grown += [(bit, 0), (0, 0)]
-            elif not _signed_feasible(forms, plus | bit):
-                grown.append((plus, minus | bit))
-            elif _signed_feasible(forms, plus):
+                grown += [(bit, 0), (0, 0)] if _feasible(head, bit, 0) else [(0, 0)]
+                continue
+            up = _feasible(head, plus | bit, minus)
+            down = _feasible(head, plus, minus | bit)
+            if up and down:
                 grown += [(plus | bit, minus), (plus, minus), (plus, minus | bit)]
-            else:
+            elif up:
                 grown.append((plus | bit, minus))
+            elif down:
+                grown.append((plus, minus | bit))
+            else:
+                # the form vanishes on the cell's span
+                grown.append((plus, minus))
         reps = grown
     out = CovectorSet.of(
         [SignVector(n, plus, minus) for plus, minus in reps]

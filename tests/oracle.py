@@ -4,8 +4,10 @@ Everything here deliberately avoids the package's optimized code paths:
 the determinant oracle is a permutation expansion (no elimination), the
 axiom oracle is a direct quantifier translation over sign tuples, the
 closure oracle composes every ordered pair of SignVector objects, the
-enumeration oracle runs the feasibility test on every sign vector, and the
-chain oracle is a recursive longest-path search.
+enumeration oracle runs a feasibility test on every sign vector, the
+feasibility oracle is Gaussian substitution of the equalities over Fraction
+followed by Fourier-Motzkin on the reduced forms, and the chain oracle is a
+recursive longest-path search.
 """
 
 from __future__ import annotations
@@ -189,14 +191,124 @@ def random_wiring(rng: random.Random, max_wires: int = 6) -> WiringDiagram:
     return WiringDiagram.of(n, events)
 
 
-def exhaustive_covectors(arr: RationalArrangement) -> tuple[SignVector, ...]:
-    """Every sigma in {+,0,-}^n that sign_feasible accepts, in canonical order.
+def exhaustive_covectors(arr: RationalArrangement, feasible=sign_feasible) -> tuple[SignVector, ...]:
+    """Every sigma in {+,0,-}^n that feasible accepts, in canonical order.
 
     One independent feasibility test per sign vector (3^n of them), with no
     incremental construction and no use of symmetry.
     """
     candidates = (SignVector.from_string("".join(s)) for s in product("-0+", repeat=arr.n))
-    return tuple(sigma for sigma in candidates if sign_feasible(arr, sigma))
+    return tuple(sigma for sigma in candidates if feasible(arr, sigma))
+
+
+# feasibility over Fraction
+
+
+def _substitute_equalities(equalities, forms):
+    """Gaussian elimination of homogeneous equalities into the forms.
+
+    Returns the reduced form vectors; eliminated variables keep their slots
+    with zero coefficients.
+    """
+    eqs = [list(e) for e in equalities]
+    forms = [list(vec) for vec in forms]
+    for row in range(len(eqs)):
+        eq = eqs[row]
+        pivot = next((k for k, c in enumerate(eq) if c), None)
+        if pivot is None:
+            continue
+        pc = eq[pivot]
+        for other in range(row + 1, len(eqs)):
+            factor = eqs[other][pivot]
+            if factor:
+                ratio = factor / pc
+                eqs[other] = [a - ratio * b for a, b in zip(eqs[other], eq)]
+        for idx, vec in enumerate(forms):
+            factor = vec[pivot]
+            if factor:
+                ratio = factor / pc
+                forms[idx] = [a - ratio * b for a, b in zip(vec, eq)]
+    return forms
+
+
+def _normalized(constraints):
+    """Constraints scaled to leading coefficient +-1 and deduped (exact, so
+    deduping is sound), with 0 >= 0 dropped; None on the contradiction 0 > 0."""
+    out = {}
+    for vec, strict in constraints:
+        if not any(vec):
+            if strict:
+                return None
+            continue
+        lead = next(c for c in vec if c)
+        out[tuple(c / abs(lead) for c in vec), strict] = None
+    return list(out)
+
+
+def _fm_feasible(constraints) -> bool:
+    """Feasibility of {vec . x > 0 (strict) / >= 0} by variable elimination.
+
+    All constraints here are homogeneous, so the only failure mode is
+    deriving the contradiction 0 > 0.
+    """
+    active = _normalized(constraints)
+    if active is None:
+        return False
+    if not active:
+        return True
+    for k in range(len(active[0][0])):
+        pos = [c for c in active if c[0][k] > 0]
+        neg = [c for c in active if c[0][k] < 0]
+        untouched = [c for c in active if c[0][k] == 0]
+        if not pos or not neg:
+            # the variable is unbounded in one direction; its constraints
+            # impose nothing on the others
+            active = untouched
+        else:
+            combined = _normalized(
+                (tuple(-nvec[k] * a + pvec[k] * b for a, b in zip(pvec, nvec)), pstrict or nstrict)
+                for (pvec, pstrict), (nvec, nstrict) in product(pos, neg)
+            )
+            if combined is None:
+                return False
+            active = untouched + combined
+        if not active:
+            return True
+    return True
+
+
+def _reduced_forms(normals, zero_set):
+    """Forms of the hyperplanes outside zero_set on the solution space of the
+    zero-set equalities, keyed by 0-based index; None when some such form
+    vanishes there (no sign vector with exactly this zero set exists)."""
+    rest = [i for i in range(len(normals)) if i not in zero_set]
+    reduced = _substitute_equalities([normals[i] for i in zero_set], [normals[i] for i in rest])
+    forms = {}
+    for i, vec in zip(rest, reduced):
+        if not any(vec):
+            return None
+        forms[i] = tuple(vec)
+    return forms
+
+
+def _signed_feasible(forms, plus: int) -> bool:
+    """Is there a point where each form i is positive if bit i of plus is
+    set and negative otherwise?"""
+    return _fm_feasible(
+        [(vec if plus >> i & 1 else tuple(-c for c in vec), True) for i, vec in forms.items()]
+    )
+
+
+def fraction_feasible(arr: RationalArrangement, sigma: SignVector) -> bool:
+    """sign_feasible over Fraction: Gaussian substitution of the zero-sign
+    equalities, then Fourier-Motzkin on the reduced forms."""
+    if arr.affine:
+        raise ValueError("fraction_feasible expects a central (or homogenized) arrangement")
+    if sigma.n != arr.n:
+        raise ValueError(f"sign vector length {sigma.n} does not match {arr.n} hyperplanes")
+    zero_set = [i - 1 for i in sorted(sigma.zero_set())]
+    forms = _reduced_forms([normal for normal, _ in arr.hyperplanes], zero_set)
+    return forms is not None and _signed_feasible(forms, sigma.plus)
 
 
 def residue_oracle(p: IntPolynomial, assignment, prime: int) -> int:

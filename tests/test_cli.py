@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+import omdet.cli
 from omdet.cli import main
+from omdet.polyring import ExponentOverflowError
 from omdet.realizable import RationalArrangement
 from omdet.signvec import format_cov, parse_cov
 from omdet.wiring import faces, non_pappus
@@ -311,6 +313,18 @@ class TestLimits:
         assert code == 0
         assert out.splitlines() == ["n=64", "-" * 64, "0" * 64, "+" * 64]
 
+    def test_exponent_overflow_exits_two(self, capsys, monkeypatch, one_line_cov):
+        # no input reaches the exponent lane cap in test time, so the
+        # determinant is replaced by one that overflows
+        def overflow(*args):
+            raise ExponentOverflowError("exponent overflow during division")
+
+        monkeypatch.setattr(omdet.cli, "fiber_determinant", overflow)
+        code, out, err = run(capsys, "det", one_line_cov)
+        assert code == 2
+        assert out == ""
+        assert err == "error: exponent overflow during division\n"
+
     @pytest.mark.parametrize("command", ["check", "verify"])
     def test_fiber_file_missing_composition(self, capsys, tmp_path, command):
         path = tmp_path / "np.cov"
@@ -353,3 +367,13 @@ def test_fiber_closure_gap_golden(capsys, fmt, name):
     code, out, _ = run(capsys, *args, "--format", fmt)
     assert code == 1
     assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("flag", ["--anchor", "--anch"])
+@pytest.mark.parametrize("command", ["check", "topes"])
+def test_anchor_with_leading_minus(capsys, command, flag):
+    path = str(GOLDEN / "closure_gap_set.cov")
+    joined = run(capsys, command, path, "--fiber", "1,2", f"{flag}=----")
+    spaced = run(capsys, command, path, "--fiber", "1,2", flag, "----")
+    assert joined[0] == 0
+    assert spaced == joined

@@ -16,7 +16,7 @@ from omdet.signvec import SignVector, check_covector_axioms, topes
 from omdet.varchenko import build_matrix, determinant, product_formula
 from omdet.polyring import IntPolynomial
 
-from oracle import exhaustive_covectors, random_central_arrangement
+from oracle import exhaustive_covectors, fraction_feasible, random_central_arrangement
 
 sv = SignVector.from_string
 P = IntPolynomial
@@ -166,6 +166,28 @@ class TestEnumerationOracle:
     def test_homogenized_parallel_lines(self, normals, offsets):
         central, _, _ = homogenize(RationalArrangement.of(normals, offsets, affine=True))
         assert enumerate_covectors(central).members == exhaustive_covectors(central)
+
+    def test_fraction_oracle_mixed_denominators(self):
+        # fractional normals reach the integer rows only through the lcm
+        # scaling; a dependent normal makes a form vanish on a cell's span
+        rng = random.Random(7)
+        dependent = 0
+        for _ in range(40):
+            d = rng.randint(1, 4)
+            n = rng.randint(2, 6)
+            normals = []
+            while len(normals) < n:
+                vec = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7))) for _ in range(d)]
+                if any(vec):
+                    normals.append(vec)
+            if rng.random() < 0.4:
+                normals[rng.randrange(1, n)] = [Fraction(-3, 7) * c for c in normals[0]]
+                dependent += 1
+            arr = RationalArrangement.of(normals)
+            expected = exhaustive_covectors(arr, fraction_feasible)
+            assert exhaustive_covectors(arr) == expected, normals
+            assert enumerate_covectors(arr).members == expected, normals
+        assert dependent >= 10
 
     def test_output_sensitive_twelve_planes(self):
         # moment-curve normals (1, t, t^2) are in general position; the work
