@@ -25,11 +25,11 @@ import sys
 from .polyring import (
     ExactDivisionError,
     ExponentOverflowError,
-    IntPolynomial,
     Specialization,
     VarId,
     factored_str,
     poly_str,
+    var_label,
 )
 from .signvec import (
     CovectorSet,
@@ -144,10 +144,10 @@ def _parse_specialize(text: str | None, nvars: int) -> Specialization | None:
         return Specialization.collapse_all(nvars)
     if text.startswith("{"):
         try:
-            doc = json.loads(text)
+            # pairs, not a dict, so a repeated key is seen rather than overwritten
+            entries = json.loads(text, object_pairs_hook=list)
         except json.JSONDecodeError as exc:
             raise InputError(f"bad JSON specialization map: {exc}") from exc
-        entries = doc.items()
     else:
         entries = []
         for chunk in text.split(","):
@@ -158,7 +158,6 @@ def _parse_specialize(text: str | None, nvars: int) -> Specialization | None:
             key, value = chunk.split("=", 1)
             entries.append((key.strip(), value.strip()))
     values = {}
-    collapse = []
     for key, value in entries:
         try:
             var = VarId.parse(key).index
@@ -166,25 +165,18 @@ def _parse_specialize(text: str | None, nvars: int) -> Specialization | None:
             raise InputError(str(exc)) from exc
         if var >= nvars:
             raise InputError(f"variable {key} is outside this input's universe")
-        if value == "a":
-            collapse.append(var)
-            continue
+        if var in values:
+            raise InputError(f"variable {var_label(var)} is specialized more than once")
         try:
-            values[var] = as_int(value)
+            values[var] = "a" if value == "a" else as_int(value)
         except (TypeError, ValueError) as exc:
             raise InputError(f"specialization value for {key} must be an integer or 'a'") from exc
-    if collapse:
-        if len(collapse) + len(values) < nvars:
-            raise InputError(
-                "a specialization using the collapsed symbol 'a' must cover every variable"
-            )
-        a = IntPolynomial.variable(1, 0)
-        mapping = [(v, a) for v in collapse]
-        mapping += [(v, IntPolynomial.const(1, c)) for v, c in values.items()]
-        return Specialization(tuple(mapping), 1, ("a",))
     if not values:
         return None
-    return Specialization.constants(nvars, values)
+    try:
+        return Specialization.of(nvars, values)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _cmd_check(args) -> int:

@@ -304,10 +304,6 @@ class IntPolynomial:
             return 0
         return monomial_degree(self.nvars, max(self._terms))
 
-    def variables(self) -> frozenset[int]:
-        # a lane of the OR of all keys is nonzero iff some term uses that variable
-        return frozenset(unpack_monomial(self.nvars, reduce(or_, self._terms, 0)))
-
     # ring operations
 
     def _check_universe(self, other: IntPolynomial):
@@ -387,46 +383,6 @@ class IntPolynomial:
             self.nvars, _divide_exact(self.nvars, dict(self._terms), q._terms)
         )
 
-    # homomorphisms
-
-    def substitute(self, mapping, nvars: int | None = None) -> IntPolynomial:
-        """Homomorphic image under {variable: polynomial-or-int}.
-
-        Variables absent from the mapping are kept as themselves, which is
-        only meaningful when the target universe equals the source one.
-        """
-        images: dict[int, IntPolynomial] = {}
-        target = nvars
-        for v, img in mapping.items():
-            v = _var_index(v)
-            if isinstance(img, IntPolynomial):
-                if target is None:
-                    target = img.nvars
-                elif img.nvars != target:
-                    raise ValueError("substitution images live in different universes")
-                images[v] = img
-            else:
-                images[v] = int(img)  # resolved once target is known
-        if target is None:
-            target = self.nvars
-        for v, img in images.items():
-            if isinstance(img, int):
-                images[v] = IntPolynomial.const(target, img)
-        result = IntPolynomial.zero(target)
-        for exps, coeff in self.monomial_exponents():
-            term = IntPolynomial.const(target, coeff)
-            for v, e in exps.items():
-                img = images.get(v)
-                if img is None:
-                    if target != self.nvars:
-                        raise ValueError(
-                            f"variable {var_label(v)} has no image in the target universe"
-                        )
-                    img = IntPolynomial.variable(target, v)
-                term = term * img**e
-            result = result + term
-        return result
-
     def eval_mod(self, assignment, prime: int) -> int:
         """Value of the polynomial at {variable: residue}, in the prime field."""
         return residues_mod((self,), assignment, prime)[0]
@@ -494,6 +450,16 @@ def residues_mod(polys, assignment, prime: int) -> list[int]:
     except KeyError as exc:
         raise KeyError(f"no residue assigned to {var_label(exc.args[0])}") from None
     return out
+
+
+def used_variables(polys) -> list[int]:
+    """Sorted flat indices of the variables occurring in polynomials of one universe."""
+    nvars = keys = 0
+    for p in polys:
+        nvars = p.nvars
+        # a lane of the OR of all keys is nonzero iff some term uses that variable
+        keys = reduce(or_, p._terms, keys)
+    return sorted(unpack_monomial(nvars, keys))
 
 
 def _resolve_name(v: int, names) -> str:
@@ -667,11 +633,6 @@ class FactoredPoly:
             result = result * base**exp
         return result
 
-    def substitute(self, mapping, nvars: int | None = None) -> FactoredPoly:
-        subbed = [(base.substitute(mapping, nvars), exp) for base, exp in self.factors]
-        target = subbed[0][0].nvars if subbed else (nvars if nvars is not None else self.nvars)
-        return FactoredPoly(target, subbed)
-
     def eval_mod(self, assignment, prime: int) -> int:
         residues = residues_mod([base for base, _ in self.factors], assignment, prime)
         return prod(pow(r, exp, prime) for r, (_, exp) in zip(residues, self.factors)) % prime
@@ -706,35 +667,66 @@ def factored_str(f: FactoredPoly, names=None) -> str:
 
 @dataclass(frozen=True)
 class Specialization:
-    """A variable substitution plus the bookkeeping needed to print its output.
+    """A map sending each variable to one term, plus the names to print its output.
 
-    ``mapping`` sends flat variable indices to polynomials in the target
-    universe; ``names`` overrides printed variable names there.
+    ``images[v] = (c, t)`` sends source variable v to c*x_t in the target
+    universe of ``nvars`` variables, or to the constant c when t is None;
+    ``names`` overrides printed variable names there.
     """
 
-    mapping: tuple
+    images: tuple
     nvars: int
     names: tuple | None = None
 
-    def _map(self) -> dict[int, IntPolynomial]:
-        return dict(self.mapping)
+    @classmethod
+    def of(cls, nvars_in: int, values) -> Specialization:
+        """Build from {variable: int or "a"}; unlisted variables stay themselves.
 
-    def apply_poly(self, p: IntPolynomial) -> IntPolynomial:
-        return p.substitute(self._map(), self.nvars)
-
-    def apply_factored(self, f: FactoredPoly) -> FactoredPoly:
-        return f.substitute(self._map(), self.nvars)
+        Any "a" makes "a" the only target variable, so every variable must be listed.
+        """
+        values = {_var_index(v): c for v, c in values.items()}
+        if any(not 0 <= v < nvars_in for v in values):
+            raise ValueError(f"specialized variable outside universe of {nvars_in} variables")
+        if "a" not in values.values():
+            images = tuple((int(values[v]), None) if v in values else (1, v) for v in range(nvars_in))
+            return cls(images, nvars_in)
+        if len(values) < nvars_in:
+            raise ValueError("a specialization using the collapsed symbol 'a' must cover every variable")
+        images = tuple((1, 0) if values[v] == "a" else (int(values[v]), None) for v in range(nvars_in))
+        return cls(images, 1, ("a",))
 
     @classmethod
     def collapse_all(cls, nvars_in: int) -> Specialization:
         """Send every variable to the single symbol "a"."""
-        a = IntPolynomial.variable(1, 0)
-        return cls(tuple((v, a) for v in range(nvars_in)), 1, ("a",))
+        return cls.of(nvars_in, dict.fromkeys(range(nvars_in), "a"))
 
     @classmethod
     def constants(cls, nvars: int, values) -> Specialization:
         """Pin the listed variables to integers; others stay symbolic."""
-        mapping = tuple(
-            (_var_index(v), IntPolynomial.const(nvars, int(c))) for v, c in values.items()
-        )
-        return cls(mapping, nvars, None)
+        return cls.of(nvars, values)
+
+    def apply_poly(self, p: IntPolynomial) -> IntPolynomial:
+        """Image of p: each term's key is walked lane by lane, as in residues_mod."""
+        if p.nvars != len(self.images):
+            raise ValueError("polynomial universe differs from the specialization's source")
+        top = p.nvars - 1
+        lanes = (1 << (LANE_BITS * p.nvars)) - 1  # drops the stacked degree
+        out: dict[int, int] = {}
+        for key, coeff in p._terms.items():
+            key &= lanes
+            exps: dict[int, int] = {}
+            while key and coeff:
+                lane = ((key & -key).bit_length() - 1) // LANE_BITS
+                e = (key >> (lane * LANE_BITS)) & LANE_MASK
+                key ^= e << (lane * LANE_BITS)
+                c, t = self.images[top - lane]
+                coeff *= c**e
+                if t is not None:
+                    exps[t] = exps.get(t, 0) + e
+            if coeff:
+                k = pack_monomial(self.nvars, exps)
+                out[k] = out.get(k, 0) + coeff
+        return IntPolynomial(self.nvars, out)
+
+    def apply_factored(self, f: FactoredPoly) -> FactoredPoly:
+        return FactoredPoly(self.nvars, [(self.apply_poly(base), exp) for base, exp in f.factors])

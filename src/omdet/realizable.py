@@ -2,10 +2,11 @@
 
 A central arrangement is a list of nonzero rational linear forms; the sign
 vector of a point records on which side of each hyperplane it lies.  Which
-sign vectors are attainable is decided by Fourier-Motzkin elimination over
-exact rationals: equalities (zero signs) are substituted away first, then
-strict inequalities are projected variable by variable.  No floating point
-is used anywhere in this module.
+sign vectors are attainable is decided by one loop over integer rows: each
+variable is eliminated through an equality (zero sign) that involves it, by
+fraction-free substitution, or else by a Fourier-Motzkin step on the strict
+inequalities, until 0 > 0 is derived or no constraint is left.  No floating
+point is used anywhere in this module.
 
 Affine arrangements (nonzero offsets) are handled by homogenization: the
 form <h, x> = c becomes <h, x> - c*t = 0 in one extra variable, a hyperplane

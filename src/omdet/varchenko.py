@@ -29,6 +29,7 @@ from .polyring import (
     mul_sub_div,
     poly_str,
     residues_mod,
+    used_variables,
 )
 from .signvec import (
     CovectorSet,
@@ -362,10 +363,7 @@ def randomized_compare(
     if evals < 1:
         raise ValueError("at least one evaluation is required")
     flat = [e for row in entries for e in row]
-    used: set[int] = set()
-    for p in flat + [base for base, _ in formula.factors]:
-        used.update(p.variables())
-    var_order = sorted(used)
+    var_order = used_variables(flat + [base for base, _ in formula.factors])
     rng = random.Random(seed)
     prime = draw_prime(rng)
     m = len(entries)

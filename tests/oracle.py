@@ -6,8 +6,9 @@ axiom oracle is a direct quantifier translation over sign tuples, the
 closure oracle composes every ordered pair of SignVector objects, the
 enumeration oracle runs a feasibility test on every sign vector, the
 feasibility oracle is Gaussian substitution of the equalities over Fraction
-followed by Fourier-Motzkin on the reduced forms, and the chain oracle is a
-recursive longest-path search.
+followed by Fourier-Motzkin on the reduced forms, the chain oracle is a
+recursive longest-path search, and the specialization oracle is the general
+substitution homomorphism built from polynomial products and powers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
-from omdet.polyring import IntPolynomial
+from omdet.polyring import FactoredPoly, IntPolynomial, var_label
 from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors, sign_feasible
 from omdet.signvec import CovectorSet, SignVector, compose, leq, topal_fiber
 from omdet.wiring import WiringDiagram
@@ -320,3 +321,56 @@ def residue_oracle(p: IntPolynomial, assignment, prime: int) -> int:
             term *= pow(assignment[v], e, prime)
         total += term
     return total % prime
+
+
+def substitute(p: IntPolynomial, mapping, nvars: int | None = None) -> IntPolynomial:
+    """Homomorphic image of p under {flat variable: polynomial-or-int}.
+
+    Variables absent from the mapping are kept as themselves, which is only
+    meaningful when the target universe equals the source one.
+    """
+    images: dict[int, IntPolynomial] = {}
+    target = nvars
+    for v, img in mapping.items():
+        if isinstance(img, IntPolynomial):
+            if target is None:
+                target = img.nvars
+            elif img.nvars != target:
+                raise ValueError("substitution images live in different universes")
+            images[v] = img
+        else:
+            images[v] = int(img)  # resolved once target is known
+    if target is None:
+        target = p.nvars
+    for v, img in images.items():
+        if isinstance(img, int):
+            images[v] = IntPolynomial.const(target, img)
+    result = IntPolynomial.zero(target)
+    for exps, coeff in p.monomial_exponents():
+        term = IntPolynomial.const(target, coeff)
+        for v, e in exps.items():
+            img = images.get(v)
+            if img is None:
+                if target != p.nvars:
+                    raise ValueError(f"variable {var_label(v)} has no image in the target universe")
+                img = IntPolynomial.variable(target, v)
+            term = term * img**e
+        result = result + term
+    return result
+
+
+def substitute_factored(f: FactoredPoly, mapping, nvars: int) -> FactoredPoly:
+    """substitute applied to every base of a factored product."""
+    return FactoredPoly(nvars, [(substitute(base, mapping, nvars), exp) for base, exp in f.factors])
+
+
+def specialization_mapping(nvars_in: int, values):
+    """(mapping, target nvars) for substitute, read from {variable: int or "a"}.
+
+    Any "a" sends the listed variables to the one variable of a fresh
+    universe; otherwise the listed variables become constants in place.
+    """
+    if "a" in values.values():
+        a = IntPolynomial.variable(1, 0)
+        return {v: a if c == "a" else IntPolynomial.const(1, c) for v, c in values.items()}, 1
+    return {v: IntPolynomial.const(nvars_in, c) for v, c in values.items()}, nvars_in

@@ -242,6 +242,13 @@ class TestLimits:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("spec", ["a1p=1,a1p=a", "a1p=2,a1p=3", '{"a1p": "a", "a1p": 1}', "a1p=1,a01p=2"])
+    def test_specialize_rejects_duplicates(self, capsys, one_line_cov, spec):
+        code, out, err = run(capsys, "det", one_line_cov, "--specialize", spec)
+        assert code == 2
+        assert out == ""
+        assert err == "error: variable a1p is specialized more than once\n"
+
     @pytest.mark.parametrize(
         "spec, expected",
         [

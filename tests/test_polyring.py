@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omdet.polyring import (
     ExactDivisionError,
@@ -18,6 +19,8 @@ from omdet.polyring import (
     unpack_monomial,
     var_label,
 )
+
+from oracle import specialization_mapping, substitute, substitute_factored
 
 P = IntPolynomial
 
@@ -185,27 +188,71 @@ class TestSubstitution:
 
     def test_identity_map(self):
         p = P.one(4) - P.monomial(4, {0: 1, 3: 2})
-        assert p.substitute({}) == p
-        assert p.substitute({v: P.variable(4, v) for v in range(4)}) == p
+        spec = Specialization.of(4, {})
+        assert spec.nvars == 4 and spec.names is None
+        assert spec.apply_poly(p) == p
+        assert spec.apply_factored(FactoredPoly(4, [(p, 3)])) == FactoredPoly(4, [(p, 3)])
 
     def test_numeric_substitution(self):
         p = P.one(2) - b1()
-        assert p.substitute({0: 2, 1: 3}) == P.const(2, -5)
+        assert Specialization.constants(2, {0: 2, 1: 3}).apply_poly(p) == P.const(2, -5)
+        pinned = Specialization.constants(2, {VarId(1, "-"): -3})
+        assert pinned.apply_poly(p) == P.one(2) + 3 * P.variable(2, 0)
 
     def test_homomorphism_randomized(self):
+        # the reference substitution with non-monomial images
         rng = random.Random(31)
         images = {0: P.one(2) - b1(), 1: b1(), 2: P.const(2, 3)}
         for _ in range(25):
             p = random_poly(rng, 3)
             q = random_poly(rng, 3)
-            lhs = (p * q).substitute(images, 2)
-            rhs = p.substitute(images, 2) * q.substitute(images, 2)
+            lhs = substitute(p * q, images, 2)
+            rhs = substitute(p, images, 2) * substitute(q, images, 2)
             assert lhs == rhs
 
     def test_partial_map_to_new_universe_rejected(self):
-        p = P.variable(4, 0) + P.variable(4, 2)
+        with pytest.raises(ValueError, match="cover every variable"):
+            Specialization.of(4, {0: "a", 1: 2, 2: "a"})
         with pytest.raises(ValueError):
-            p.substitute({0: P.variable(1, 0)})
+            Specialization.of(4, {4: 1})
+        with pytest.raises(ValueError):
+            Specialization.of(2, {0: 1}).apply_poly(P.variable(4, 0))
+
+    def test_key_map_is_a_homomorphism(self):
+        rng = random.Random(37)
+        spec = Specialization.of(3, {0: "a", 1: -2, 2: "a"})
+        for _ in range(25):
+            p = random_poly(rng, 3)
+            q = random_poly(rng, 3)
+            assert spec.apply_poly(p * q) == spec.apply_poly(p) * spec.apply_poly(q)
+            assert spec.apply_poly(p - q) == spec.apply_poly(p) - spec.apply_poly(q)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {v: "a" for v in range(4)},
+            {0: 0},
+            {1: -3, 2: 0},
+            {v: (v % 3) - 1 for v in range(4)},
+            {0: "a", 1: -2, 2: 0, 3: "a"},
+            {0: 5, 1: "a", 2: "a", 3: -1},
+        ],
+    )
+    def test_key_map_matches_substitution_oracle(self, values):
+        rng = random.Random(41)
+        spec = Specialization.of(4, values)
+        mapping, nvars = specialization_mapping(4, values)
+        assert spec.nvars == nvars
+        for _ in range(40):
+            p = random_poly(rng, 4, max_terms=8, max_exp=5, max_coeff=50)
+            assert spec.apply_poly(p) == substitute(p, mapping, nvars)
+            f = FactoredPoly(4, [(P.one(4) - random_poly(rng, 4), rng.randint(1, 3)) for _ in range(3)])
+            assert spec.apply_factored(f) == substitute_factored(f, mapping, nvars)
+
+    def test_collapse_past_exponent_cap(self):
+        p = P.monomial(2, {0: 20000, 1: 20000})
+        with pytest.raises(ExponentOverflowError):
+            Specialization.collapse_all(2).apply_poly(p)
 
 
 class TestEvalMod:
@@ -236,16 +283,16 @@ class TestEvalMod:
             assert (p ** 3).eval_mod(at, prime) == pow(p.eval_mod(at, prime), 3, prime)
 
     def test_commutes_with_substitution(self):
-        # evaluating a substituted polynomial equals evaluating the original
+        # evaluating a specialized polynomial equals evaluating the original
         # at the images' values
         rng = random.Random(59)
         prime = 10007
-        images = {0: P.one(2) - b1(), 1: b1(), 2: P.const(2, 4)}
+        spec = Specialization.of(3, {0: "a", 1: 4, 2: "a"})
         for _ in range(25):
             p = random_poly(rng, 3)
-            at = {v: rng.randrange(prime) for v in range(2)}
-            lifted = {v: img.eval_mod(at, prime) for v, img in images.items()}
-            assert p.substitute(images, 2).eval_mod(at, prime) == p.eval_mod(lifted, prime)
+            x = rng.randrange(prime)
+            lifted = {0: x, 1: 4, 2: x}
+            assert spec.apply_poly(p).eval_mod({0: x}, prime) == p.eval_mod(lifted, prime)
 
     def test_factored_matches_expansion(self):
         rng = random.Random(53)
@@ -319,6 +366,17 @@ class TestPrinting:
         for _ in range(40):
             p = random_poly(rng, 4)
             assert parse_poly(poly_str(p), 4) == p
+
+    @settings(derandomize=True, max_examples=150)
+    @given(data=st.data())
+    def test_parse_round_trip_hypothesis(self, data):
+        nvars = data.draw(st.integers(0, 6))
+        monomial = st.lists(st.integers(0, MAX_EXPONENT), min_size=nvars, max_size=nvars)
+        terms = data.draw(st.lists(st.tuples(monomial, st.integers(-(10**30), 10**30)), max_size=8))
+        p = sum((P.monomial(nvars, dict(enumerate(e)), c) for e, c in terms), P.zero(nvars))
+        assert parse_poly(poly_str(p), p.nvars) == p
+        if nvars == 1:
+            assert parse_poly(poly_str(p, ("a",)), 1) == p
 
     def test_parse_collapsed_variable(self):
         p = parse_poly("1 - 2*a^2 + a^6")

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omdet.polyring import VarId
 from omdet.signvec import (
@@ -305,6 +306,37 @@ class TestCovFormat:
         assert again.free == f.free
         assert again.anchor == f.anchor
         assert format_cov(again) == text
+
+    @settings(derandomize=True)
+    @given(data=st.data())
+    def test_round_trip_set_hypothesis(self, data):
+        n = data.draw(st.integers(1, 6))
+        rows = data.draw(st.lists(st.text("+-0", min_size=n, max_size=n), max_size=20))
+        s = CovectorSet.of([sv(r) for r in rows], n=n)
+        assert parse_cov(format_cov(s)) == s
+
+    @settings(derandomize=True)
+    @given(data=st.data())
+    def test_round_trip_fiber_hypothesis(self, data):
+        # members agree with fixed nonzero signs outside I and are closed under
+        # composition, so the parsed file passes fiber validation
+        n = data.draw(st.integers(1, 4))
+        free = data.draw(st.frozensets(st.integers(1, n)))
+        fixed = {i: data.draw(st.sampled_from("+-")) for i in range(1, n + 1) if i not in free}
+        free_signs = st.text("+-0", min_size=len(free), max_size=len(free))
+        free_rows = data.draw(st.lists(free_signs, min_size=1, max_size=4))
+        members = set()
+        for row in free_rows:
+            signs = iter(row)
+            members.add(sv("".join(next(signs) if i in free else fixed[i] for i in range(1, n + 1))))
+        anchor = min(members, key=SignVector.sort_key)
+        while True:
+            closed = members | {compose(u, v) for u in members for v in members}
+            if closed == members:
+                break
+            members = closed
+        f = fiber_of(members, free, anchor)
+        assert parse_cov(format_cov(f)) == f
 
     def test_comments_and_blanks_ignored(self):
         text = "# heading\nn=2\n\n++  # a tope\n00\n"

@@ -21,6 +21,7 @@ from omdet.varchenko import (
     weight_monomial,
     witt_check,
 )
+from omdet.wiring import faces, non_pappus
 
 from oracle import (
     concurrent_lines,
@@ -31,6 +32,9 @@ from oracle import (
     parallel_affine,
     permutation_determinant,
     residue_oracle,
+    specialization_mapping,
+    substitute,
+    substitute_factored,
     whole_fiber,
 )
 
@@ -346,12 +350,36 @@ class TestDegreeBound:
         assert degree_bound(m.entries, tampered) == tampered.total_degree()
 
 
+def _specialization_maps(nvars):
+    """(specialization, the {variable: int or "a"} map it was built from)."""
+    yield Specialization.collapse_all(nvars), dict.fromkeys(range(nvars), "a")
+    yield Specialization.constants(nvars, {0: 0}), {0: 0}
+    # every variable pinned: no variable is left to draw
+    pinned = {v: (v % 3) - 1 for v in range(nvars)}
+    yield Specialization.constants(nvars, pinned), pinned
+    mixed = {v: "a" if v % 2 else 1 - v for v in range(nvars)}
+    yield Specialization.of(nvars, mixed), mixed
+
+
 def _specializations(nvars):
     yield None
-    yield Specialization.collapse_all(nvars)
-    yield Specialization.constants(nvars, {0: 0})
-    # every variable pinned: no variable is left to draw
-    yield Specialization.constants(nvars, {v: (v % 3) - 1 for v in range(nvars)})
+    for spec, _ in _specialization_maps(nvars):
+        yield spec
+
+
+class TestSpecializationOracle:
+    """The per-variable key map against the general substitution homomorphism."""
+
+    def test_matrices_and_formulas_match_oracle(self):
+        fibers = dict(corpus_fibers(), non_pappus=faces(non_pappus()))
+        for name, f in fibers.items():
+            m = build_matrix(f)
+            pf = product_formula(f)
+            for spec, values in _specialization_maps(m.nvars):
+                mapping, nvars = specialization_mapping(m.nvars, values)
+                for row in m.entries:
+                    assert [spec.apply_poly(e) for e in row] == [substitute(e, mapping, nvars) for e in row], name
+                assert spec.apply_factored(pf) == substitute_factored(pf, mapping, nvars), name
 
 
 class TestResidueOracle:
