@@ -208,21 +208,34 @@ def _divide_exact(nvars: int, rem: dict, qterms: dict) -> dict:
     return out
 
 
-def mul_sub_div(p, q, r, s, denominator):
-    """(p*q - r*s) / denominator with the division known to be exact.
+def divide_binomial(nvars: int, p: dict, b: int, c: int = 1) -> dict:
+    """Exact quotient of the term dict p by the binomial 1 - c*x^b, b a nonconstant key.
 
-    This is the fraction-free elimination kernel; fusing the two products,
-    the subtraction, and the division avoids three intermediate polynomials
-    per matrix update.
+    The quotient q satisfies q[k] = p[k] + c*q[k-b], so it is built over
+    ascending keys with no coefficient division.  Its leading key must be
+    max(p) - b: a borrow there (p's leading monomial is not a multiple of
+    x^b) is rejected before any work, and a nonzero q key above it means a
+    nonzero remainder.
     """
-    for other in (q, r, s, denominator):
-        if p.nvars != other.nvars:
-            raise ValueError("variable universes differ")
-    acc: dict[int, int] = {}
-    _accumulate_product(acc, p._terms, q._terms, 1)
-    _accumulate_product(acc, r._terms, s._terms, -1)
-    num = _strip_and_check(p.nvars, acc)
-    return IntPolynomial(p.nvars, _divide_exact(p.nvars, num, denominator._terms))
+    if not p:
+        return {}
+    top = max(p) - b
+    if top < 0 or top & _guard_mask(nvars):
+        raise ExactDivisionError("leading monomial not divisible by the binomial's monomial")
+    heap = list(p)
+    heapq.heapify(heap)
+    q: dict[int, int] = {}
+    while heap:
+        k = heapq.heappop(heap)
+        while heap and heap[0] == k:
+            heapq.heappop(heap)
+        v = p.get(k, 0) + c * q.get(k - b, 0)
+        if v:
+            if k > top:
+                raise ExactDivisionError("nonzero remainder after dividing by the binomial")
+            q[k] = v
+            heapq.heappush(heap, k + b)
+    return q
 
 
 class IntPolynomial:

@@ -7,12 +7,23 @@ matrix puts entry (row r, column c) = distance(tope_r, tope_c) over the
 canonical tope order.  (The transpose convention changes nothing observable:
 the determinant is transpose-invariant.)
 
-The determinant is computed by fraction-free Bareiss elimination, whose
-intermediate divisions are exact over the integer polynomial ring.  The same
-determinant has a closed factored form: one factor (1 - b_v)^(beta_v) per
-non-tope fiber member v, with b_v the weight monomial over v's zero indices
-and beta_v its multiplicity.  ``verify`` checks the two sides against each
-other, either symbolically or by random modular evaluation.
+The determinant has a closed factored form: one factor (1 - b_v)^(beta_v)
+per non-tope fiber member v, with b_v the weight monomial over v's zero
+indices and beta_v its multiplicity.  ``verify`` checks the two sides against
+each other, either symbolically or by random modular evaluation.
+
+The symbolic determinant comes from fraction-free Bareiss elimination, whose
+divisions are exact over the integer polynomial ring.  Its intermediates
+factor like the determinant, so each entry is kept as a leftover term dict
+times a multiset of binomials 1 - c*x^b, the formula's bases (specialized
+when a specialization is given).  An update expands only the cofactors
+outside the binomials both products share, cancels the shared ones that the
+previous pivot also carries, divides by that pivot's other binomials (a
+linear recurrence) and its leftover, and re-factors the result by trial
+division.  Under a specialization the bases can share factors and the
+leftover division can then be inexact; the kept binomials are multiplied
+back in and the division repeated.  The tests compare this against the fused
+kernel that expands every entry (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -21,12 +32,16 @@ import random
 from dataclasses import dataclass
 
 from .polyring import (
+    ExactDivisionError,
     FactoredPoly,
     IntPolynomial,
     Specialization,
+    _accumulate_product,
+    _divide_exact,
     _resolve_name,
+    _strip_and_check,
+    divide_binomial,
     factored_str,
-    mul_sub_div,
     poly_str,
     residues_mod,
     used_variables,
@@ -138,31 +153,163 @@ def build_matrix(f: FiberView) -> VarchenkoMatrix:
     return VarchenkoMatrix(f, ts, rows)
 
 
-def bareiss_determinant(rows: list[list[IntPolynomial]], nvars: int) -> IntPolynomial:
-    """Fraction-free elimination; every interior division is exact."""
+def _binomial(base: IntPolynomial):
+    """(b, c) when base is 1 - c*x^b with a nonconstant key b, else None."""
+    terms = base._terms
+    if len(terms) != 2 or terms.get(0) != 1:
+        return None
+    b = max(terms)
+    return b, -terms[b]
+
+
+# A binomial multiset is a dict {(b, c): e} standing for prod (1 - c*x^b)^e.
+# These dicts are never changed in place once built, so entries share them.
+
+
+def _plus(x: dict, y: dict) -> dict:
+    if not x or not y:
+        return x or y
+    out = dict(x)
+    for bc, e in y.items():
+        out[bc] = out.get(bc, 0) + e
+    return out
+
+
+def _common(x: dict, y: dict) -> dict:
+    if not x or not y:
+        return {}
+    return {bc: min(e, y[bc]) for bc, e in x.items() if bc in y}
+
+
+def _minus(x: dict, y: dict) -> dict:
+    if not x or not y:
+        return x
+    return {bc: e - y.get(bc, 0) for bc, e in x.items() if e > y.get(bc, 0)}
+
+
+def _times_binomials(terms: dict, fac: dict) -> dict:
+    """terms times the binomials of fac; zero coefficients are left in."""
+    for (b, c), e in fac.items():
+        for _ in range(e):
+            out = dict(terms)
+            for k, v in terms.items():
+                out[k + b] = out.get(k + b, 0) - c * v
+            terms = out
+    return terms
+
+
+def _divide_out(nvars: int, terms: dict, fac: dict, lo: dict) -> dict:
+    """terms / (lo times the binomials of fac), exact or ExactDivisionError."""
+    for (b, c), e in fac.items():
+        for _ in range(e):
+            terms = divide_binomial(nvars, terms, b, c)
+    return terms if lo == {0: 1} else _divide_exact(nvars, dict(terms), lo)
+
+
+def _refactor(nvars: int, terms: dict, fac: dict, candidates) -> tuple[dict, dict]:
+    """(leftover, fac plus every candidate binomial that divides terms), by trial division.
+
+    A binomial with c = 1 vanishes where every variable is 1, so it is tried
+    only while the coefficients sum to zero.
+    """
+    if not terms:
+        return terms, {}
+    found = {}
+    at_ones = sum(terms.values())
+    for b, c in candidates:
+        while c != 1 or at_ones == 0:
+            try:
+                terms = divide_binomial(nvars, terms, b, c)
+            except ExactDivisionError:
+                break
+            found[b, c] = found.get((b, c), 0) + 1
+            at_ones = sum(terms.values())
+    return terms, _plus(fac, found)
+
+
+def _update(nvars: int, p, q, r, s, prev, candidates):
+    """(p*q - r*s) / prev on factored entries (leftover terms, binomial multiset).
+
+    Binomials shared by both products are kept out of the expansion (a zero
+    product shares all of the other's); those that prev also carries cancel
+    against it, the rest stay in the result.
+    """
+    f1, f2 = _plus(p[1], q[1]), _plus(r[1], s[1])
+    if not (p[0] and q[0]):
+        g = f2
+    elif not (r[0] and s[0]):
+        g = f1
+    else:
+        g = _common(f1, f2)
+    acc = _times_binomials(_product(p[0], q[0]), _minus(f1, g))
+    for k, v in _times_binomials(_product(r[0], s[0]), _minus(f2, g)).items():
+        acc[k] = acc.get(k, 0) - v
+    num = _strip_and_check(nvars, acc)
+    h = _common(g, prev[1])
+    kept, rest = _minus(g, h), _minus(prev[1], h)
+    try:
+        quotient = _divide_out(nvars, num, rest, prev[0])
+    except ExactDivisionError:
+        quotient, kept = _expanded_quotient(nvars, num, kept, rest, prev[0]), {}
+    return _refactor(nvars, quotient, kept, candidates)
+
+
+def _expanded_quotient(nvars: int, num: dict, kept: dict, rest: dict, lo: dict) -> dict:
+    """num times the kept binomials, over lo times the rest: nothing is kept aside.
+
+    The first division fails only when a kept binomial shares a factor with
+    prev's leftover or binomials.  That takes a specialization (1 - a^2
+    divides 1 - a^6, and 1 - 4x^2 factors): without one, distinct binomials
+    1 - b_v are irreducible and coprime, and no leftover has one as a factor.
+    """
+    return _divide_out(nvars, _strip_and_check(nvars, _times_binomials(num, kept)), rest, lo)
+
+
+def _product(x: dict, y: dict) -> dict:
+    out: dict[int, int] = {}
+    _accumulate_product(out, x, y, 1)
+    return out
+
+
+def factored_bareiss(rows: list[list[IntPolynomial]], nvars: int, bases=()) -> FactoredPoly:
+    """Fraction-free elimination over entries kept as leftover * prod (1 - c*x^b)^e.
+
+    ``bases`` are the candidate binomials 1 - c*x^b (other polynomials, such
+    as constants, are ignored); each update result is re-factored over
+    them, smallest monomial first.  With no candidates this is plain
+    elimination on the leftovers.  Returns the determinant as the leftover
+    (sign included) times the binomial powers.
+    """
+    candidates = sorted({bc for bc in map(_binomial, bases) if bc})
     m = len(rows)
-    a = [list(r) for r in rows]
+    a = [[_refactor(nvars, e._terms, {}, candidates) for e in row] for row in rows]
     sign = 1
-    prev = IntPolynomial.one(nvars)
+    prev = ({0: 1}, {})
     for k in range(m - 1):
-        if a[k][k].is_zero:
+        if not a[k][k][0]:
             for r in range(k + 1, m):
-                if not a[r][k].is_zero:
+                if a[r][k][0]:
                     a[k], a[r] = a[r], a[k]
                     sign = -sign
                     break
             else:
-                return IntPolynomial.zero(nvars)
+                return FactoredPoly(nvars, [(IntPolynomial.zero(nvars), 1)])
         pivot = a[k][k]
+        row_k = a[k]
         for i in range(k + 1, m):
-            aik = a[i][k]
             row_i = a[i]
-            row_k = a[k]
+            aik = row_i[k]
             for j in range(k + 1, m):
-                row_i[j] = mul_sub_div(pivot, row_i[j], aik, row_k[j], prev)
+                row_i[j] = _update(nvars, pivot, row_i[j], aik, row_k[j], prev, candidates)
         prev = pivot
-    det = a[m - 1][m - 1]
-    return -det if sign < 0 else det
+    lo, fac = a[m - 1][m - 1]
+    factors = [(IntPolynomial(nvars, {0: 1, b: -c}), e) for (b, c), e in fac.items()]
+    return FactoredPoly(nvars, factors + [(IntPolynomial(nvars, lo) * sign, 1)])
+
+
+def bareiss_determinant(rows: list[list[IntPolynomial]], nvars: int, bases=()) -> IntPolynomial:
+    """Exact determinant by factored fraction-free elimination, expanded."""
+    return factored_bareiss(rows, nvars, bases).expand()
 
 
 def _specialized_entries(matrix: VarchenkoMatrix, specialize: Specialization | None):
@@ -178,9 +325,9 @@ def determinant(
     max_topes: int = DEFAULT_SYMBOLIC_LIMIT,
     force: bool = False,
 ) -> IntPolynomial:
-    """Exact symbolic determinant via Bareiss elimination, behind the size guard."""
+    """Exact symbolic determinant via factored Bareiss elimination, behind the size guard."""
     _check_size_guard(matrix.size, max_topes, force)
-    return bareiss_determinant([list(r) for r in matrix.entries], matrix.nvars)
+    return bareiss_determinant([list(r) for r in matrix.entries], matrix.nvars, _face_bases(matrix.fiber, None))
 
 
 def face_multiplicities(f: FiberView):
@@ -199,6 +346,28 @@ def _formula_from_faces(nvars: int, faces) -> FactoredPoly:
     """prod (1 - b_v)^(beta_v) over (covector, weight, beta) with beta_v > 0."""
     one = IntPolynomial.one(nvars)
     return FactoredPoly(nvars, [(one - weight, beta) for _, weight, beta in faces if beta])
+
+
+def _faces_and_formula(f: FiberView, specialize: Specialization | None):
+    """(faces, formula) of a fiber, with the weights under an optional specialization."""
+    faces = face_multiplicities(f)
+    if specialize is None:
+        return faces, _formula_from_faces(2 * f.n, faces)
+    faces = [(u, specialize.apply_poly(w), beta) for u, w, beta in faces]
+    return faces, _formula_from_faces(specialize.nvars, faces)
+
+
+def _face_bases(f: FiberView, specialize: Specialization | None) -> list[IntPolynomial]:
+    """The formula's binomials 1 - b_v, the candidates of the factored elimination.
+
+    They only speed it up, so a fiber whose multiplicities are not well
+    defined (which the determinant alone does not need) gets none.
+    """
+    try:
+        _, formula = _faces_and_formula(f, specialize)
+    except FiberError:
+        return []
+    return [base for base, _ in formula.factors]
 
 
 def product_formula(f: FiberView) -> FactoredPoly:
@@ -386,7 +555,7 @@ def fiber_determinant(
     """Symbolic determinant of a fiber's matrix: guard, build, specialize, eliminate."""
     _check_size_guard(len(f.topes), max_topes, force)
     entries, nvars = _specialized_entries(build_matrix(f), specialize)
-    return bareiss_determinant([list(r) for r in entries], nvars)
+    return bareiss_determinant([list(r) for r in entries], nvars, _face_bases(f, specialize))
 
 
 def verify(
@@ -412,18 +581,13 @@ def verify(
     if mode == "auto":
         mode = "symbolic" if size <= max_topes else "randomized"
     if mode == "symbolic":
-        det = fiber_determinant(f, specialize, max_topes, force_symbolic)
-    else:
-        entries, _ = _specialized_entries(build_matrix(f), specialize)
-
-    faces = face_multiplicities(f)
-    nvars, names = 2 * f.n, None
-    if specialize is not None:
-        faces = [(u, specialize.apply_poly(w), beta) for u, w, beta in faces]
-        nvars, names = specialize.nvars, specialize.names
-    formula = _formula_from_faces(nvars, faces)
+        _check_size_guard(size, max_topes, force_symbolic)
+    entries, nvars = _specialized_entries(build_matrix(f), specialize)
+    faces, formula = _faces_and_formula(f, specialize)
+    names = specialize.names if specialize is not None else None
 
     if mode == "symbolic":
+        det = bareiss_determinant([list(r) for r in entries], nvars, [base for base, _ in formula.factors])
         return VerificationReport(
             "symbolic", size, tuple(faces), formula, det == formula.expand(), det, names=names
         )

@@ -7,8 +7,10 @@ closure oracle composes every ordered pair of SignVector objects, the
 enumeration oracle runs a feasibility test on every sign vector, the
 feasibility oracle is Gaussian substitution of the equalities over Fraction
 followed by Fourier-Motzkin on the reduced forms, the chain oracle is a
-recursive longest-path search, and the specialization oracle is the general
-substitution homomorphism built from polynomial products and powers.
+recursive longest-path search, the specialization oracle is the general
+substitution homomorphism built from polynomial products and powers, and the
+elimination oracle is the fused Bareiss kernel that expands every
+intermediate entry.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
-from omdet.polyring import FactoredPoly, IntPolynomial, var_label
+from omdet.polyring import (
+    FactoredPoly,
+    IntPolynomial,
+    _accumulate_product,
+    _divide_exact,
+    _strip_and_check,
+    var_label,
+)
 from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors, sign_feasible
 from omdet.signvec import CovectorSet, SignVector, compose, leq, topal_fiber
 from omdet.wiring import WiringDiagram
@@ -36,6 +45,49 @@ def permutation_determinant(entries, nvars: int) -> IntPolynomial:
             term = term * entries[r][perm[r]]
         total = total + (term if inversions % 2 == 0 else -term)
     return total
+
+
+def mul_sub_div(p, q, r, s, denominator):
+    """(p*q - r*s) / denominator with the division known to be exact.
+
+    The fused elimination kernel: both products, the subtraction and the
+    heap division run on raw term dicts, with no intermediate polynomial.
+    """
+    for other in (q, r, s, denominator):
+        if p.nvars != other.nvars:
+            raise ValueError("variable universes differ")
+    acc: dict[int, int] = {}
+    _accumulate_product(acc, p._terms, q._terms, 1)
+    _accumulate_product(acc, r._terms, s._terms, -1)
+    num = _strip_and_check(p.nvars, acc)
+    return IntPolynomial(p.nvars, _divide_exact(p.nvars, num, denominator._terms))
+
+
+def fused_bareiss(rows, nvars: int) -> IntPolynomial:
+    """Fraction-free elimination that expands every entry; each division is exact."""
+    m = len(rows)
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = IntPolynomial.one(nvars)
+    for k in range(m - 1):
+        if a[k][k].is_zero:
+            for r in range(k + 1, m):
+                if not a[r][k].is_zero:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return IntPolynomial.zero(nvars)
+        pivot = a[k][k]
+        for i in range(k + 1, m):
+            aik = a[i][k]
+            row_i = a[i]
+            row_k = a[k]
+            for j in range(k + 1, m):
+                row_i[j] = mul_sub_div(pivot, row_i[j], aik, row_k[j], prev)
+        prev = pivot
+    det = a[m - 1][m - 1]
+    return -det if sign < 0 else det
 
 
 def naive_axiom_check(members) -> bool:

@@ -11,8 +11,8 @@ from omdet.polyring import (
     MAX_EXPONENT,
     Specialization,
     VarId,
+    divide_binomial,
     factored_str,
-    mul_sub_div,
     pack_monomial,
     parse_poly,
     poly_str,
@@ -20,7 +20,7 @@ from omdet.polyring import (
     var_label,
 )
 
-from oracle import specialization_mapping, substitute, substitute_factored
+from oracle import mul_sub_div, specialization_mapping, substitute, substitute_factored
 
 P = IntPolynomial
 
@@ -164,6 +164,52 @@ class TestExactDiv:
             if d.is_zero:
                 continue
             assert mul_sub_div(p, q * d, r, s * d, d) == p * q - r * s
+
+
+class TestDivideBinomial:
+    """divide_binomial(nvars, terms, b, c): exact quotient by 1 - c*x^b."""
+
+    @staticmethod
+    def binomial(nvars, b, c):
+        return P(nvars, {0: 1, b: -c})
+
+    def test_exact_quotient(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            q = random_poly(rng, 3)
+            b = pack_monomial(3, {rng.randrange(3): rng.randint(1, 2), rng.randrange(3): 1})
+            p = q * self.binomial(3, b, 1)
+            assert divide_binomial(3, p._terms, b) == q._terms
+
+    def test_nonzero_remainder_raises(self):
+        b = pack_monomial(2, {0: 1, 1: 1})
+        p = self.binomial(2, b, 1) * parse_poly("1 + a1p", 2) + 1
+        with pytest.raises(ExactDivisionError):
+            divide_binomial(2, p._terms, b)
+
+    def test_negative_coefficient(self):
+        # 1 - c*x^b with c = -2 is 1 + 2*x^b
+        b = pack_monomial(2, {1: 2})
+        q = parse_poly("3 - a1p + 5*a1p*a1m^3", 2)
+        p = q * parse_poly("1 + 2*a1m^2", 2)
+        assert divide_binomial(2, p._terms, b, -2) == q._terms
+
+    def test_borrow_in_the_leading_key_is_rejected(self):
+        # a1p - a1m is a nonnegative integer whose a1m lane borrows
+        p = P.variable(2, 0)._terms
+        b = pack_monomial(2, {1: 1})
+        assert max(p) - b > 0
+        with pytest.raises(ExactDivisionError, match="leading monomial not divisible"):
+            divide_binomial(2, p, b)
+
+    def test_quotient_key_above_the_leading_bound(self):
+        # (1 + x^2) / (1 - x): the quotient would run on past x = max(p) - b
+        p = parse_poly("1 + a^2", 1)._terms
+        with pytest.raises(ExactDivisionError, match="nonzero remainder"):
+            divide_binomial(1, p, pack_monomial(1, {0: 1}))
+
+    def test_empty_dividend(self):
+        assert divide_binomial(2, {}, pack_monomial(2, {0: 1})) == {}
 
 
 class TestOverflowDetection:

@@ -3,10 +3,13 @@ import random
 
 import pytest
 
-from omdet.polyring import FactoredPoly, IntPolynomial, Specialization, poly_str, residues_mod
-from omdet.signvec import SignVector, compose, leq, topal_fiber, topes
+import omdet.varchenko
+from omdet.polyring import FactoredPoly, IntPolynomial, Specialization, parse_poly, poly_str, residues_mod
+from omdet.realizable import arrangement_fiber
+from omdet.signvec import FiberError, SignVector, compose, fiber_of, leq, topal_fiber, topes
 from omdet.varchenko import (
     SizeGuardError,
+    bareiss_determinant,
     build_matrix,
     cfd_check,
     degree_bound,
@@ -14,6 +17,9 @@ from omdet.varchenko import (
     det_mod,
     distance,
     draw_prime,
+    face_multiplicities,
+    factored_bareiss,
+    fiber_determinant,
     is_probable_prime,
     product_formula,
     randomized_compare,
@@ -28,9 +34,12 @@ from oracle import (
     coord_lines,
     corpus_fibers,
     corpus_sets,
+    fused_bareiss,
     one_line,
     parallel_affine,
     permutation_determinant,
+    random_central_arrangement,
+    random_wiring,
     residue_oracle,
     specialization_mapping,
     substitute,
@@ -416,3 +425,173 @@ class TestResidueOracle:
                     assert rec.det_residue == det_mod(rows, prime), name
                     assert rec.formula_residue == expected, name
                     assert rec.match, name
+
+
+def _seeded_fibers(count=32, max_topes=10):
+    """Seeded random_wiring and arrangement fibers, alternating, of at most max_topes topes.
+
+    The cap keeps the expanding oracle cheap: it spends seconds on one
+    12-tope fiber in 8 or more variables.
+    """
+    rng = random.Random(77)
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            f = faces(random_wiring(rng))
+        else:
+            f = arrangement_fiber(random_central_arrangement(rng))
+        if len(f.topes) <= max_topes:
+            out.append(f)
+    return out
+
+
+def _elimination_cases(f):
+    """(name of the map, rows, formula) of a fiber's matrix under no map and each test map."""
+    m = build_matrix(f)
+    pf = product_formula(f)
+    for spec in _specializations(m.nvars):
+        if spec is None:
+            yield "none", [list(r) for r in m.entries], pf
+        else:
+            rows = [[spec.apply_poly(e) for e in row] for row in m.entries]
+            yield str(spec.images[:2]), rows, spec.apply_factored(pf)
+
+
+def _bases(formula):
+    return [base for base, _ in formula.factors]
+
+
+def _no_fallback(*args):
+    raise AssertionError("the leftover division needed the expanded fallback")
+
+
+class TestFactoredBareissOracle:
+    """Factored elimination against the fused kernel that expands every entry."""
+
+    def _check(self, name, f):
+        for label, rows, formula in _elimination_cases(f):
+            expected = fused_bareiss(rows, formula.nvars)
+            assert bareiss_determinant(rows, formula.nvars, _bases(formula)) == expected, (name, label)
+
+    def test_corpus_fibers(self):
+        for name, f in corpus_fibers().items():
+            self._check(name, f)
+            m = build_matrix(f)
+            assert bareiss_determinant([list(r) for r in m.entries], m.nvars) == determinant(m), name
+
+    def test_wrong_candidates_change_nothing(self):
+        # the candidates steer how entries are stored, never their value
+        m = build_matrix(parallel_affine())
+        wrong = _bases(product_formula(whole_fiber(concurrent_lines())))
+        assert set(wrong) != set(_bases(product_formula(parallel_affine())))
+        rows = [list(r) for r in m.entries]
+        assert bareiss_determinant(rows, m.nvars, wrong) == permutation_determinant(rows, m.nvars)
+
+    def test_non_pappus_all_a(self):
+        f = faces(non_pappus())
+        m = build_matrix(f)
+        spec = Specialization.collapse_all(m.nvars)
+        rows = [[spec.apply_poly(e) for e in row] for row in m.entries]
+        formula = spec.apply_factored(product_formula(f))
+        det = bareiss_determinant(rows, 1, _bases(formula))
+        assert det == fused_bareiss(rows, 1) == formula.expand()
+
+    def test_seeded_fibers(self):
+        fibers = _seeded_fibers()
+        assert len(fibers) >= 30 and max(len(f.topes) for f in fibers) == 10
+        for index, f in enumerate(fibers):
+            self._check(index, f)
+
+    def test_unspecialized_result_is_the_formula(self, monkeypatch):
+        # distinct binomials 1 - b_v are coprime, so without a map the leftover
+        # division never needs the fallback and the leftover ends at 1
+        monkeypatch.setattr(omdet.varchenko, "_expanded_quotient", _no_fallback)
+        fibers = dict(corpus_fibers(), non_pappus=faces(non_pappus()))
+        fibers.update(enumerate(_seeded_fibers()))
+        for name, f in fibers.items():
+            m = build_matrix(f)
+            pf = product_formula(f)
+            assert factored_bareiss([list(r) for r in m.entries], m.nvars, _bases(pf)) == pf, name
+
+
+class TestFactoredBareissEdges:
+    def test_all_ones_map_gives_zero(self):
+        f = whole_fiber(concurrent_lines())
+        ones = Specialization.constants(2 * f.n, dict.fromkeys(range(2 * f.n), 1))
+        report = verify(f, mode="symbolic", specialize=ones)
+        m = build_matrix(f)
+        rows = [[ones.apply_poly(e) for e in row] for row in m.entries]
+        assert all(e == 1 for row in rows for e in row)
+        assert report.determinant == 0 == fused_bareiss(rows, ones.nvars)
+        assert report.agreement
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            # zero pivot at the first step
+            [["0", "a1p", "1"], ["1 - a1p*a1m", "0", "a1m"], ["a1p", "1", "1 - a1p*a1m"]],
+            # the first step leaves a zero pivot at the second
+            [["1", "1", "a1p"], ["1", "1", "a1m"], ["a1p", "1 - a1p*a1m", "1"]],
+        ],
+    )
+    def test_zero_pivot_row_swap(self, texts):
+        rows = [[parse_poly(t, 2) for t in row] for row in texts]
+        expected = permutation_determinant(rows, 2)
+        assert expected != 0
+        for bases in ([], [parse_poly("1 - a1p*a1m", 2)]):
+            assert bareiss_determinant(rows, 2, bases) == expected == fused_bareiss(rows, 2)
+
+    @staticmethod
+    def _permuted(seed):
+        """(permuted rows, nvars, formula) of the corpus and eight seeded fibers."""
+        rng = random.Random(seed)
+        for f in list(corpus_fibers().values()) + _seeded_fibers(count=8):
+            m = build_matrix(f)
+            order = list(range(m.size))
+            rng.shuffle(order)
+            yield [[m.entry(r, c) for c in order] for r in order], m.nvars, product_formula(f)
+
+    def test_permuted_tope_order(self, monkeypatch):
+        monkeypatch.setattr(omdet.varchenko, "_expanded_quotient", _no_fallback)
+        for rows, nvars, pf in self._permuted(19):
+            assert factored_bareiss(rows, nvars, _bases(pf)) == pf
+            assert bareiss_determinant(rows, nvars) == pf.expand()
+
+    def test_permuted_tope_order_all_a(self):
+        for rows, nvars, pf in self._permuted(19):
+            collapse = Specialization.collapse_all(nvars)
+            rows_a = [[collapse.apply_poly(e) for e in row] for row in rows]
+            formula_a = collapse.apply_factored(pf)
+            assert bareiss_determinant(rows_a, 1, _bases(formula_a)) == fused_bareiss(rows_a, 1) == formula_a.expand()
+
+    def test_inexact_leftover_fallback(self, monkeypatch):
+        # The first pivot's leftover 1 - a^2 is not a candidate, yet it divides
+        # the kept (1 - a^4)^2 of the last update, so that update's numerator
+        # has no 1 - a^2 left: the leftover division fails and the kept
+        # binomials are multiplied back in.
+        calls = []
+        fallback = omdet.varchenko._expanded_quotient
+
+        def spy(*args):
+            calls.append(args)
+            return fallback(*args)
+
+        monkeypatch.setattr(omdet.varchenko, "_expanded_quotient", spy)
+        texts = [["1 - a^2", "0", "2"], ["1", "1 + a^2", "a"], ["1 - a^6", "0", "2"]]
+        rows = [[parse_poly(t, 1) for t in row] for row in texts]
+        bases = [parse_poly("1 - a^4", 1), parse_poly("1 - a^6", 1)]
+        det = bareiss_determinant(rows, 1, bases)
+        assert calls
+        assert det == fused_bareiss(rows, 1) == permutation_determinant(rows, 1)
+        assert det == parse_poly("-2*a^2 - 2*a^4 + 2*a^6 + 2*a^8", 1)
+
+    def test_ill_defined_multiplicity_keeps_the_determinant(self):
+        # closed under composition, so the determinant exists, but the
+        # boundary count of 0-0 is odd: elimination runs without candidates
+        members = ["+++", "++-", "++0", "+-+", "+--", "+-0", "--+", "0-+", "0-0", "00+", "000"]
+        f = fiber_of([sv(s) for s in members], anchor=sv("+++"))
+        with pytest.raises(FiberError):
+            face_multiplicities(f)
+        m = build_matrix(f)
+        expected = permutation_determinant(m.entries, m.nvars)
+        assert fiber_determinant(f) == determinant(m) == expected
