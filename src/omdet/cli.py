@@ -47,7 +47,7 @@ from .signvec import (
 from .varchenko import (
     DEFAULT_SYMBOLIC_LIMIT,
     SizeGuardError,
-    fiber_determinant,
+    determinant,
     product_formula,
     verify,
 )
@@ -166,7 +166,7 @@ def _parse_specialize(text: str | None, nvars: int) -> Specialization | None:
         if var >= nvars:
             raise InputError(f"variable {key} is outside this input's universe")
         if var in values:
-            raise InputError(f"variable {var_label(var)} is specialized more than once")
+            raise InputError(f"variable {var_label(var, nvars)} is specialized more than once")
         try:
             values[var] = "a" if value == "a" else as_int(value)
         except (TypeError, ValueError) as exc:
@@ -223,18 +223,14 @@ def _cmd_faces(args) -> int:
 def _cmd_det(args) -> int:
     fiber = _as_fiber(_load_input(args))
     spec = _parse_specialize(args.specialize, 2 * fiber.n)
-    det = fiber_determinant(fiber, spec, args.max_symbolic, args.force_symbolic)
-    print(poly_str(det, spec.names if spec is not None else None))
+    print(poly_str(determinant(fiber, spec, args.max_symbolic, args.force_symbolic)))
     return 0
 
 
 def _cmd_formula(args) -> int:
     fiber = _as_fiber(_load_input(args))
     spec = _parse_specialize(args.specialize, 2 * fiber.n)
-    form = product_formula(fiber)
-    if spec is not None:
-        form = spec.apply_factored(form)
-    print(factored_str(form, spec.names if spec is not None else None))
+    print(factored_str(product_formula(fiber, spec)))
     return 0
 
 
@@ -251,16 +247,15 @@ def _cmd_verify(args) -> int:
         specialize=spec,
         max_topes=args.max_symbolic,
         force_symbolic=args.force_symbolic,
-        workers=args.workers,
     )
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
         print(f"mode: {report.mode}")
         print(f"topes: {report.tope_count}")
-        print(f"formula: {factored_str(report.formula, report.names)}")
+        print(f"formula: {factored_str(report.formula)}")
         if report.mode == "symbolic":
-            print(f"determinant: {poly_str(report.determinant, report.names)}")
+            print(f"determinant: {poly_str(report.determinant)}")
         else:
             print(f"prime: {report.prime}")
             print(f"degree bound: {report.degree_bound}")
@@ -339,6 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--specialize", help="all=a, var=int list, or a JSON map")
     p.add_argument("--max-symbolic", type=int, default=DEFAULT_SYMBOLIC_LIMIT)
     p.add_argument("--force-symbolic", action="store_true")
+    # accepted for compatibility: randomized evaluations run one after another
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 

@@ -79,9 +79,14 @@ class VarId:
         return cls(int(m.group(1)), "+" if m.group(2) == "p" else "-")
 
 
-def var_label(index: int) -> str:
-    """Default printed name of the flat variable index ("a1p", "a1m", ...)."""
-    return VarId.from_index(index).label
+def var_label(index: int, nvars: int) -> str:
+    """Printed name of a flat variable index in a universe of nvars variables.
+
+    A one-variable universe (the image of a collapsing specialization) has
+    the single variable "a", as ``parse_poly`` reads it; otherwise the labels
+    are "a1p", "a1m", ...
+    """
+    return "a" if nvars == 1 else VarId.from_index(index).label
 
 
 @lru_cache(maxsize=None)
@@ -302,10 +307,6 @@ class IntPolynomial:
     def is_one(self) -> bool:
         return self._terms == {0: 1}
 
-    @property
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1 and next(iter(self._terms.values())) == 1
-
     def __len__(self):
         return len(self._terms)
 
@@ -461,7 +462,7 @@ def residues_mod(polys, assignment, prime: int) -> list[int]:
                 total += term
             out.append(total % prime)
     except KeyError as exc:
-        raise KeyError(f"no residue assigned to {var_label(exc.args[0])}") from None
+        raise KeyError(f"no residue assigned to {var_label(exc.args[0], p.nvars)}") from None
     return out
 
 
@@ -475,15 +476,7 @@ def used_variables(polys) -> list[int]:
     return sorted(unpack_monomial(nvars, keys))
 
 
-def _resolve_name(v: int, names) -> str:
-    if names is None:
-        return var_label(v)
-    if isinstance(names, dict):
-        return names.get(v, var_label(v))
-    return names[v]
-
-
-def poly_str(p: IntPolynomial, names=None) -> str:
+def poly_str(p: IntPolynomial) -> str:
     """Canonical text form: terms ascending in graded lex, '*' and '^' syntax."""
     if p.is_zero:
         return "0"
@@ -491,7 +484,7 @@ def poly_str(p: IntPolynomial, names=None) -> str:
     for exps, coeff in p.monomial_exponents():
         factors = []
         for v in sorted(exps):
-            name = _resolve_name(v, names)
+            name = var_label(v, p.nvars)
             e = exps[v]
             factors.append(name if e == 1 else f"{name}^{e}")
         mon = "*".join(factors)
@@ -668,28 +661,26 @@ class FactoredPoly:
         return f"FactoredPoly({self.nvars}, {factored_str(self)!r})"
 
 
-def factored_str(f: FactoredPoly, names=None) -> str:
+def factored_str(f: FactoredPoly) -> str:
     if not f.factors:
         return "1"
     parts = []
     for base, exp in f.factors:
-        body = f"({poly_str(base, names)})"
+        body = f"({poly_str(base)})"
         parts.append(body if exp == 1 else f"{body}^{exp}")
     return " * ".join(parts)
 
 
 @dataclass(frozen=True)
 class Specialization:
-    """A map sending each variable to one term, plus the names to print its output.
+    """A map sending each variable to one term.
 
     ``images[v] = (c, t)`` sends source variable v to c*x_t in the target
-    universe of ``nvars`` variables, or to the constant c when t is None;
-    ``names`` overrides printed variable names there.
+    universe of ``nvars`` variables, or to the constant c when t is None.
     """
 
     images: tuple
     nvars: int
-    names: tuple | None = None
 
     @classmethod
     def of(cls, nvars_in: int, values) -> Specialization:
@@ -706,17 +697,12 @@ class Specialization:
         if len(values) < nvars_in:
             raise ValueError("a specialization using the collapsed symbol 'a' must cover every variable")
         images = tuple((1, 0) if values[v] == "a" else (int(values[v]), None) for v in range(nvars_in))
-        return cls(images, 1, ("a",))
+        return cls(images, 1)
 
     @classmethod
     def collapse_all(cls, nvars_in: int) -> Specialization:
         """Send every variable to the single symbol "a"."""
         return cls.of(nvars_in, dict.fromkeys(range(nvars_in), "a"))
-
-    @classmethod
-    def constants(cls, nvars: int, values) -> Specialization:
-        """Pin the listed variables to integers; others stay symbolic."""
-        return cls.of(nvars, values)
 
     def apply_poly(self, p: IntPolynomial) -> IntPolynomial:
         """Image of p: each term's key is walked lane by lane, as in residues_mod."""

@@ -182,7 +182,7 @@ def sign_feasible(arr: RationalArrangement, sigma: SignVector) -> bool:
     return _feasible(_integer_rows(arr), sigma.plus, sigma.minus)
 
 
-def enumerate_covectors(arr: RationalArrangement, check: bool = True) -> CovectorSet:
+def enumerate_covectors(arr: RationalArrangement) -> CovectorSet:
     """All attainable sign vectors of a central arrangement.
 
     The arrangement is built one hyperplane at a time, keeping one
@@ -192,9 +192,8 @@ def enumerate_covectors(arr: RationalArrangement, check: bool = True) -> Covecto
     when its form vanishes on the cell's span).  So each representative
     costs at most two feasibility tests (integer Fourier-Motzkin with the
     cell's equalities eliminated in the same loop), and the work follows
-    the output size.  The result must pass the covector axioms;
-    ``check=False`` skips the final validation and leaves the set
-    unverified.
+    the output size.  The result must pass the covector axioms, which are
+    checked before it is returned.
     """
     if arr.affine:
         raise ValueError("enumerate_covectors expects a central arrangement; homogenize first")
@@ -232,13 +231,12 @@ def enumerate_covectors(arr: RationalArrangement, check: bool = True) -> Covecto
     found = loops(out)
     if found:
         raise ValueError(f"arrangement has loops at indices {sorted(found)}")
-    if check:
-        report = check_covector_axioms(out)
-        if not report.ok:
-            raise AssertionError(
-                "enumerated sign vectors fail the covector axioms; "
-                "this is a bug in the enumeration:\n" + "\n".join(report.lines())
-            )
+    report = check_covector_axioms(out)
+    if not report.ok:
+        raise AssertionError(
+            "enumerated sign vectors fail the covector axioms; "
+            "this is a bug in the enumeration:\n" + "\n".join(report.lines())
+        )
     return out
 
 
@@ -265,7 +263,7 @@ def homogenize(arr: RationalArrangement) -> Homogenized:
     return Homogenized(central, frozenset(range(1, arr.n + 1)), arr.n + 1)
 
 
-def arrangement_fiber(arr: RationalArrangement, check: bool = True) -> FiberView:
+def arrangement_fiber(arr: RationalArrangement) -> FiberView:
     """The fiber whose determinant describes the arrangement.
 
     Central input: the whole covector set, I = [n].  Affine input: the
@@ -273,8 +271,8 @@ def arrangement_fiber(arr: RationalArrangement, check: bool = True) -> FiberView
     """
     if arr.affine:
         central, free, infinity = homogenize(arr)
-        s = enumerate_covectors(central, check=check)
+        s = enumerate_covectors(central)
         anchor = next(m for m in s.members if m.sign(infinity) > 0)
         return topal_fiber(s, free, anchor)
-    s = enumerate_covectors(arr, check=check)
+    s = enumerate_covectors(arr)
     return topal_fiber(s, range(1, arr.n + 1), s.members[0])

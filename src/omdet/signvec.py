@@ -433,10 +433,6 @@ class FiberView:
         return self.base.n
 
     @property
-    def fixed_indices(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1)) - self.free
-
-    @property
     def free_mask(self) -> int:
         return _indices_to_mask(self.free, self.n)
 

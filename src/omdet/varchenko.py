@@ -24,6 +24,13 @@ division.  Under a specialization the bases can share factors and the
 leftover division can then be inexact; the kept binomials are multiplied
 back in and the division repeated.  The tests compare this against the fused
 kernel that expands every entry (``tests/oracle.py``).
+
+``determinant(f, specialize)`` is the one symbolic entry point, used by
+``verify`` and the command line alike: the size guard on the tope count,
+then the matrix, the specialization, the candidates (the binomials of
+``product_formula(f, specialize)``, the one closed form) and the
+elimination.  The face multiplicities behind both are computed once per
+fiber and cached on it.
 """
 
 from __future__ import annotations
@@ -38,13 +45,13 @@ from .polyring import (
     Specialization,
     _accumulate_product,
     _divide_exact,
-    _resolve_name,
     _strip_and_check,
     divide_binomial,
     factored_str,
     poly_str,
     residues_mod,
     used_variables,
+    var_label,
 )
 from .signvec import (
     CovectorSet,
@@ -313,66 +320,52 @@ def bareiss_determinant(rows: list[list[IntPolynomial]], nvars: int, bases=()) -
 
 
 def _specialized_entries(matrix: VarchenkoMatrix, specialize: Specialization | None):
-    """(entries, nvars) of the matrix under an optional specialization."""
+    """The matrix entries under an optional specialization."""
     if specialize is None:
-        return matrix.entries, matrix.nvars
-    entries = tuple(tuple(specialize.apply_poly(e) for e in row) for row in matrix.entries)
-    return entries, specialize.nvars
+        return matrix.entries
+    return tuple(tuple(specialize.apply_poly(e) for e in row) for row in matrix.entries)
+
+
+def face_multiplicities(f: FiberView) -> tuple:
+    """(covector, weight, multiplicity) for every non-tope fiber member, cached on the fiber."""
+    cached = f._cache.get("faces")
+    if cached is not None:
+        return cached
+    _require_valid_fiber(f)
+    nvars = 2 * f.n
+    faces = tuple((u, weight_monomial(u, nvars), multiplicity(f, u)) for u in f.members if not u.is_tope)
+    f._cache["faces"] = faces
+    return faces
+
+
+def product_formula(f: FiberView, specialize: Specialization | None = None) -> FactoredPoly:
+    """The determinant's closed form prod (1 - b_v)^(beta_v), beta_v > 0, optionally specialized."""
+    one = IntPolynomial.one(2 * f.n)
+    formula = FactoredPoly(2 * f.n, [(one - weight, beta) for _, weight, beta in face_multiplicities(f) if beta])
+    return formula if specialize is None else specialize.apply_factored(formula)
 
 
 def determinant(
-    matrix: VarchenkoMatrix,
+    f: FiberView,
+    specialize: Specialization | None = None,
     max_topes: int = DEFAULT_SYMBOLIC_LIMIT,
     force: bool = False,
 ) -> IntPolynomial:
-    """Exact symbolic determinant via factored Bareiss elimination, behind the size guard."""
-    _check_size_guard(matrix.size, max_topes, force)
-    return bareiss_determinant([list(r) for r in matrix.entries], matrix.nvars, _face_bases(matrix.fiber, None))
+    """Exact symbolic determinant of a fiber's distance matrix, optionally specialized.
 
-
-def face_multiplicities(f: FiberView):
-    """(covector, weight, multiplicity) for every non-tope fiber member."""
-    _require_valid_fiber(f)
-    nvars = 2 * f.n
-    out = []
-    for u in f.members:
-        if u.is_tope:
-            continue
-        out.append((u, weight_monomial(u, nvars), multiplicity(f, u)))
-    return out
-
-
-def _formula_from_faces(nvars: int, faces) -> FactoredPoly:
-    """prod (1 - b_v)^(beta_v) over (covector, weight, beta) with beta_v > 0."""
-    one = IntPolynomial.one(nvars)
-    return FactoredPoly(nvars, [(one - weight, beta) for _, weight, beta in faces if beta])
-
-
-def _faces_and_formula(f: FiberView, specialize: Specialization | None):
-    """(faces, formula) of a fiber, with the weights under an optional specialization."""
-    faces = face_multiplicities(f)
-    if specialize is None:
-        return faces, _formula_from_faces(2 * f.n, faces)
-    faces = [(u, specialize.apply_poly(w), beta) for u, w, beta in faces]
-    return faces, _formula_from_faces(specialize.nvars, faces)
-
-
-def _face_bases(f: FiberView, specialize: Specialization | None) -> list[IntPolynomial]:
-    """The formula's binomials 1 - b_v, the candidates of the factored elimination.
-
-    They only speed it up, so a fiber whose multiplicities are not well
-    defined (which the determinant alone does not need) gets none.
+    The size guard runs on the tope count before any matrix work.  The
+    formula's binomials 1 - b_v are the candidates of the factored
+    elimination; they only speed it up, so a fiber whose multiplicities are
+    not well defined (which the determinant alone does not need) gets none.
     """
+    _check_size_guard(len(f.topes), max_topes, force)
+    entries = _specialized_entries(build_matrix(f), specialize)
     try:
-        _, formula = _faces_and_formula(f, specialize)
+        bases = [base for base, _ in product_formula(f, specialize).factors]
     except FiberError:
-        return []
-    return [base for base, _ in formula.factors]
-
-
-def product_formula(f: FiberView) -> FactoredPoly:
-    """The determinant's closed form: prod (1 - b_v)^(beta_v), beta_v > 0."""
-    return _formula_from_faces(2 * f.n, face_multiplicities(f))
+        bases = []
+    nvars = 2 * f.n if specialize is None else specialize.nvars
+    return bareiss_determinant([list(r) for r in entries], nvars, bases)
 
 
 # modular evaluation
@@ -465,7 +458,6 @@ class VerificationReport:
     prime: int | None = None
     degree_bound: int | None = None
     evals: tuple[EvalRecord, ...] = ()
-    names: tuple | None = None
 
     def to_json(self) -> dict:
         doc = {
@@ -474,16 +466,16 @@ class VerificationReport:
             "faces": [
                 {
                     "covector": str(u),
-                    "weight": poly_str(w, self.names),
+                    "weight": poly_str(w),
                     "beta": beta,
                 }
                 for u, w, beta in self.faces
             ],
-            "formula": factored_str(self.formula, self.names),
+            "formula": factored_str(self.formula),
             "agreement": self.agreement,
         }
         if self.determinant is not None:
-            doc["determinant"] = poly_str(self.determinant, self.names)
+            doc["determinant"] = poly_str(self.determinant)
         if self.mode == "randomized":
             doc["evals"] = {
                 "prime": str(self.prime),
@@ -519,15 +511,12 @@ def randomized_compare(
     seed: int = 0,
     evals: int = 5,
     workers: int = 1,
-    names=None,
 ):
     """Compare det(entries) with the factored form at random modular points.
 
     Deterministic for a fixed seed: one 61-bit prime, then ``evals``
     assignments of the used variables in sorted order, evaluated one after
-    another.  ``names`` overrides the printed variable names in the records,
-    as in ``poly_str``.  ``workers`` is accepted for compatibility and has
-    no effect.
+    another.  ``workers`` is accepted for compatibility and has no effect.
     """
     if evals < 1:
         raise ValueError("at least one evaluation is required")
@@ -541,21 +530,9 @@ def randomized_compare(
         assignment = {v: rng.randrange(prime) for v in var_order}
         residues = residues_mod(flat, assignment, prime)
         det_r = det_mod([residues[r * m : (r + 1) * m] for r in range(m)], prime)
-        readable = {_resolve_name(v, names): assignment[v] for v in var_order}
+        readable = {var_label(v, formula.nvars): assignment[v] for v in var_order}
         records.append(EvalRecord(readable, det_r, formula.eval_mod(assignment, prime)))
     return prime, tuple(records)
-
-
-def fiber_determinant(
-    f: FiberView,
-    specialize: Specialization | None = None,
-    max_topes: int = DEFAULT_SYMBOLIC_LIMIT,
-    force: bool = False,
-) -> IntPolynomial:
-    """Symbolic determinant of a fiber's matrix: guard, build, specialize, eliminate."""
-    _check_size_guard(len(f.topes), max_topes, force)
-    entries, nvars = _specialized_entries(build_matrix(f), specialize)
-    return bareiss_determinant([list(r) for r in entries], nvars, _face_bases(f, specialize))
 
 
 def verify(
@@ -566,42 +543,41 @@ def verify(
     specialize: Specialization | None = None,
     max_topes: int = DEFAULT_SYMBOLIC_LIMIT,
     force_symbolic: bool = False,
-    workers: int = 1,
 ) -> VerificationReport:
     """Check determinant = factored product on a fiber.
 
     ``mode`` is "symbolic", "randomized", or "auto" (symbolic up to the
     tope-count guard, randomized beyond it).  Disagreement is report
-    content, not an exception.  Randomized evaluations run one after
-    another; ``workers`` is accepted for compatibility and has no effect.
+    content, not an exception.  The report's face weights and formula are
+    under the specialization, as is the determinant.
     """
     if mode not in ("auto", "symbolic", "randomized"):
         raise ValueError(f"unknown mode {mode!r}")
     size = len(f.topes)
     if mode == "auto":
         mode = "symbolic" if size <= max_topes else "randomized"
+    # the guard's and the matrix's errors are reported before the multiplicities'
     if mode == "symbolic":
-        _check_size_guard(size, max_topes, force_symbolic)
-    entries, nvars = _specialized_entries(build_matrix(f), specialize)
-    faces, formula = _faces_and_formula(f, specialize)
-    names = specialize.names if specialize is not None else None
+        det = determinant(f, specialize, max_topes, force_symbolic)
+    else:
+        entries = _specialized_entries(build_matrix(f), specialize)
+    faces = face_multiplicities(f)
+    if specialize is not None:
+        faces = tuple((u, specialize.apply_poly(w), beta) for u, w, beta in faces)
+    formula = product_formula(f, specialize)
 
     if mode == "symbolic":
-        det = bareiss_determinant([list(r) for r in entries], nvars, [base for base, _ in formula.factors])
-        return VerificationReport(
-            "symbolic", size, tuple(faces), formula, det == formula.expand(), det, names=names
-        )
-    prime, records = randomized_compare(entries, formula, seed=seed, evals=evals, names=names)
+        return VerificationReport("symbolic", size, faces, formula, det == formula.expand(), det)
+    prime, records = randomized_compare(entries, formula, seed=seed, evals=evals)
     return VerificationReport(
         "randomized",
         size,
-        tuple(faces),
+        faces,
         formula,
         all(r.match for r in records),
         prime=prime,
         degree_bound=degree_bound(entries, formula),
         evals=records,
-        names=names,
     )
 
 

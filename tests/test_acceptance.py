@@ -71,7 +71,7 @@ def test_criterion_1_non_pappus_reproduction():
 
     spec = Specialization.collapse_all(2 * fiber.n)
     formula = spec.apply_factored(product_formula(fiber))
-    formula_text = factored_str(formula, spec.names)
+    formula_text = factored_str(formula)
 
     vr = verify(fiber, mode="randomized", seed=0, evals=5, specialize=spec)
     elapsed = time.time() - start
@@ -130,7 +130,7 @@ def test_criterion_2_brute_force_oracle_equivalence():
     for name, fiber in fibers.items():
         matrix = build_matrix(fiber)
         assert matrix.size <= 6
-        bareiss = determinant(matrix)
+        bareiss = determinant(fiber)
         oracle = permutation_determinant(matrix.entries, matrix.nvars)
         expanded = product_formula(fiber).expand()
         one = P.one(matrix.nvars)

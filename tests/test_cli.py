@@ -87,13 +87,13 @@ class TestPipelines:
         assert code == 0 and "PASS" in out
         code, out, _ = run(capsys, "det", out_path)
         assert code == 0
-        from omdet.varchenko import build_matrix, determinant
+        from omdet.varchenko import determinant
         from omdet.signvec import topal_fiber
         from omdet.polyring import poly_str
 
         s = concurrent_lines()
         f = topal_fiber(s, range(1, 4), s.members[0])
-        assert out.strip() == poly_str(determinant(build_matrix(f)))
+        assert out.strip() == poly_str(determinant(f))
 
     def test_from_wiring_round_trip(self, capsys, tmp_path):
         wd_path = tmp_path / "np.json"
@@ -326,7 +326,7 @@ class TestLimits:
         def overflow(*args):
             raise ExponentOverflowError("exponent overflow during division")
 
-        monkeypatch.setattr(omdet.cli, "fiber_determinant", overflow)
+        monkeypatch.setattr(omdet.cli, "determinant", overflow)
         code, out, err = run(capsys, "det", one_line_cov)
         assert code == 2
         assert out == ""
@@ -358,9 +358,20 @@ GOLDEN = Path(__file__).parent / "golden"
     ],
 )
 def test_randomized_verify_golden(capsys, tmp_path, fmt, spec, name):
+    _check_verify_golden(capsys, tmp_path, ["--mode", "randomized", "--seed", "0", "--evals", "2"], fmt, spec, name)
+
+
+@pytest.mark.parametrize(
+    "fmt, name", [("text", "verify_three_lines_symbolic_all_a.txt"), ("json", "verify_three_lines_symbolic_all_a.json")]
+)
+def test_symbolic_verify_golden(capsys, tmp_path, fmt, name):
+    _check_verify_golden(capsys, tmp_path, ["--mode", "symbolic"], fmt, "all=a", name)
+
+
+def _check_verify_golden(capsys, tmp_path, mode_args, fmt, spec, name):
     path = tmp_path / "three.cov"
     path.write_text(format_cov(concurrent_lines()))
-    args = ["verify", str(path), "--mode", "randomized", "--seed", "0", "--evals", "2", "--format", fmt]
+    args = ["verify", str(path), *mode_args, "--format", fmt]
     if spec is not None:
         args += ["--specialize", spec]
     code, out, _ = run(capsys, *args)

@@ -19,7 +19,6 @@ from omdet.varchenko import (
     draw_prime,
     face_multiplicities,
     factored_bareiss,
-    fiber_determinant,
     is_probable_prime,
     product_formula,
     randomized_compare,
@@ -119,16 +118,15 @@ class TestMatrix:
 
 class TestDeterminant:
     def test_one_line(self):
-        m = build_matrix(whole_fiber(one_line()))
-        assert determinant(m) == P.one(2) - pair(2, 1)
+        assert determinant(whole_fiber(one_line())) == P.one(2) - pair(2, 1)
 
     def test_coord_lines_closed_form(self):
-        det = determinant(build_matrix(whole_fiber(coord_lines())))
+        det = determinant(whole_fiber(coord_lines()))
         one = P.one(4)
         assert det == (one - pair(4, 1)) ** 2 * (one - pair(4, 2)) ** 2
 
     def test_concurrent_lines_closed_form(self):
-        det = determinant(build_matrix(whole_fiber(concurrent_lines())))
+        det = determinant(whole_fiber(concurrent_lines()))
         one = P.one(6)
         expected = (
             (one - pair(6, 1)) ** 2
@@ -139,24 +137,24 @@ class TestDeterminant:
         assert det == expected
 
     def test_parallel_affine_closed_form(self):
-        det = determinant(build_matrix(parallel_affine()))
+        det = determinant(parallel_affine())
         one = P.one(6)
         assert det == (one - pair(6, 1)) * (one - pair(6, 2))
 
     def test_matches_permutation_oracle(self):
         for name, f in corpus_fibers().items():
             m = build_matrix(f)
-            assert determinant(m) == permutation_determinant(m.entries, m.nvars), name
+            assert determinant(f) == permutation_determinant(m.entries, m.nvars), name
 
     def test_constant_term_is_one(self):
         for name, f in corpus_fibers().items():
-            assert determinant(build_matrix(f)).constant_term() == 1, name
+            assert determinant(f).constant_term() == 1, name
 
     def test_invariant_under_tope_permutation(self):
         rng = random.Random(13)
         f = whole_fiber(concurrent_lines())
         m = build_matrix(f)
-        base = determinant(m)
+        base = determinant(f)
         from omdet.varchenko import bareiss_determinant
 
         for _ in range(5):
@@ -167,10 +165,26 @@ class TestDeterminant:
 
     def test_size_guard(self):
         f = whole_fiber(concurrent_lines())
-        m = build_matrix(f)
         with pytest.raises(SizeGuardError):
-            determinant(m, max_topes=4)
-        assert determinant(m, max_topes=4, force=True) == determinant(m)
+            determinant(f, max_topes=4)
+        assert determinant(f, max_topes=4, force=True) == determinant(f)
+
+    def test_size_guard_runs_before_the_matrix(self, monkeypatch):
+        def no_matrix(f):
+            raise AssertionError("the matrix was built past the guard")
+
+        monkeypatch.setattr(omdet.varchenko, "build_matrix", no_matrix)
+        with pytest.raises(SizeGuardError):
+            determinant(whole_fiber(concurrent_lines()), max_topes=4)
+
+    def test_specialized_matches_the_specialized_formula(self):
+        for name, f in corpus_fibers().items():
+            m = build_matrix(f)
+            for spec in _specializations(m.nvars):
+                formula = product_formula(f, spec)
+                rows = m.entries if spec is None else [[spec.apply_poly(e) for e in row] for row in m.entries]
+                assert determinant(f, spec) == permutation_determinant(rows, formula.nvars), name
+                assert determinant(f, spec) == formula.expand(), name
 
 
 class TestProductFormula:
@@ -183,13 +197,26 @@ class TestProductFormula:
         one = P.one(4)
         assert pf.factors == ((one - pair(4, 1), 2), (one - pair(4, 2), 2))
 
+    def test_specialized_formula_is_the_image(self):
+        f = whole_fiber(concurrent_lines())
+        for spec in _specializations(2 * f.n):
+            expected = product_formula(f) if spec is None else spec.apply_factored(product_formula(f))
+            assert product_formula(f, spec) == expected
+
+    def test_multiplicities_are_computed_once(self, monkeypatch):
+        f = whole_fiber(concurrent_lines())
+        faces = face_multiplicities(f)
+        monkeypatch.setattr(omdet.varchenko, "multiplicity", None)
+        assert face_multiplicities(f) is faces
+        assert verify(f, mode="symbolic").agreement
+
     def test_weight_monomial(self):
         w = weight_monomial(sv("0+0"), 6)
         assert w == pair(6, 1) * pair(6, 3)
 
     def test_agrees_with_determinant_on_corpus(self):
         for name, f in corpus_fibers().items():
-            assert determinant(build_matrix(f)) == product_formula(f).expand(), name
+            assert determinant(f) == product_formula(f).expand(), name
 
 
 class TestModularPieces:
@@ -208,7 +235,7 @@ class TestModularPieces:
         rng = random.Random(19)
         f = whole_fiber(concurrent_lines())
         m = build_matrix(f)
-        det = determinant(m)
+        det = determinant(f)
         prime = draw_prime(rng)
         for _ in range(3):
             assignment = {v: rng.randrange(prime) for v in range(m.nvars)}
@@ -245,12 +272,6 @@ class TestVerify:
         c = verify(f, mode="randomized", seed=8, evals=4)
         assert json.dumps(a.to_json()) != json.dumps(c.to_json())
 
-    def test_worker_count_does_not_change_results(self):
-        f = whole_fiber(concurrent_lines())
-        a = verify(f, mode="randomized", seed=3, evals=6, workers=1)
-        b = verify(f, mode="randomized", seed=3, evals=6, workers=4)
-        assert json.dumps(a.to_json()) == json.dumps(b.to_json())
-
     def test_mutated_formula_detected(self):
         f = whole_fiber(concurrent_lines())
         m = build_matrix(f)
@@ -281,7 +302,7 @@ class TestVerify:
         assert report.agreement
         from omdet.polyring import factored_str
 
-        assert factored_str(report.formula, report.names) == "(1 - a^2)^4"
+        assert factored_str(report.formula) == "(1 - a^2)^4"
 
 
 class TestCfd:
@@ -362,10 +383,10 @@ class TestDegreeBound:
 def _specialization_maps(nvars):
     """(specialization, the {variable: int or "a"} map it was built from)."""
     yield Specialization.collapse_all(nvars), dict.fromkeys(range(nvars), "a")
-    yield Specialization.constants(nvars, {0: 0}), {0: 0}
+    yield Specialization.of(nvars, {0: 0}), {0: 0}
     # every variable pinned: no variable is left to draw
     pinned = {v: (v % 3) - 1 for v in range(nvars)}
-    yield Specialization.constants(nvars, pinned), pinned
+    yield Specialization.of(nvars, pinned), pinned
     mixed = {v: "a" if v % 2 else 1 - v for v in range(nvars)}
     yield Specialization.of(nvars, mixed), mixed
 
@@ -412,10 +433,9 @@ class TestResidueOracle:
             for spec in _specializations(m.nvars):
                 entries = m.entries if spec is None else [[spec.apply_poly(e) for e in row] for row in m.entries]
                 formula = product_formula(f) if spec is None else spec.apply_factored(product_formula(f))
-                names = None if spec is None else spec.names
                 nvars = formula.nvars
-                index = {poly_str(P.variable(nvars, v), names): v for v in range(nvars)}
-                prime, records = randomized_compare(entries, formula, seed=11, evals=3, names=names)
+                index = {poly_str(P.variable(nvars, v)): v for v in range(nvars)}
+                prime, records = randomized_compare(entries, formula, seed=11, evals=3)
                 for rec in records:
                     at = {index[label]: value for label, value in rec.assignment.items()}
                     rows = [[residue_oracle(e, at, prime) for e in row] for row in entries]
@@ -477,7 +497,7 @@ class TestFactoredBareissOracle:
         for name, f in corpus_fibers().items():
             self._check(name, f)
             m = build_matrix(f)
-            assert bareiss_determinant([list(r) for r in m.entries], m.nvars) == determinant(m), name
+            assert bareiss_determinant([list(r) for r in m.entries], m.nvars) == determinant(f), name
 
     def test_wrong_candidates_change_nothing(self):
         # the candidates steer how entries are stored, never their value
@@ -517,7 +537,7 @@ class TestFactoredBareissOracle:
 class TestFactoredBareissEdges:
     def test_all_ones_map_gives_zero(self):
         f = whole_fiber(concurrent_lines())
-        ones = Specialization.constants(2 * f.n, dict.fromkeys(range(2 * f.n), 1))
+        ones = Specialization.of(2 * f.n, dict.fromkeys(range(2 * f.n), 1))
         report = verify(f, mode="symbolic", specialize=ones)
         m = build_matrix(f)
         rows = [[ones.apply_poly(e) for e in row] for row in m.entries]
@@ -594,4 +614,7 @@ class TestFactoredBareissEdges:
             face_multiplicities(f)
         m = build_matrix(f)
         expected = permutation_determinant(m.entries, m.nvars)
-        assert fiber_determinant(f) == determinant(m) == expected
+        assert determinant(f) == expected
+        collapse = Specialization.collapse_all(m.nvars)
+        rows = [[collapse.apply_poly(e) for e in row] for row in m.entries]
+        assert determinant(f, collapse) == permutation_determinant(rows, 1)
