@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .polyring import (
     ExactDivisionError,
@@ -288,7 +289,9 @@ def _cmd_from_wiring(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on the first ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="omdet",
         description="Exact covector-set toolkit: axioms, fibers, distance determinants.",

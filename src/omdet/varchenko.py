@@ -31,12 +31,21 @@ then the matrix, the specialization, the candidates (the binomials of
 ``product_formula(f, specialize)``, the one closed form) and the
 elimination.  The face multiplicities behind both are computed once per
 fiber and cached on it.
+
+The randomized check compares both sides at random points modulo a random
+prime without building the polynomial entries, which only the symbolic path
+needs: the matrix keeps the topes' sign masks on the free set, which fix
+every entry.  Per evaluation each variable's image is evaluated once and
+tabulated over every subset of each byte of the masks, so an entry's residue
+is one lookup per byte and sign; the variables to draw and the degree bound
+come from the same masks.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .polyring import (
     ExactDivisionError,
@@ -58,6 +67,7 @@ from .signvec import (
     FiberError,
     FiberView,
     SignVector,
+    _mask_to_indices,
     _separation_mask,
     compose,
     leq,
@@ -126,13 +136,33 @@ def weight_monomial(u: SignVector, nvars: int | None = None) -> IntPolynomial:
     return IntPolynomial.monomial(nvars, {var: 1 for var in weight_exponents(u)})
 
 
+def _images(specialize: Specialization | None, nvars: int) -> tuple:
+    """Each source variable's image (c, t), c*x_t or the constant c when t is None."""
+    return tuple((1, v) for v in range(nvars)) if specialize is None else specialize.images
+
+
+def _subset_products(values, prime: int) -> list[int]:
+    """Products mod prime over every subset of values, indexed by the subset's bitmask."""
+    table = [1]
+    for x in values:
+        table += [y * x % prime for y in table]
+    return table
+
+
 @dataclass(frozen=True)
 class VarchenkoMatrix:
-    """Square matrix of pairwise tope distances over the canonical order."""
+    """Square matrix of pairwise tope distances over the canonical order.
+
+    ``plus[r]`` and ``minus[r]`` are tope r's sign masks on the free set
+    (bit i-1 for index i), and they fix every entry: (r, c) is the product
+    of a_i^+ over plus[r] & minus[c] and of a_i^- over minus[r] & plus[c].
+    The polynomial ``entries`` are built on first use only.
+    """
 
     fiber: FiberView
     tope_order: tuple[SignVector, ...]
-    entries: tuple[tuple[IntPolynomial, ...], ...]
+    plus: tuple[int, ...]
+    minus: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -142,8 +172,70 @@ class VarchenkoMatrix:
     def nvars(self) -> int:
         return 2 * self.fiber.n
 
+    @cached_property
+    def entries(self) -> tuple[tuple[IntPolynomial, ...], ...]:
+        free = sorted(self.fiber.free)
+        ts = self.tope_order
+        return tuple(tuple(distance(tr, tc, free, self.nvars) for tc in ts) for tr in ts)
+
     def entry(self, r: int, c: int) -> IntPolynomial:
         return self.entries[r][c]
+
+    def support(self, specialize: Specialization | None = None) -> tuple[list[int], int]:
+        """(sorted variables of the nonzero entries, sum of the rows' largest entry degrees).
+
+        Both are taken under the optional specialization, in its target
+        universe.  A source variable sent to 0 makes every entry it divides
+        zero, and a zero entry uses no variable and has degree 0.
+        """
+        images = _images(specialize, self.nvars)
+        zero, var = [0, 0], [0, 0]
+        for v, (c, t) in enumerate(images):
+            if c == 0:
+                zero[v & 1] |= 1 << (v >> 1)
+            elif t is not None:
+                var[v & 1] |= 1 << (v >> 1)
+        (zero_p, zero_m), (var_p, var_m) = zero, var
+        used_p = used_m = degree = 0
+        for pr, mr in zip(self.plus, self.minus):
+            top = 0
+            for pc, mc in zip(self.plus, self.minus):
+                s, t = pr & mc, mr & pc
+                if not (s & zero_p or t & zero_m):
+                    s &= var_p
+                    t &= var_m
+                    used_p |= s
+                    used_m |= t
+                    top = max(top, s.bit_count() + t.bit_count())
+            degree += top
+        used = {images[2 * i - 2][1] for i in _mask_to_indices(used_p)}
+        used.update(images[2 * i - 1][1] for i in _mask_to_indices(used_m))
+        return sorted(used), degree
+
+    def residues(self, assignment, prime: int, specialize: Specialization | None = None) -> list[list[int]]:
+        """Entry residues at {variable: residue}, under the optional specialization.
+
+        Each source variable's image is evaluated once.  For each byte k of
+        the free masks, P_k and M_k hold the products of every subset of
+        that byte's a_i^+ and a_i^- images, so entry (r, c) is the product
+        over k of P_k[byte_k(plus[r] & minus[c])] * M_k[byte_k(minus[r] & plus[c])].
+        Variables that no nonzero entry uses may be left out of the assignment.
+        """
+        images = _images(specialize, self.nvars)
+        x = [(c * assignment.get(t, 0) if t is not None else c) % prime for c, t in images]
+        free = self.fiber.free_mask
+        out = None
+        for k in range(0, self.fiber.n, 8):
+            if not (free >> k) & 255:
+                continue
+            p_k = _subset_products(x[2 * k : 2 * k + 16 : 2], prime)
+            m_k = _subset_products(x[2 * k + 1 : 2 * k + 16 : 2], prime)
+            cols = [((pc >> k) & 255, (mc >> k) & 255) for pc, mc in zip(self.plus, self.minus)]
+            chunk = [[p_k[pr & mc] * m_k[mr & pc] % prime for pc, mc in cols] for pr, mr in cols]
+            if out is not None:
+                chunk = [[a * b % prime for a, b in zip(r, s)] for r, s in zip(out, chunk)]
+            out = chunk
+        return out if out is not None else [[1] * self.size for _ in range(self.size)]
 
 
 def build_matrix(f: FiberView) -> VarchenkoMatrix:
@@ -152,12 +244,8 @@ def build_matrix(f: FiberView) -> VarchenkoMatrix:
     ts = f.topes
     if not ts:
         raise FiberError("the fiber has no topes; the distance matrix is empty")
-    nvars = 2 * f.n
-    free = sorted(f.free)
-    rows = tuple(
-        tuple(distance(tr, tc, free, nvars) for tc in ts) for tr in ts
-    )
-    return VarchenkoMatrix(f, ts, rows)
+    free = f.free_mask
+    return VarchenkoMatrix(f, ts, tuple(t.plus & free for t in ts), tuple(t.minus & free for t in ts))
 
 
 def _binomial(base: IntPolynomial):
@@ -319,13 +407,6 @@ def bareiss_determinant(rows: list[list[IntPolynomial]], nvars: int, bases=()) -
     return factored_bareiss(rows, nvars, bases).expand()
 
 
-def _specialized_entries(matrix: VarchenkoMatrix, specialize: Specialization | None):
-    """The matrix entries under an optional specialization."""
-    if specialize is None:
-        return matrix.entries
-    return tuple(tuple(specialize.apply_poly(e) for e in row) for row in matrix.entries)
-
-
 def face_multiplicities(f: FiberView) -> tuple:
     """(covector, weight, multiplicity) for every non-tope fiber member, cached on the fiber."""
     cached = f._cache.get("faces")
@@ -359,7 +440,9 @@ def determinant(
     not well defined (which the determinant alone does not need) gets none.
     """
     _check_size_guard(len(f.topes), max_topes, force)
-    entries = _specialized_entries(build_matrix(f), specialize)
+    entries = build_matrix(f).entries
+    if specialize is not None:
+        entries = [[specialize.apply_poly(e) for e in row] for row in entries]
     try:
         bases = [base for base, _ in product_formula(f, specialize).factors]
     except FiberError:
@@ -494,15 +577,24 @@ class VerificationReport:
         return doc
 
 
-def degree_bound(entries, formula: FactoredPoly) -> int:
-    """Total-degree bound on det(entries) - formula, for the Schwartz-Zippel lemma.
+def _compare(var_order, det_residue, formula: FactoredPoly, seed: int, evals: int):
+    """(prime, records): det_residue(assignment, prime) against the formula at random points.
 
-    Every term of the determinant takes one entry from each row, so the sum
-    of the row maxima bounds its degree; the formula side is bounded by its
-    own total degree.
+    Deterministic for a fixed seed: one 61-bit prime, then ``evals``
+    assignments of var_order's variables in order, evaluated one after
+    another.
     """
-    rows = sum(max(e.total_degree() for e in row) for row in entries)
-    return max(rows, formula.total_degree())
+    if evals < 1:
+        raise ValueError("at least one evaluation is required")
+    rng = random.Random(seed)
+    prime = draw_prime(rng)
+    records = []
+    for _ in range(evals):
+        assignment = {v: rng.randrange(prime) for v in var_order}
+        readable = {var_label(v, formula.nvars): assignment[v] for v in var_order}
+        det_r = det_residue(assignment, prime)
+        records.append(EvalRecord(readable, det_r, formula.eval_mod(assignment, prime)))
+    return prime, tuple(records)
 
 
 def randomized_compare(
@@ -514,25 +606,19 @@ def randomized_compare(
 ):
     """Compare det(entries) with the factored form at random modular points.
 
-    Deterministic for a fixed seed: one 61-bit prime, then ``evals``
-    assignments of the used variables in sorted order, evaluated one after
-    another.  ``workers`` is accepted for compatibility and has no effect.
+    The points are drawn for the variables of the entries and the formula,
+    in sorted order; ``verify`` draws the same ones from the matrix's masks.
+    ``workers`` is accepted for compatibility and has no effect.
     """
-    if evals < 1:
-        raise ValueError("at least one evaluation is required")
     flat = [e for row in entries for e in row]
-    var_order = used_variables(flat + [base for base, _ in formula.factors])
-    rng = random.Random(seed)
-    prime = draw_prime(rng)
     m = len(entries)
-    records = []
-    for _ in range(evals):
-        assignment = {v: rng.randrange(prime) for v in var_order}
+
+    def det_residue(assignment, prime):
         residues = residues_mod(flat, assignment, prime)
-        det_r = det_mod([residues[r * m : (r + 1) * m] for r in range(m)], prime)
-        readable = {var_label(v, formula.nvars): assignment[v] for v in var_order}
-        records.append(EvalRecord(readable, det_r, formula.eval_mod(assignment, prime)))
-    return prime, tuple(records)
+        return det_mod([residues[r * m : (r + 1) * m] for r in range(m)], prime)
+
+    var_order = used_variables(flat + [base for base, _ in formula.factors])
+    return _compare(var_order, det_residue, formula, seed, evals)
 
 
 def verify(
@@ -560,7 +646,7 @@ def verify(
     if mode == "symbolic":
         det = determinant(f, specialize, max_topes, force_symbolic)
     else:
-        entries = _specialized_entries(build_matrix(f), specialize)
+        matrix = build_matrix(f)
     faces = face_multiplicities(f)
     if specialize is not None:
         faces = tuple((u, specialize.apply_poly(w), beta) for u, w, beta in faces)
@@ -568,7 +654,13 @@ def verify(
 
     if mode == "symbolic":
         return VerificationReport("symbolic", size, faces, formula, det == formula.expand(), det)
-    prime, records = randomized_compare(entries, formula, seed=seed, evals=evals)
+    used, row_degree = matrix.support(specialize)
+    var_order = sorted(set(used).union(used_variables([base for base, _ in formula.factors])))
+
+    def det_residue(assignment, prime):
+        return det_mod(matrix.residues(assignment, prime, specialize), prime)
+
+    prime, records = _compare(var_order, det_residue, formula, seed, evals)
     return VerificationReport(
         "randomized",
         size,
@@ -576,7 +668,8 @@ def verify(
         formula,
         all(r.match for r in records),
         prime=prime,
-        degree_bound=degree_bound(entries, formula),
+        # the Schwartz-Zippel bound: the sum of the row maxima bounds the determinant's degree
+        degree_bound=max(row_degree, formula.total_degree()),
         evals=records,
     )
 

@@ -8,9 +8,10 @@ enumeration oracle runs a feasibility test on every sign vector, the
 feasibility oracle is Gaussian substitution of the equalities over Fraction
 followed by Fourier-Motzkin on the reduced forms, the chain oracle is a
 recursive longest-path search, the specialization oracle is the general
-substitution homomorphism built from polynomial products and powers, and the
+substitution homomorphism built from polynomial products and powers, the
 elimination oracle is the fused Bareiss kernel that expands every
-intermediate entry.
+intermediate entry, and the degree-bound oracle reads the row maxima off the
+polynomial entries rather than the tope masks.
 """
 
 from __future__ import annotations
@@ -373,6 +374,17 @@ def residue_oracle(p: IntPolynomial, assignment, prime: int) -> int:
             term *= pow(assignment[v], e, prime)
         total += term
     return total % prime
+
+
+def degree_bound(entries, formula: FactoredPoly) -> int:
+    """Total-degree bound on det(entries) - formula, read off the polynomial entries.
+
+    Every term of the determinant takes one entry from each row, so the sum
+    of the row maxima bounds its degree; the formula side is bounded by its
+    own total degree.
+    """
+    rows = sum(max(e.total_degree() for e in row) for row in entries)
+    return max(rows, formula.total_degree())
 
 
 def substitute(p: IntPolynomial, mapping, nvars: int | None = None) -> IntPolynomial:

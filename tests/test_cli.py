@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -355,6 +358,11 @@ GOLDEN = Path(__file__).parent / "golden"
         ("json", None, "verify_three_lines_plain.json"),
         ("text", "all=a", "verify_three_lines_all_a.txt"),
         ("json", "all=a", "verify_three_lines_all_a.json"),
+        # n = 9: the tope masks span two byte chunks; the map pins a zero and a negative image
+        ("text", None, "verify_non_pappus_plain.txt"),
+        ("json", None, "verify_non_pappus_plain.json"),
+        ("text", "a1p=0,a2m=-3", "verify_non_pappus_a1p_0_a2m_neg3.txt"),
+        ("json", "a1p=0,a2m=-3", "verify_non_pappus_a1p_0_a2m_neg3.json"),
     ],
 )
 def test_randomized_verify_golden(capsys, tmp_path, fmt, spec, name):
@@ -369,8 +377,8 @@ def test_symbolic_verify_golden(capsys, tmp_path, fmt, name):
 
 
 def _check_verify_golden(capsys, tmp_path, mode_args, fmt, spec, name):
-    path = tmp_path / "three.cov"
-    path.write_text(format_cov(concurrent_lines()))
+    path = tmp_path / "input.cov"
+    path.write_text(format_cov(faces(non_pappus()) if "non_pappus" in name else concurrent_lines()))
     args = ["verify", str(path), *mode_args, "--format", fmt]
     if spec is not None:
         args += ["--specialize", spec]
@@ -395,3 +403,41 @@ def test_anchor_with_leading_minus(capsys, command, flag):
     spaced = run(capsys, command, path, "--fiber", "1,2", flag, "----")
     assert joined[0] == 0
     assert spaced == joined
+
+
+def _fresh_process(args):
+    env = dict(os.environ, PYTHONPATH=str(Path(omdet.cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "omdet.cli", *args], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, nonpappus_cov):
+    omdet.cli._build_parser.cache_clear()
+    calls = [
+        ["verify", nonpappus_cov, "--mode", "randomized", "--evals", "2", "--format", "json"],
+        ["verify", nonpappus_cov, "--mode", "quantum"],
+        ["formula", nonpappus_cov, "--specialize", "all=a"],
+    ]
+    for args in calls:
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == _fresh_process(args), args
+    assert omdet.cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n=2\nI=1,2\nu=00\n00\n", "the fiber has no topes; the distance matrix is empty"),
+        ("n=2\nI=1,2\nu=0+\n0+\n+0\n", "{path}: not closed under composition: 0+ o +0 = ++ missing"),
+    ],
+    ids=["no-topes", "not-closed"],
+)
+def test_randomized_verify_of_a_bad_fiber(capsys, monkeypatch, tmp_path, text, message):
+    path = tmp_path / "bad.cov"
+    path.write_text(text)
+    monkeypatch.setattr(omdet.varchenko, "multiplicity", None)
+    assert run(capsys, "verify", str(path), "--mode", "randomized") == (2, "", f"error: {message.format(path=path)}\n")

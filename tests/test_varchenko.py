@@ -1,18 +1,27 @@
 import json
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import omdet.varchenko
-from omdet.polyring import FactoredPoly, IntPolynomial, Specialization, parse_poly, poly_str, residues_mod
+from omdet.polyring import (
+    FactoredPoly,
+    IntPolynomial,
+    Specialization,
+    parse_poly,
+    poly_str,
+    residues_mod,
+    used_variables,
+)
 from omdet.realizable import arrangement_fiber
-from omdet.signvec import FiberError, SignVector, compose, fiber_of, leq, topal_fiber, topes
+from omdet.signvec import FiberError, FiberView, SignVector, compose, fiber_of, leq, parse_cov, topal_fiber, topes
 from omdet.varchenko import (
     SizeGuardError,
     bareiss_determinant,
     build_matrix,
     cfd_check,
-    degree_bound,
     determinant,
     det_mod,
     distance,
@@ -33,6 +42,7 @@ from oracle import (
     coord_lines,
     corpus_fibers,
     corpus_sets,
+    degree_bound,
     fused_bareiss,
     one_line,
     parallel_affine,
@@ -369,6 +379,7 @@ class TestDegreeBound:
         pf = product_formula(f)
         rows = sum(max(e.total_degree() for e in row) for row in m.entries)
         assert degree_bound(m.entries, pf) == rows == pf.total_degree()
+        assert verify(f, mode="randomized").degree_bound == rows
 
     def test_covers_a_formula_of_higher_degree(self):
         f = whole_fiber(concurrent_lines())
@@ -445,6 +456,96 @@ class TestResidueOracle:
                     assert rec.det_residue == det_mod(rows, prime), name
                     assert rec.formula_residue == expected, name
                     assert rec.match, name
+
+
+@cache
+def _wide_fiber():
+    """concurrent_lines() on indices 1, 33 and 64 of 64, + elsewhere: its masks span three byte chunks."""
+
+    def spread(v):
+        signs = ["+"] * 64
+        for pos, ch in zip((1, 33, 64), str(v)):
+            signs[pos - 1] = ch
+        return "".join(signs)
+
+    s = concurrent_lines()
+    lines = ["n=64", "I=1,33,64", f"u={spread(topes(s)[0])}", *map(spread, s.members)]
+    return parse_cov("\n".join(lines) + "\n")
+
+
+@cache
+def _corpus():
+    return corpus_fibers()
+
+
+def _mask_specializations(nvars, free):
+    """None, the identity, integer maps (0 and negatives, partial or not) on the free indices' variables,
+    all=a, a/integer maps, and images c*x_v built directly."""
+    ints = st.integers(-3, 3)
+    free_vars = sorted(2 * (i - 1) + side for i in free for side in (0, 1))
+    return st.one_of(
+        st.none(),
+        st.just(Specialization.of(nvars, {})),
+        st.dictionaries(st.sampled_from(free_vars), ints, min_size=1).map(lambda v: Specialization.of(nvars, v)),
+        st.just(Specialization.collapse_all(nvars)),
+        st.lists(st.one_of(ints, st.just("a")), min_size=nvars, max_size=nvars).map(
+            lambda values: Specialization.of(nvars, dict(enumerate(values)))
+        ),
+        st.lists(ints, min_size=nvars, max_size=nvars).map(
+            lambda cs: Specialization(tuple((c, v) for v, c in enumerate(cs)), nvars)
+        ),
+    )
+
+
+class TestMaskEvaluation:
+    """Residues, variables and degree bound from the tope masks against the polynomial entries."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_entries(self, data):
+        source = data.draw(st.sampled_from(["corpus", "wiring", "wide"]))
+        if source == "corpus":
+            f = _corpus()[data.draw(st.sampled_from(sorted(_corpus())))]
+        elif source == "wiring":
+            f = faces(random_wiring(random.Random(data.draw(st.integers(0, 2**32)))))
+        else:
+            f = _wide_fiber()
+        m = build_matrix(f)
+        spec = data.draw(_mask_specializations(m.nvars, f.free))
+        entries = m.entries if spec is None else [[spec.apply_poly(e) for e in row] for row in m.entries]
+        formula = product_formula(f, spec)
+        flat = [e for row in entries for e in row]
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        prime = draw_prime(rng)
+        at = {v: rng.randrange(prime) for v in range(formula.nvars)}
+        residues = residues_mod(flat, at, prime)
+        assert m.residues(at, prime, spec) == [residues[r * m.size : (r + 1) * m.size] for r in range(m.size)]
+        used, rows = m.support(spec)
+        assert used == used_variables(flat)
+        assert rows == degree_bound(entries, FactoredPoly(formula.nvars))
+        seed = data.draw(st.integers(0, 99))
+        report = verify(f, mode="randomized", seed=seed, evals=2, specialize=spec)
+        assert report.degree_bound == degree_bound(entries, formula)
+        assert (report.prime, report.evals) == randomized_compare(entries, formula, seed=seed, evals=2)
+
+    def test_randomized_verify_builds_no_entries(self, monkeypatch):
+        f = faces(non_pappus())
+        face_multiplicities(f)  # the face weights are polynomials; computed and cached first
+
+        def no_entries(*args):
+            raise AssertionError("a polynomial matrix entry was built")
+
+        monkeypatch.setattr(omdet.varchenko, "distance", no_entries)
+        monkeypatch.setattr(IntPolynomial, "monomial", no_entries)
+        for spec in (None, Specialization.of(2 * f.n, {0: 0, 3: -3}), Specialization.collapse_all(2 * f.n)):
+            assert verify(f, mode="randomized", evals=2, specialize=spec).agreement
+        assert verify(f).mode == "randomized"
+
+    def test_unclosed_fiber_fails_before_the_multiplicities(self, monkeypatch):
+        f = FiberView(fiber_of([sv("0+")]).base, frozenset({1, 2}), sv("0+"), (sv("0+"), sv("+0")))
+        monkeypatch.setattr(omdet.varchenko, "multiplicity", None)
+        with pytest.raises(FiberError, match=r"^not closed under composition: 0\+ o \+0 = \+\+ missing$"):
+            verify(f, mode="randomized")
 
 
 def _seeded_fibers(count=32, max_topes=10):
