@@ -14,10 +14,11 @@ from .polyring import (
     FactoredPoly,
     IntPolynomial,
     Specialization,
-    VarId,
     factored_str,
     parse_poly,
     poly_str,
+    var_index,
+    var_label,
 )
 from .signvec import (
     AxiomReport,

@@ -27,9 +27,9 @@ from .polyring import (
     ExactDivisionError,
     ExponentOverflowError,
     Specialization,
-    VarId,
     factored_str,
     poly_str,
+    var_index,
     var_label,
 )
 from .signvec import (
@@ -161,7 +161,7 @@ def _parse_specialize(text: str | None, nvars: int) -> Specialization | None:
     values = {}
     for key, value in entries:
         try:
-            var = VarId.parse(key).index
+            var = var_index(key)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         if var >= nvars:
@@ -298,12 +298,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fiber_flags=True):
+    def add_common(p):
         p.add_argument("input", help="input file")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if fiber_flags:
-            p.add_argument("--fiber", help="free index set, e.g. 1,2,3 (with --anchor)")
-            p.add_argument("--anchor", help="anchor sign string (with --fiber)")
+        p.add_argument("--fiber", help="free index set, e.g. 1,2,3 (with --anchor)")
+        p.add_argument("--anchor", help="anchor sign string (with --fiber)")
 
     p = sub.add_parser("check", help="validate covector axioms or fiber structure")
     add_common(p)

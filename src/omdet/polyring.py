@@ -27,7 +27,6 @@ from math import prod
 from operator import or_
 
 LANE_BITS = 16
-LANE_MASK = (1 << LANE_BITS) - 1
 MAX_EXPONENT = (1 << (LANE_BITS - 1)) - 1
 
 
@@ -39,54 +38,27 @@ class ExponentOverflowError(OverflowError):
     """A packed exponent lane exceeded MAX_EXPONENT."""
 
 
-@dataclass(frozen=True, order=True)
-class VarId:
-    """One of the two variables attached to a hyperplane.
-
-    ``VarId(3, "+")`` is the variable a_3^+ and sits at flat index 4; the
-    bijection with 0..2n-1 is 2(i-1) for "+" and 2(i-1)+1 for "-".
-    """
-
-    hyperplane: int
-    sign: str
-
-    def __post_init__(self):
-        if self.hyperplane < 1:
-            raise ValueError(f"hyperplane index must be >= 1, got {self.hyperplane}")
-        if self.sign not in ("+", "-"):
-            raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
-
-    @property
-    def index(self) -> int:
-        return 2 * (self.hyperplane - 1) + (0 if self.sign == "+" else 1)
-
-    @classmethod
-    def from_index(cls, index: int) -> VarId:
-        if index < 0:
-            raise ValueError(f"variable index must be >= 0, got {index}")
-        return cls(index // 2 + 1, "+" if index % 2 == 0 else "-")
-
-    @property
-    def label(self) -> str:
-        return f"a{self.hyperplane}{'p' if self.sign == '+' else 'm'}"
-
-    @classmethod
-    def parse(cls, label: str) -> VarId:
-        """Inverse of ``label``: "a3p" is a_3^+, "a3m" is a_3^-."""
-        m = re.fullmatch(r"a(\d+)([pm])", label)
-        if m is None:
-            raise ValueError(f"unknown variable {label!r} (expected a<i>p or a<i>m)")
-        return cls(int(m.group(1)), "+" if m.group(2) == "p" else "-")
-
-
 def var_label(index: int, nvars: int) -> str:
     """Printed name of a flat variable index in a universe of nvars variables.
 
     A one-variable universe (the image of a collapsing specialization) has
-    the single variable "a", as ``parse_poly`` reads it; otherwise the labels
-    are "a1p", "a1m", ...
+    the single variable "a", as ``parse_poly`` reads it; otherwise index
+    2(i-1) is "a<i>p" (a_i^+) and 2(i-1)+1 is "a<i>m" (a_i^-).
     """
-    return "a" if nvars == 1 else VarId.from_index(index).label
+    if nvars == 1:
+        return "a"
+    return f"a{index // 2 + 1}{'pm'[index % 2]}"
+
+
+def var_index(label: str) -> int:
+    """Flat index of an indexed variable label; the inverse of ``var_label``."""
+    m = re.fullmatch(r"a(\d+)([pm])", label)
+    if m is None:
+        raise ValueError(f"unknown variable {label!r} (expected a<i>p or a<i>m)")
+    hyperplane = int(m.group(1))
+    if hyperplane < 1:
+        raise ValueError(f"hyperplane index must be >= 1, got {hyperplane}")
+    return 2 * (hyperplane - 1) + (0 if m.group(2) == "p" else 1)
 
 
 @lru_cache(maxsize=None)
@@ -97,19 +69,14 @@ def _guard_mask(nvars: int) -> int:
     return guard
 
 
-def _var_index(v) -> int:
-    return v.index if isinstance(v, VarId) else int(v)
-
-
 def pack_monomial(nvars: int, exponents) -> int:
     """Pack {variable: exponent} into a single ordered key.
 
-    Keys accept flat indices or VarId; zero exponents are dropped.
+    Keys are flat variable indices; zero exponents are dropped.
     """
     key = 0
     degree = 0
     for v, e in exponents.items():
-        v = _var_index(v)
         if not 0 <= v < nvars:
             raise ValueError(f"variable index {v} outside universe of {nvars} variables")
         e = int(e)
@@ -122,14 +89,24 @@ def pack_monomial(nvars: int, exponents) -> int:
     return key + (degree << (LANE_BITS * nvars))
 
 
+def _lanes(nvars: int, key: int):
+    """Yield (variable, exponent) for the nonzero lanes of a packed key, variables ascending.
+
+    Each step jumps to the next nonzero lane, so the cost follows the
+    variables the key uses rather than the size of the universe.
+    """
+    key &= (1 << (LANE_BITS * nvars)) - 1  # drops the stacked degree
+    top = nvars - 1
+    while key:
+        lane = (key.bit_length() - 1) // LANE_BITS
+        e = key >> (LANE_BITS * lane)
+        yield top - lane, e
+        key ^= e << (LANE_BITS * lane)
+
+
 def unpack_monomial(nvars: int, key: int) -> dict[int, int]:
-    """Inverse of pack_monomial; returns {flat variable index: exponent}."""
-    out = {}
-    for v in range(nvars):
-        e = (key >> (LANE_BITS * (nvars - 1 - v))) & LANE_MASK
-        if e:
-            out[v] = e
-    return out
+    """Inverse of pack_monomial; returns {flat variable index: exponent}, indices ascending."""
+    return dict(_lanes(nvars, key))
 
 
 def monomial_degree(nvars: int, key: int) -> int:
@@ -438,27 +415,20 @@ class IntPolynomial:
 def residues_mod(polys, assignment, prime: int) -> list[int]:
     """Values of several polynomials at one {variable: residue} assignment.
 
-    The assignment is reduced once; each term is then evaluated by jumping
-    from one nonzero lane of its packed key to the next, so the cost follows
-    the variables a term uses rather than the size of the universe.
+    The assignment is reduced once; each term is then evaluated over the
+    nonzero lanes of its packed key only.
     """
     if prime <= 2:
         raise ValueError(f"prime must exceed 2, got {prime}")
-    values = {_var_index(v): int(r) % prime for v, r in assignment.items()}
+    values = {v: int(r) % prime for v, r in assignment.items()}
     out = []
     try:
         for p in polys:
-            top = p.nvars - 1
-            lanes = (1 << (LANE_BITS * p.nvars)) - 1  # drops the stacked degree
             total = 0
             for key, coeff in p._terms.items():
-                key &= lanes
                 term = coeff
-                while key:
-                    lane = ((key & -key).bit_length() - 1) // LANE_BITS
-                    e = (key >> (lane * LANE_BITS)) & LANE_MASK
-                    term = term * pow(values[top - lane], e, prime) % prime
-                    key ^= e << (lane * LANE_BITS)
+                for v, e in _lanes(p.nvars, key):
+                    term = term * pow(values[v], e, prime) % prime
                 total += term
             out.append(total % prime)
     except KeyError as exc:
@@ -483,9 +453,8 @@ def poly_str(p: IntPolynomial) -> str:
     parts = []
     for exps, coeff in p.monomial_exponents():
         factors = []
-        for v in sorted(exps):
+        for v, e in exps.items():
             name = var_label(v, p.nvars)
-            e = exps[v]
             factors.append(name if e == 1 else f"{name}^{e}")
         mon = "*".join(factors)
         mag = abs(coeff)
@@ -539,7 +508,7 @@ def parse_poly(text: str, nvars: int | None = None) -> IntPolynomial:
         raise ValueError("cannot mix the collapsed variable 'a' with indexed variables")
 
     def var_of(label: str) -> int:
-        return 0 if label == "a" else VarId.parse(label).index
+        return 0 if label == "a" else var_index(label)
 
     max_var = -1
     for kind, tok in tokens:
@@ -688,7 +657,6 @@ class Specialization:
 
         Any "a" makes "a" the only target variable, so every variable must be listed.
         """
-        values = {_var_index(v): c for v, c in values.items()}
         if any(not 0 <= v < nvars_in for v in values):
             raise ValueError(f"specialized variable outside universe of {nvars_in} variables")
         if "a" not in values.values():
@@ -705,20 +673,14 @@ class Specialization:
         return cls.of(nvars_in, dict.fromkeys(range(nvars_in), "a"))
 
     def apply_poly(self, p: IntPolynomial) -> IntPolynomial:
-        """Image of p: each term's key is walked lane by lane, as in residues_mod."""
+        """Image of p: each term's key is mapped over its nonzero lanes."""
         if p.nvars != len(self.images):
             raise ValueError("polynomial universe differs from the specialization's source")
-        top = p.nvars - 1
-        lanes = (1 << (LANE_BITS * p.nvars)) - 1  # drops the stacked degree
         out: dict[int, int] = {}
         for key, coeff in p._terms.items():
-            key &= lanes
             exps: dict[int, int] = {}
-            while key and coeff:
-                lane = ((key & -key).bit_length() - 1) // LANE_BITS
-                e = (key >> (lane * LANE_BITS)) & LANE_MASK
-                key ^= e << (lane * LANE_BITS)
-                c, t = self.images[top - lane]
+            for v, e in _lanes(p.nvars, key):
+                c, t = self.images[v]
                 coeff *= c**e
                 if t is not None:
                     exps[t] = exps.get(t, 0) + e

@@ -24,9 +24,8 @@ structurally instead.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-
-from .polyring import VarId
 
 MAX_GROUND_SET = 64
 
@@ -198,14 +197,14 @@ class CovectorSet:
                 raise ValueError("all members must share the ground-set size")
 
     @classmethod
-    def of(cls, members, n: int | None = None, verified: bool = False) -> CovectorSet:
+    def of(cls, members, n: int | None = None) -> CovectorSet:
         members = list(members)
         if n is None:
             if not members:
                 raise ValueError("cannot infer ground-set size from an empty set")
             n = members[0].n
         unique = sorted(set(members), key=SignVector.sort_key)
-        return cls(n, tuple(unique), verified)
+        return cls(n, tuple(unique))
 
     @property
     def _index(self) -> frozenset[SignVector]:
@@ -554,6 +553,14 @@ def _bmax_table(f: FiberView, i: int) -> dict[SignVector, SignVector | None]:
     return table
 
 
+def _bmax_counts(f: FiberView, i: int) -> Counter:
+    """How many fiber topes have each member as their i-th boundary maximum, cached on the fiber."""
+    key = ("bmax_counts", i)
+    if key not in f._cache:
+        f._cache[key] = Counter(_bmax_table(f, i).values())
+    return f._cache[key]
+
+
 def boundary_max(f: FiberView, t: SignVector, i: int) -> SignVector | None:
     """Unique maximum of {w in fiber | w <= t, w_i = 0}, or None when empty.
 
@@ -583,8 +590,7 @@ def multiplicity(f: FiberView, u: SignVector) -> int:
         raise FiberError(f"{u} has no zero index inside the free set")
     values = []
     for i in admissible:
-        table = _bmax_table(f, i)
-        count = sum(1 for t in f.topes if table[t] == u)
+        count = _bmax_counts(f, i)[u]
         if count % 2:
             raise FiberError(
                 f"odd boundary count {count} for {u} at index {i}; not a valid fiber"
@@ -596,14 +602,14 @@ def multiplicity(f: FiberView, u: SignVector) -> int:
     return values[0]
 
 
-def weight_exponents(u: SignVector) -> tuple[VarId, ...]:
-    """The variable pair {a_i^+, a_i^-} for every zero index of a non-tope."""
+def weight_exponents(u: SignVector) -> tuple[int, ...]:
+    """Flat indices 2(i-1), 2(i-1)+1 of a_i^+, a_i^- for every zero index i of a non-tope."""
     if u.is_tope:
         raise ValueError("weight is undefined for topes")
     out = []
     for i in sorted(u.zero_set()):
-        out.append(VarId(i, "+"))
-        out.append(VarId(i, "-"))
+        out.append(2 * (i - 1))
+        out.append(2 * (i - 1) + 1)
     return tuple(out)
 
 

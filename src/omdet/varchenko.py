@@ -481,8 +481,9 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def draw_prime(rng: random.Random, bits: int = 61) -> int:
-    candidate = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+def draw_prime(rng: random.Random) -> int:
+    """A random 61-bit prime."""
+    candidate = rng.randrange(1 << 60, 1 << 61) | 1
     while not is_probable_prime(candidate):
         candidate += 2
     return candidate

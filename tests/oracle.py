@@ -416,7 +416,7 @@ def substitute(p: IntPolynomial, mapping, nvars: int | None = None) -> IntPolyno
             img = images.get(v)
             if img is None:
                 if target != p.nvars:
-                    raise ValueError(f"variable {var_label(v)} has no image in the target universe")
+                    raise ValueError(f"variable {var_label(v, p.nvars)} has no image in the target universe")
                 img = IntPolynomial.variable(target, v)
             term = term * img**e
         result = result + term

@@ -253,6 +253,21 @@ class TestLimits:
         assert err == "error: variable a1p is specialized more than once\n"
 
     @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("a0p=1", "hyperplane index must be >= 1, got 0"),
+            ("x1p=2", "unknown variable 'x1p' (expected a<i>p or a<i>m)"),
+            ("a1q=3", "unknown variable 'a1q' (expected a<i>p or a<i>m)"),
+        ],
+        ids=["a0p=1", "x1p=2", "a1q=3"],
+    )
+    def test_specialize_rejects_bad_labels(self, capsys, one_line_cov, spec, message):
+        code, out, err = run(capsys, "det", one_line_cov, "--specialize", spec)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "spec, expected",
         [
             ('{"a1p": 2}', "1 - 2*a1m"),

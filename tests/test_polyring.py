@@ -10,13 +10,13 @@ from omdet.polyring import (
     IntPolynomial,
     MAX_EXPONENT,
     Specialization,
-    VarId,
     divide_binomial,
     factored_str,
     pack_monomial,
     parse_poly,
     poly_str,
     unpack_monomial,
+    var_index,
     var_label,
 )
 
@@ -39,25 +39,28 @@ def random_poly(rng, nvars, max_terms=5, max_exp=3, max_coeff=9):
     return P(nvars, terms)
 
 
-class TestVarId:
-    def test_bijection_with_flat_indices(self):
-        for idx in range(12):
-            assert VarId.from_index(idx).index == idx
-        assert VarId(1, "+").index == 0
-        assert VarId(1, "-").index == 1
-        assert VarId(3, "+").index == 4
+class TestVarIndex:
+    def test_round_trip(self):
+        # every universe of whole a_i^+/a_i^- pairs, up to the 64-hyperplane cap
+        for nvars in range(2, 129, 2):
+            for idx in range(nvars):
+                assert var_index(var_label(idx, nvars)) == idx
+        assert var_index("a1p") == 0
+        assert var_index("a1m") == 1
+        assert var_index("a3p") == 4
 
     def test_labels(self):
-        assert VarId(1, "+").label == "a1p"
-        assert VarId(2, "-").label == "a2m"
+        assert var_label(0, 2) == "a1p"
+        assert var_label(3, 4) == "a2m"
         assert var_label(5, 6) == "a3m"
         assert var_label(0, 1) == "a"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            VarId(0, "+")
-        with pytest.raises(ValueError):
-            VarId(1, "0")
+        with pytest.raises(ValueError, match=r"^hyperplane index must be >= 1, got 0$"):
+            var_index("a0p")
+        for label in ("a1q", "x1p", "a", "a-1p"):
+            with pytest.raises(ValueError, match=r"^unknown variable .* \(expected a<i>p or a<i>m\)$"):
+                var_index(label)
 
 
 class TestPacking:
@@ -65,6 +68,7 @@ class TestPacking:
         exps = {0: 3, 2: 1, 5: 7}
         key = pack_monomial(6, exps)
         assert unpack_monomial(6, key) == exps
+        assert list(unpack_monomial(6, key)) == [0, 2, 5]  # ascending, as poly_str prints them
 
     def test_zero_exponents_dropped(self):
         assert pack_monomial(3, {0: 0, 1: 2}) == pack_monomial(3, {1: 2})
@@ -247,7 +251,7 @@ class TestSubstitution:
     def test_numeric_substitution(self):
         p = P.one(2) - b1()
         assert Specialization.of(2, {0: 2, 1: 3}).apply_poly(p) == P.const(2, -5)
-        pinned = Specialization.of(2, {VarId(1, "-"): -3})
+        pinned = Specialization.of(2, {1: -3})
         assert pinned.apply_poly(p) == P.one(2) + 3 * P.variable(2, 0)
 
     def test_homomorphism_randomized(self):

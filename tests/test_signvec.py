@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omdet.polyring import VarId
 from omdet.signvec import (
     CovectorSet,
     FiberError,
@@ -278,13 +277,9 @@ class TestFibers:
                 assert lhs == rhs, (name, i)
 
     def test_weight_exponents(self):
-        assert weight_exponents(sv("0+")) == (VarId(1, "+"), VarId(1, "-"))
-        assert weight_exponents(sv("00")) == (
-            VarId(1, "+"),
-            VarId(1, "-"),
-            VarId(2, "+"),
-            VarId(2, "-"),
-        )
+        assert weight_exponents(sv("0+")) == (0, 1)
+        assert weight_exponents(sv("+0-0")) == (2, 3, 6, 7)
+        assert weight_exponents(sv("00")) == (0, 1, 2, 3)
         with pytest.raises(ValueError):
             weight_exponents(sv("++"))
 

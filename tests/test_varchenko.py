@@ -228,6 +228,18 @@ class TestProductFormula:
         for name, f in corpus_fibers().items():
             assert determinant(f) == product_formula(f).expand(), name
 
+    def test_unspecialized_bases_are_irreducible_and_distinct(self):
+        # the claim behind _expanded_quotient: without a map no fallback is needed
+        sympy = pytest.importorskip("sympy")
+        fibers = dict(corpus_fibers(), non_pappus=faces(non_pappus()))
+        for name, f in fibers.items():
+            seen = set()
+            for base, _ in product_formula(f).factors:
+                content, factors = sympy.factor_list(sympy.sympify(poly_str(base).replace("^", "**")))
+                assert abs(content) == 1 and len(factors) == 1 and factors[0][1] == 1, (name, str(base))
+                assert factors[0][0] not in seen, (name, str(base))
+                seen.add(factors[0][0])
+
 
 class TestModularPieces:
     def test_miller_rabin_small(self):
