@@ -15,7 +15,6 @@ from .polyring import (
     IntPolynomial,
     Specialization,
     factored_str,
-    parse_poly,
     poly_str,
     var_index,
     var_label,

@@ -378,6 +378,9 @@ def main(argv=None) -> int:
     except (InputError, FiberError, SizeGuardError, ExactDivisionError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; a large fiber needs verify --mode randomized", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -42,8 +42,8 @@ def var_label(index: int, nvars: int) -> str:
     """Printed name of a flat variable index in a universe of nvars variables.
 
     A one-variable universe (the image of a collapsing specialization) has
-    the single variable "a", as ``parse_poly`` reads it; otherwise index
-    2(i-1) is "a<i>p" (a_i^+) and 2(i-1)+1 is "a<i>m" (a_i^-).
+    the single variable "a"; otherwise index 2(i-1) is "a<i>p" (a_i^+) and
+    2(i-1)+1 is "a<i>m" (a_i^-).
     """
     if nvars == 1:
         return "a"
@@ -287,9 +287,6 @@ class IntPolynomial:
     def __len__(self):
         return len(self._terms)
 
-    def constant_term(self) -> int:
-        return self._terms.get(0, 0)
-
     def total_degree(self) -> int:
         if not self._terms:
             return 0
@@ -364,15 +361,6 @@ class IntPolynomial:
             if e:
                 base = base * base
         return result
-
-    def exact_div(self, divisor) -> IntPolynomial:
-        """Exact quotient self / divisor; raises ExactDivisionError otherwise."""
-        q = self._coerce(divisor)
-        if q is None:
-            raise TypeError(f"cannot divide by {divisor!r}")
-        return IntPolynomial(
-            self.nvars, _divide_exact(self.nvars, dict(self._terms), q._terms)
-        )
 
     def eval_mod(self, assignment, prime: int) -> int:
         """Value of the polynomial at {variable: residue}, in the prime field."""
@@ -469,111 +457,6 @@ def poly_str(p: IntPolynomial) -> str:
         else:
             parts.append(f" - {body}" if coeff < 0 else f" + {body}")
     return "".join(parts)
-
-
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\^)|(\*)|(\+)|(-))")
-
-
-def parse_poly(text: str, nvars: int | None = None) -> IntPolynomial:
-    """Parse the canonical text syntax back into a polynomial.
-
-    Variables are "a{i}p" / "a{i}m", or the single collapsed symbol "a"
-    (universe of one variable).  Round-trips poly_str output.
-    """
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize polynomial text at {text[pos:]!r}")
-            break
-        pos = m.end()
-        if m.group(1):
-            tokens.append(("int", m.group(1)))
-        elif m.group(2):
-            tokens.append(("var", m.group(2)))
-        elif m.group(3):
-            tokens.append(("pow", "^"))
-        elif m.group(4):
-            tokens.append(("mul", "*"))
-        elif m.group(5):
-            tokens.append(("plus", "+"))
-        elif m.group(6):
-            tokens.append(("minus", "-"))
-
-    collapsed = any(kind == "var" and text == "a" for kind, text in tokens)
-    indexed = any(kind == "var" and text != "a" for kind, text in tokens)
-    if collapsed and indexed:
-        raise ValueError("cannot mix the collapsed variable 'a' with indexed variables")
-
-    def var_of(label: str) -> int:
-        return 0 if label == "a" else var_index(label)
-
-    max_var = -1
-    for kind, tok in tokens:
-        if kind == "var":
-            max_var = max(max_var, var_of(tok))
-    if nvars is None:
-        if collapsed:
-            nvars = 1
-        elif max_var >= 0:
-            nvars = max_var + 1 + (max_var + 1) % 2  # whole a_i^+/a_i^- pairs
-        else:
-            nvars = 0
-    elif max_var >= nvars:
-        raise ValueError(f"variable index {max_var} outside universe of {nvars}")
-
-    i = 0
-
-    def peek():
-        return tokens[i] if i < len(tokens) else (None, None)
-
-    terms: dict[int, int] = {}
-    while i < len(tokens):
-        sign = 1
-        kind, _ = peek()
-        if kind == "plus":
-            i += 1
-        elif kind == "minus":
-            sign = -1
-            i += 1
-        coeff = sign
-        exps: dict[int, int] = {}
-        saw_factor = False
-        while True:
-            kind, tok = peek()
-            if kind == "int":
-                coeff *= int(tok)
-                i += 1
-            elif kind == "var":
-                v = var_of(tok)
-                i += 1
-                e = 1
-                if peek()[0] == "pow":
-                    i += 1
-                    pk, ptok = peek()
-                    if pk != "int":
-                        raise ValueError("expected integer exponent after '^'")
-                    e = int(ptok)
-                    i += 1
-                exps[v] = exps.get(v, 0) + e
-            else:
-                raise ValueError("expected a coefficient or variable")
-            saw_factor = True
-            if peek()[0] == "mul":
-                i += 1
-                continue
-            break
-        if not saw_factor:
-            raise ValueError("empty term")
-        key = pack_monomial(nvars, exps)
-        s = terms.get(key, 0) + coeff
-        if s:
-            terms[key] = s
-        elif key in terms:
-            del terms[key]
-    return IntPolynomial(nvars, terms)
 
 
 class FactoredPoly:

@@ -10,13 +10,18 @@ followed by Fourier-Motzkin on the reduced forms, the chain oracle is a
 recursive longest-path search, the specialization oracle is the general
 substitution homomorphism built from polynomial products and powers, the
 elimination oracle is the fused Bareiss kernel that expands every
-intermediate entry, and the degree-bound oracle reads the row maxima off the
-polynomial entries rather than the tope masks.
+intermediate entry, the degree-bound oracle reads the row maxima off the
+polynomial entries rather than the tope masks, and the modular determinant
+oracle eliminates on lists of residues, one interpreted step per entry.
+
+The polynomial helpers the tests need but the package does not (the text
+parser, exact division and the constant term) live here as well.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -26,6 +31,8 @@ from omdet.polyring import (
     _accumulate_product,
     _divide_exact,
     _strip_and_check,
+    pack_monomial,
+    var_index,
     var_label,
 )
 from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors, sign_feasible
@@ -438,3 +445,152 @@ def specialization_mapping(nvars_in: int, values):
         a = IntPolynomial.variable(1, 0)
         return {v: a if c == "a" else IntPolynomial.const(1, c) for v, c in values.items()}, 1
     return {v: IntPolynomial.const(nvars_in, c) for v, c in values.items()}, nvars_in
+
+
+def row_det_mod(rows: list[list[int]], prime: int) -> int:
+    """Determinant of an integer matrix in the prime field."""
+    m = len(rows)
+    a = [[x % prime for x in row] for row in rows]
+    det = 1
+    for k in range(m):
+        pivot_row = None
+        for r in range(k, m):
+            if a[r][k]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            det = -det % prime
+        pivot = a[k][k]
+        det = det * pivot % prime
+        inv = pow(pivot, prime - 2, prime)
+        for r in range(k + 1, m):
+            factor = a[r][k] * inv % prime
+            if factor:
+                row_r = a[r]
+                row_k = a[k]
+                for c in range(k, m):
+                    row_r[c] = (row_r[c] - factor * row_k[c]) % prime
+    return det
+
+
+# polynomial helpers used by the tests only
+
+
+def exact_div(p: IntPolynomial, divisor) -> IntPolynomial:
+    """Exact quotient p / divisor; raises ExactDivisionError otherwise."""
+    q = p._coerce(divisor)
+    if q is None:
+        raise TypeError(f"cannot divide by {divisor!r}")
+    return IntPolynomial(p.nvars, _divide_exact(p.nvars, dict(p._terms), q._terms))
+
+
+def constant_term(p: IntPolynomial) -> int:
+    return p._terms.get(0, 0)
+
+
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\^)|(\*)|(\+)|(-))")
+
+
+def parse_poly(text: str, nvars: int | None = None) -> IntPolynomial:
+    """Parse the canonical text syntax back into a polynomial.
+
+    Variables are "a{i}p" / "a{i}m", or the single collapsed symbol "a"
+    (universe of one variable).  Round-trips poly_str output.
+    """
+    tokens: list[tuple[str, str]] = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip():
+                raise ValueError(f"cannot tokenize polynomial text at {text[pos:]!r}")
+            break
+        pos = m.end()
+        if m.group(1):
+            tokens.append(("int", m.group(1)))
+        elif m.group(2):
+            tokens.append(("var", m.group(2)))
+        elif m.group(3):
+            tokens.append(("pow", "^"))
+        elif m.group(4):
+            tokens.append(("mul", "*"))
+        elif m.group(5):
+            tokens.append(("plus", "+"))
+        elif m.group(6):
+            tokens.append(("minus", "-"))
+
+    collapsed = any(kind == "var" and text == "a" for kind, text in tokens)
+    indexed = any(kind == "var" and text != "a" for kind, text in tokens)
+    if collapsed and indexed:
+        raise ValueError("cannot mix the collapsed variable 'a' with indexed variables")
+
+    def var_of(label: str) -> int:
+        return 0 if label == "a" else var_index(label)
+
+    max_var = -1
+    for kind, tok in tokens:
+        if kind == "var":
+            max_var = max(max_var, var_of(tok))
+    if nvars is None:
+        if collapsed:
+            nvars = 1
+        elif max_var >= 0:
+            nvars = max_var + 1 + (max_var + 1) % 2  # whole a_i^+/a_i^- pairs
+        else:
+            nvars = 0
+    elif max_var >= nvars:
+        raise ValueError(f"variable index {max_var} outside universe of {nvars}")
+
+    i = 0
+
+    def peek():
+        return tokens[i] if i < len(tokens) else (None, None)
+
+    terms: dict[int, int] = {}
+    while i < len(tokens):
+        sign = 1
+        kind, _ = peek()
+        if kind == "plus":
+            i += 1
+        elif kind == "minus":
+            sign = -1
+            i += 1
+        coeff = sign
+        exps: dict[int, int] = {}
+        saw_factor = False
+        while True:
+            kind, tok = peek()
+            if kind == "int":
+                coeff *= int(tok)
+                i += 1
+            elif kind == "var":
+                v = var_of(tok)
+                i += 1
+                e = 1
+                if peek()[0] == "pow":
+                    i += 1
+                    pk, ptok = peek()
+                    if pk != "int":
+                        raise ValueError("expected integer exponent after '^'")
+                    e = int(ptok)
+                    i += 1
+                exps[v] = exps.get(v, 0) + e
+            else:
+                raise ValueError("expected a coefficient or variable")
+            saw_factor = True
+            if peek()[0] == "mul":
+                i += 1
+                continue
+            break
+        if not saw_factor:
+            raise ValueError("empty term")
+        key = pack_monomial(nvars, exps)
+        s = terms.get(key, 0) + coeff
+        if s:
+            terms[key] = s
+        elif key in terms:
+            del terms[key]
+    return IntPolynomial(nvars, terms)

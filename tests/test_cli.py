@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import omdet.cli
+import omdet.varchenko
 from omdet.cli import main
 from omdet.polyring import ExponentOverflowError
 from omdet.realizable import RationalArrangement
@@ -226,6 +227,19 @@ class TestLimits:
         assert code == 2
         assert out == ""
         assert "guard" in err and "--force-symbolic" in err
+
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch, nonpappus_cov):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(omdet.varchenko, "determinant", exhausted)
+        monkeypatch.setattr(omdet.cli, "determinant", exhausted)
+        for argv in (["verify", "--mode", "symbolic"], ["det"]):
+            code, out, err = run(capsys, *argv, nonpappus_cov, "--force-symbolic")
+            assert code == 2, argv
+            assert out == "", argv
+            assert err.startswith("error: out of memory") and len(err.splitlines()) == 1, argv
+            assert "--mode randomized" in err, argv
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_nonpositive_evals(self, capsys, nonpappus_cov, count):

@@ -10,7 +10,6 @@ from omdet.polyring import (
     FactoredPoly,
     IntPolynomial,
     Specialization,
-    parse_poly,
     poly_str,
     residues_mod,
     used_variables,
@@ -39,6 +38,7 @@ from omdet.wiring import faces, non_pappus
 
 from oracle import (
     concurrent_lines,
+    constant_term,
     coord_lines,
     corpus_fibers,
     corpus_sets,
@@ -46,10 +46,12 @@ from oracle import (
     fused_bareiss,
     one_line,
     parallel_affine,
+    parse_poly,
     permutation_determinant,
     random_central_arrangement,
     random_wiring,
     residue_oracle,
+    row_det_mod,
     specialization_mapping,
     substitute,
     substitute_factored,
@@ -158,7 +160,7 @@ class TestDeterminant:
 
     def test_constant_term_is_one(self):
         for name, f in corpus_fibers().items():
-            assert determinant(f).constant_term() == 1, name
+            assert constant_term(determinant(f)) == 1, name
 
     def test_invariant_under_tope_permutation(self):
         rng = random.Random(13)
@@ -266,6 +268,84 @@ class TestModularPieces:
 
     def test_det_mod_singular(self):
         assert det_mod([[1, 2], [2, 4]], 101) == 0
+
+
+DET_MOD_PRIMES = (2, 3, 101, draw_prime(random.Random(3)))
+
+
+def _square(data, prime: int, m: int):
+    entry = st.integers(-3 * prime, 3 * prime)
+    return data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+
+
+class TestDetModPacked:
+    """The packed-row kernel against the row-list oracle."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_row_oracle(self, data):
+        prime = data.draw(st.sampled_from(DET_MOD_PRIMES))
+        rows = _square(data, prime, data.draw(st.integers(0, 12)))
+        assert det_mod(rows, prime) == row_det_mod(rows, prime)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_singular(self, data):
+        prime = data.draw(st.sampled_from(DET_MOD_PRIMES))
+        m = data.draw(st.integers(2, 12))
+        rows = _square(data, prime, m)
+        i, j = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        if data.draw(st.booleans()):
+            rows[j] = list(rows[i])
+        else:
+            for row in rows:
+                row[i] = data.draw(st.sampled_from((0, prime, -prime, 3 * prime)))
+        assert det_mod(rows, prime) == 0 == row_det_mod(rows, prime)
+
+    @staticmethod
+    def _permuted_triangular(data, prime: int, m: int, order):
+        """Upper-triangular rows, zero mod prime below the diagonal, placed in the given row order.
+
+        Eliminating column k then has to find the row that holds diagonal k
+        wherever the order put it; the determinant is the permutation's sign
+        times the diagonal product.
+        """
+        rows = _square(data, prime, m)
+        diagonal = []
+        for k in range(m):
+            d = data.draw(st.integers(1, prime - 1)) + prime * data.draw(st.integers(-3, 2))
+            rows[k][k] = d
+            diagonal.append(d)
+            for r in range(k + 1, m):
+                rows[r][k] = prime * data.draw(st.integers(-3, 3))
+        placed = [rows[order.index(position)] for position in range(m)]
+        inversions = sum(order[i] > order[j] for i in range(m) for j in range(i + 1, m))
+        expected = -1 if inversions % 2 else 1
+        for d in diagonal:
+            expected = expected * d % prime
+        return placed, expected % prime
+
+    @pytest.mark.parametrize("distance", [1, 2, 3, 4])
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_pivot_search_at_distance(self, distance, data):
+        prime = data.draw(st.sampled_from(DET_MOD_PRIMES))
+        m = data.draw(st.integers(distance + 1, 12))
+        # row k sits at position k + distance (mod m), and the swaps keep it
+        # there until step k: every step with k + distance < m searches
+        # exactly that far down
+        order = [(k + distance) % m for k in range(m)]
+        rows, expected = self._permuted_triangular(data, prime, m, order)
+        assert det_mod(rows, prime) == row_det_mod(rows, prime) == expected
+
+    def test_lane_bound_at_250_rows(self):
+        # entry p - 1 - min(r, c): at every step the multiplier is p - 1 and the
+        # pivot's reduced lanes are p - 1, so the last row's lanes take 249
+        # additions of (p - 1)^2, more than 128 bits hold
+        prime = DET_MOD_PRIMES[-1]
+        m = 250
+        rows = [[prime - 1 - min(r, c) for c in range(m)] for r in range(m)]
+        assert det_mod(rows, prime) == row_det_mod(rows, prime) == (-1) ** m % prime
 
 
 class TestVerify:
