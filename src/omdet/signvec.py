@@ -24,7 +24,6 @@ structurally instead.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 MAX_GROUND_SET = 64
@@ -283,17 +282,39 @@ class AxiomReport:
 def _composition_gap(members) -> tuple[SignVector, SignVector, SignVector] | None:
     """First (u, v, u o v) in member order with u o v not a member, else None.
 
-    Pairs are composed as raw (plus, minus) masks, not as SignVectors.
+    A vector is coded as one integer, plus | minus << 64, so composing is
+    one OR of codes.  u o v depends on v only through v's signs on u's zero
+    set, so the members are grouped by zero set, in order of each group's
+    first member, and a group checks its members against the distinct
+    projections of all members onto that set.  The first member that fails
+    is rescanned against every v in member order for the first gap.
     """
-    vectors = [(m.plus, m.minus) for m in members]
-    index = set(vectors)
-    for u, (up, um) in zip(members, vectors):
-        open_ = ~(up | um)
-        for vp, vm in vectors:
-            w = (up | (vp & open_), um | (vm & open_))
-            if w not in index:
-                return u, SignVector(u.n, vp, vm), SignVector(u.n, *w)
-    return None
+    codes = [m.plus | m.minus << MAX_GROUND_SET for m in members]
+    index = set(codes)
+    low = (1 << MAX_GROUND_SET) - 1
+    groups: dict[int, list[int]] = {}
+    for pos, m in enumerate(members):
+        zero = low & ~m.support_mask
+        groups.setdefault(zero | zero << MAX_GROUND_SET, []).append(pos)
+    first = len(codes)
+    for open_, positions in groups.items():
+        if positions[0] >= first:
+            break
+        shadows = set(map(open_.__and__, codes))
+        for pos in positions:
+            if pos >= first:
+                break
+            if not index.issuperset(map(codes[pos].__or__, shadows)):
+                first = pos
+                break
+    if first == len(codes):
+        return None
+    u = members[first]
+    open_ = ~u.support_mask
+    for v in members:
+        w = SignVector(u.n, u.plus | (v.plus & open_), u.minus | (v.minus & open_))
+        if (w.plus | w.minus << MAX_GROUND_SET) not in index:
+            return u, v, w
 
 
 def check_covector_axioms(s: CovectorSet) -> AxiomReport:
@@ -527,37 +548,78 @@ def validate_fiber(f: FiberView) -> tuple[str, ...]:
     return result
 
 
+def _bmax_sweep(f: FiberView):
+    """(maxima, counts, invalid) of every free index in one sweep over the topes, cached on the fiber.
+
+    ``maxima[i]`` lists, in tope order, the maximum of each tope's i-th
+    boundary (None when the boundary is empty), ``counts[i]`` counts the
+    topes per maximum by its (plus, minus) masks, and ``invalid[i]`` is the
+    first tope whose i-th boundary has no unique maximum.  A member lies
+    below a tope exactly when it is the tope restricted to the member's
+    support, so the members are grouped by support and looked up by the
+    tope's plus mask on it.  The members below a tope agree with it, so
+    their join (the OR of their masks) is a sign vector; a boundary has a
+    unique maximum exactly when its join is a member, and the join is then
+    that maximum.
+    """
+    cached = f._cache.get("bmax")
+    if cached is not None:
+        return cached
+    free = f.free_mask
+    by_masks = {(m.plus, m.minus): m for m in f.members}
+    by_support: dict[int, dict[int, tuple[int, int]]] = {}
+    for masks in by_masks:
+        support = masks[0] | masks[1]
+        if free & ~support:
+            by_support.setdefault(support, {})[masks[0]] = masks
+    groups = [(s, sorted(_mask_to_indices(free & ~s)), below) for s, below in by_support.items()]
+    maxima = {i: [None] * len(f.topes) for i in f.free}
+    counts: dict[int, dict[tuple[int, int], int]] = {i: {} for i in f.free}
+    invalid: dict[int, SignVector] = {}
+    for k, t in enumerate(f.topes):
+        joins: dict[int, tuple[int, int]] = {}
+        for support, zeros, below in groups:
+            w = below.get(t.plus & support)
+            if w is not None:
+                for i in zeros:
+                    j = joins.get(i)
+                    joins[i] = w if j is None else (j[0] | w[0], j[1] | w[1])
+        for i, join in joins.items():
+            best = by_masks.get(join)
+            if best is None:
+                invalid.setdefault(i, t)
+            else:
+                maxima[i][k] = best
+                counts[i][join] = counts[i].get(join, 0) + 1
+    result = f._cache["bmax"] = maxima, counts, invalid
+    return result
+
+
+def _bmax(f: FiberView, i: int) -> tuple[list, dict[tuple[int, int], int]]:
+    """(maxima, counts) of the i-th boundaries, from the sweep.
+
+    Raises FiberError at the first tope whose i-th boundary has no unique
+    maximum, naming it, the index and two incomparable candidates.
+    """
+    maxima, counts, invalid = _bmax_sweep(f)
+    t = invalid.get(i)
+    if t is not None:
+        bit = 1 << (i - 1)
+        cands = [w for w in f.members if not (w.support_mask & bit) and leq(w, t)]
+        best = max(cands, key=lambda w: bin(w.support_mask).count("1"))
+        w = next(w for w in cands if not leq(w, best))
+        raise FiberError(
+            f"boundary of tope {t} at index {i} has no unique maximum "
+            f"({w} and {best} are incomparable); not a valid fiber"
+        )
+    return maxima[i], counts[i]
+
+
 def _bmax_table(f: FiberView, i: int) -> dict[SignVector, SignVector | None]:
     """Per-tope maximum of the i-th boundary, cached on the fiber."""
     key = ("bmax", i)
-    cached = f._cache.get(key)
-    if cached is not None:
-        return cached
-    bit = 1 << (i - 1)
-    on_hyperplane = [w for w in f.members if not (w.support_mask & bit)]
-    table: dict[SignVector, SignVector | None] = {}
-    for t in f.topes:
-        cands = [w for w in on_hyperplane if leq(w, t)]
-        if not cands:
-            table[t] = None
-            continue
-        best = max(cands, key=lambda w: bin(w.support_mask).count("1"))
-        for w in cands:
-            if not leq(w, best):
-                raise FiberError(
-                    f"boundary of tope {t} at index {i} has no unique maximum "
-                    f"({w} and {best} are incomparable); not a valid fiber"
-                )
-        table[t] = best
-    f._cache[key] = table
-    return table
-
-
-def _bmax_counts(f: FiberView, i: int) -> Counter:
-    """How many fiber topes have each member as their i-th boundary maximum, cached on the fiber."""
-    key = ("bmax_counts", i)
     if key not in f._cache:
-        f._cache[key] = Counter(_bmax_table(f, i).values())
+        f._cache[key] = dict(zip(f.topes, _bmax(f, i)[0]))
     return f._cache[key]
 
 
@@ -590,7 +652,7 @@ def multiplicity(f: FiberView, u: SignVector) -> int:
         raise FiberError(f"{u} has no zero index inside the free set")
     values = []
     for i in admissible:
-        count = _bmax_counts(f, i)[u]
+        count = _bmax(f, i)[1].get((u.plus, u.minus), 0)
         if count % 2:
             raise FiberError(
                 f"odd boundary count {count} for {u} at index {i}; not a valid fiber"

@@ -38,15 +38,19 @@ needs: the matrix keeps the topes' sign masks on the free set, which fix
 every entry.  Per evaluation each variable's image is evaluated once and
 tabulated over every subset of each byte of the masks, so an entry's residue
 is one lookup per byte and sign; the variables to draw and the degree bound
-come from the same masks.
+come from the same masks.  ``VarchenkoMatrix.residues`` writes each row's
+residues straight into a packed row, the last product unreduced, and
+``verify`` eliminates those rows as they are.
 
-``det_mod`` eliminates on packed rows: each row is one integer with a lane
-of w bits per column, so a row update is one big-integer shift, multiply
-and add rather than one interpreted step per entry.  Updates add a
+The modular elimination works on packed rows: each row is one integer with
+a lane of w bits per column, so a row update is one big-integer shift,
+multiply and add rather than one interpreted step per entry.  Updates add a
 non-negative multiple of the reduced pivot row instead of subtracting, and
-never reduce: a lane stays below p + m(p-1)^2, which w bits hold, so no
-lane carries into the next.  Only the pivot row is reduced, once per step.  The
-tests compare it against the row-list elimination (``tests/oracle.py``).
+never reduce: a lane starts below p^2 and stays below p^2 + m(p-1)^2, which
+w bits hold, so no lane carries into the next.  Only the pivot row is
+reduced, in one unpack-reduce-repack pass per step.  ``det_mod`` takes a
+list of integer rows and packs them for the same elimination.  The tests
+compare it against the row-list elimination (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -220,38 +224,57 @@ class VarchenkoMatrix:
         used.update(images[2 * i - 1][1] for i in _mask_to_indices(used_m))
         return sorted(used), degree
 
-    def residues(self, assignment, prime: int, specialize: Specialization | None = None) -> list[list[int]]:
-        """Entry residues at {variable: residue}, under the optional specialization.
+    def residues(self, assignment, prime: int, specialize: Specialization | None = None) -> list[int]:
+        """Packed rows of the entry residues at {variable: residue}, under the optional specialization.
 
-        Each source variable's image is evaluated once.  For each byte k of
-        the free masks, P_k and M_k hold the products of every subset of
+        Row r is one integer whose lane c (``_lane_bytes(prime, size)``
+        bytes, lane 0 lowest) holds a value below prime^2 congruent to
+        entry (r, c): the rows that ``_eliminate`` takes.  Each source
+        variable's image is evaluated once.  For each byte k of the free
+        masks, P_k and M_k hold the products mod prime of every subset of
         that byte's a_i^+ and a_i^- images, so entry (r, c) is the product
-        over k of P_k[byte_k(plus[r] & minus[c])] * M_k[byte_k(minus[r] & plus[c])].
-        Variables that no nonzero entry uses may be left out of the assignment.
+        over k of P_k[byte_k(plus[r] & minus[c])] * M_k[byte_k(minus[r] & plus[c])],
+        and the last factor is left unreduced.  Variables that no nonzero
+        entry uses may be left out of the assignment.
         """
         images = _images(specialize, self.nvars)
         x = [(c * assignment.get(t, 0) if t is not None else c) % prime for c, t in images]
         free = self.fiber.free_mask
-        out = None
-        for k in range(0, self.fiber.n, 8):
-            if not (free >> k) & 255:
-                continue
-            p_k = _subset_products(x[2 * k : 2 * k + 16 : 2], prime)
-            m_k = _subset_products(x[2 * k + 1 : 2 * k + 16 : 2], prime)
-            cols = [((pc >> k) & 255, (mc >> k) & 255) for pc, mc in zip(self.plus, self.minus)]
-            chunk = [[p_k[pr & mc] * m_k[mr & pc] % prime for pc, mc in cols] for pr, mr in cols]
-            if out is not None:
-                chunk = [[a * b % prime for a, b in zip(r, s)] for r, s in zip(out, chunk)]
-            out = chunk
-        return out if out is not None else [[1] * self.size for _ in range(self.size)]
+        chunks = [
+            (
+                k,
+                _subset_products(x[2 * k : 2 * k + 16 : 2], prime),
+                _subset_products(x[2 * k + 1 : 2 * k + 16 : 2], prime),
+                [((pc >> k) & 255, (mc >> k) & 255) for pc, mc in zip(self.plus, self.minus)],
+            )
+            for k in range(0, self.fiber.n, 8)
+            if (free >> k) & 255
+        ]
+        width = _lane_bytes(prime, self.size)
+        rows = []
+        for pr, mr in zip(self.plus, self.minus):
+            row = None
+            for k, p_k, m_k, cols in chunks:
+                pk, mk = (pr >> k) & 255, (mr >> k) & 255
+                if row is None:
+                    row = [p_k[pk & mc] * m_k[mk & pc] for pc, mc in cols]
+                else:
+                    row = [a % prime * p_k[pk & mc] % prime * m_k[mk & pc] for a, (pc, mc) in zip(row, cols)]
+            rows.append(_pack(row or [1] * self.size, width))
+        return rows
+
+
+def _valid_topes(f: FiberView) -> tuple[SignVector, ...]:
+    """A valid fiber's topes; a fiber without any has neither a matrix nor a closed form."""
+    _require_valid_fiber(f)
+    if not f.topes:
+        raise FiberError("the fiber has no topes; the distance matrix is empty")
+    return f.topes
 
 
 def build_matrix(f: FiberView) -> VarchenkoMatrix:
     """Distance matrix of a fiber; deterministic in the canonical tope order."""
-    _require_valid_fiber(f)
-    ts = f.topes
-    if not ts:
-        raise FiberError("the fiber has no topes; the distance matrix is empty")
+    ts = _valid_topes(f)
     free = f.free_mask
     return VarchenkoMatrix(f, ts, tuple(t.plus & free for t in ts), tuple(t.minus & free for t in ts))
 
@@ -429,6 +452,7 @@ def face_multiplicities(f: FiberView) -> tuple:
 
 def product_formula(f: FiberView, specialize: Specialization | None = None) -> FactoredPoly:
     """The determinant's closed form prod (1 - b_v)^(beta_v), beta_v > 0, optionally specialized."""
+    _valid_topes(f)
     one = IntPolynomial.one(2 * f.n)
     formula = FactoredPoly(2 * f.n, [(one - weight, beta) for _, weight, beta in face_multiplicities(f) if beta])
     return formula if specialize is None else specialize.apply_factored(formula)
@@ -497,31 +521,36 @@ def draw_prime(rng: random.Random) -> int:
     return candidate
 
 
+def _lane_bytes(prime: int, m: int) -> int:
+    """Bytes per lane of an m-column packed row mod prime: at least 2 bitlen(p) + bitlen(m) + 1 bits."""
+    return -(-(2 * prime.bit_length() + m.bit_length() + 1) // 8)
+
+
 def _pack(lanes, width: int) -> int:
     """Non-negative lanes of width bytes each, lane 0 lowest, as one integer."""
     return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in lanes]), "little")
 
 
-def det_mod(rows: list[list[int]], prime: int) -> int:
-    """Determinant of an integer matrix in the prime field, by elimination on packed rows.
+def _eliminate(rows: list[int], prime: int) -> int:
+    """Determinant mod prime of an m x m matrix given as packed rows, which it consumes.
 
     Each row of the active submatrix is one integer with a lane of w bits
-    per column, column k in lane 0.  Eliminating column k with pivot row P
-    sets row <- (row >> w) + g * tail, where g = lane0(row) * (p - pivot^-1)
-    mod p and tail is P's lanes 1.. reduced mod p: adding g*y is subtracting
-    lane0(row)/pivot * y mod p, and lane 0 (now zero mod p) is shifted out.
-    Lanes are never reduced in an update and never go negative.  Invariant:
-    a lane starts below p and each of at most m steps adds less than
-    (p-1)^2, so every lane stays below p + m(p-1)^2 < 2^w with
-    w = 8 * ceil((2 bitlen(p) + bitlen(m) + 1) / 8), and no carry crosses
-    a lane.  Only the pivot row is unpacked, reduced lane by lane and
-    repacked, once per step.
+    per column, column k in lane 0, w = 8 * _lane_bytes(prime, m); a lane
+    starts below p^2.  Eliminating column k with pivot row P sets
+    row <- (row >> w) + g * tail, where g = lane0(row) * (p - pivot^-1)
+    mod p and tail is P's lanes 1.. reduced mod p: adding g*y is
+    subtracting lane0(row)/pivot * y mod p, and lane 0 (now zero mod p) is
+    shifted out.  Lanes are never reduced in an update and never go
+    negative.  Invariant: each of fewer than m steps adds at most (p-1)^2
+    to a lane, so every lane stays below p^2 + m(p-1)^2 < (m+1)p^2 <= 2^w,
+    and no carry crosses a lane.  Only the pivot row is unpacked, reduced
+    lane by lane and repacked, in one pass per step.
     """
     m = len(rows)
-    width = -(-(2 * prime.bit_length() + m.bit_length() + 1) // 8)
+    width = _lane_bytes(prime, m)
     w = 8 * width
     lane0 = (1 << w) - 1
-    a = [_pack([x % prime for x in row], width) for row in rows]
+    a = rows
     det = 1
     for k in range(m):
         for r in range(k, m):
@@ -535,11 +564,17 @@ def det_mod(rows: list[list[int]], prime: int) -> int:
         pivot = (a[k] & lane0) % prime
         det = det * pivot % prime
         raw = a[k].to_bytes((m - k) * width, "little")
-        lanes = [int.from_bytes(raw[i : i + width], "little") for i in range(width, len(raw), width)]
-        tail = _pack([x % prime for x in lanes], width)
+        lanes = (int.from_bytes(raw[i : i + width], "little") % prime for i in range(width, len(raw), width))
+        tail = _pack(lanes, width)
         neg = prime - pow(pivot, -1, prime)
         a[k + 1 :] = [(row >> w) + (row & lane0) * neg % prime * tail for row in a[k + 1 :]]
     return det
+
+
+def det_mod(rows: list[list[int]], prime: int) -> int:
+    """Determinant of an integer matrix in the prime field: its rows reduced, packed and eliminated."""
+    width = _lane_bytes(prime, len(rows))
+    return _eliminate([_pack([x % prime for x in row], width) for row in rows], prime)
 
 
 @dataclass(frozen=True)
@@ -683,7 +718,7 @@ def verify(
     var_order = sorted(set(used).union(used_variables([base for base, _ in formula.factors])))
 
     def det_residue(assignment, prime):
-        return det_mod(matrix.residues(assignment, prime, specialize), prime)
+        return _eliminate(matrix.residues(assignment, prime, specialize), prime)
 
     prime, records = _compare(var_order, det_residue, formula, seed, evals)
     return VerificationReport(

@@ -4,15 +4,17 @@ Everything here deliberately avoids the package's optimized code paths:
 the determinant oracle is a permutation expansion (no elimination), the
 axiom oracle is a direct quantifier translation over sign tuples, the
 closure oracle composes every ordered pair of SignVector objects, the
-enumeration oracle runs a feasibility test on every sign vector, the
-feasibility oracle is Gaussian substitution of the equalities over Fraction
-followed by Fourier-Motzkin on the reduced forms, the chain oracle is a
-recursive longest-path search, the specialization oracle is the general
-substitution homomorphism built from polynomial products and powers, the
-elimination oracle is the fused Bareiss kernel that expands every
-intermediate entry, the degree-bound oracle reads the row maxima off the
-polynomial entries rather than the tope masks, and the modular determinant
-oracle eliminates on lists of residues, one interpreted step per entry.
+boundary-maximum oracle compares each index's candidates below each tope
+pairwise, the enumeration oracle runs a feasibility test on every sign
+vector, the feasibility oracle is Gaussian substitution of the equalities
+over Fraction followed by Fourier-Motzkin on the reduced forms, the chain
+oracle is a recursive longest-path search, the specialization oracle is
+the general substitution homomorphism built from polynomial products and
+powers, the elimination oracle is the fused Bareiss kernel that expands
+every intermediate entry, the degree-bound oracle reads the row maxima off
+the polynomial entries rather than the tope masks, and the modular
+determinant oracle eliminates on lists of residues, one interpreted step
+per entry.
 
 The polynomial helpers the tests need but the package does not (the text
 parser, exact division and the constant term) live here as well.
@@ -36,7 +38,7 @@ from omdet.polyring import (
     var_label,
 )
 from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors, sign_feasible
-from omdet.signvec import CovectorSet, SignVector, compose, leq, topal_fiber
+from omdet.signvec import CovectorSet, FiberError, SignVector, compose, leq, topal_fiber
 from omdet.wiring import WiringDiagram
 
 
@@ -127,14 +129,52 @@ def naive_axiom_check(members) -> bool:
 
 
 def first_composition_gap(members):
-    """First (u, v) in member order whose composition u o v is not a member."""
+    """First (u, v, u o v) in member order whose composition u o v is not a member."""
     members = list(members)
     index = set(members)
     for u in members:
         for v in members:
             if compose(u, v) not in index:
-                return u, v
+                return u, v, compose(u, v)
     return None
+
+
+def bmax_table(f, i: int) -> dict:
+    """Per-tope maximum of the i-th boundary, by a pairwise scan of the candidates below each tope."""
+    bit = 1 << (i - 1)
+    on_hyperplane = [w for w in f.members if not (w.support_mask & bit)]
+    table = {}
+    for t in f.topes:
+        cands = [w for w in on_hyperplane if leq(w, t)]
+        if not cands:
+            table[t] = None
+            continue
+        best = max(cands, key=lambda w: bin(w.support_mask).count("1"))
+        for w in cands:
+            if not leq(w, best):
+                raise FiberError(
+                    f"boundary of tope {t} at index {i} has no unique maximum "
+                    f"({w} and {best} are incomparable); not a valid fiber"
+                )
+        table[t] = best
+    return table
+
+
+def boundary_multiplicity(f, u, table=bmax_table) -> int:
+    """multiplicity(f, u) from table(f, i): half the topes whose i-boundary maximum is u, the same at every i."""
+    admissible = sorted(i for i in u.zero_set() if i in f.free)
+    if not admissible:
+        raise FiberError(f"{u} has no zero index inside the free set")
+    values = []
+    for i in admissible:
+        count = sum(1 for w in table(f, i).values() if w == u)
+        if count % 2:
+            raise FiberError(f"odd boundary count {count} for {u} at index {i}; not a valid fiber")
+        values.append(count // 2)
+    if len(set(values)) > 1:
+        detail = ", ".join(f"i={i}: {v}" for i, v in zip(admissible, values))
+        raise FiberError(f"multiplicity of {u} depends on the index choice ({detail})")
+    return values[0]
 
 
 def longest_chain_to(members, target) -> int:
@@ -474,6 +514,38 @@ def row_det_mod(rows: list[list[int]], prime: int) -> int:
                 for c in range(k, m):
                     row_r[c] = (row_r[c] - factor * row_k[c]) % prime
     return det
+
+
+def _lane_bits(prime: int, m: int) -> int:
+    """Bits per lane of m-column packed rows mod prime: 2 bitlen(prime) + bitlen(m) + 1, rounded up to bytes."""
+    return 8 * -(-(2 * prime.bit_length() + m.bit_length() + 1) // 8)
+
+
+def pack_rows(rows: list[list[int]], prime: int) -> list[int]:
+    """Square rows of lanes in [0, prime^2) as packed rows, lane c at bit c * w, unreduced."""
+    w = _lane_bits(prime, len(rows))
+    for row in rows:
+        if not all(0 <= x < prime * prime for x in row):
+            raise ValueError("lane outside [0, prime^2)")
+    return [sum(x << (w * c) for c, x in enumerate(row)) for row in rows]
+
+
+def unpack_rows(rows: list[int], prime: int, m: int) -> list[list[int]]:
+    """Packed m-column rows mod prime as lists of their lanes, reduced mod prime.
+
+    Lane 0 is lowest.  A row with bits beyond its m lanes, or a lane not
+    below prime^2, raises ValueError.
+    """
+    w = _lane_bits(prime, m)
+    out = []
+    for row in rows:
+        if not 0 <= row < 1 << (w * m):
+            raise ValueError("packed row outside its m lanes")
+        lanes = [(row >> (w * c)) & ((1 << w) - 1) for c in range(m)]
+        if max(lanes, default=0) >= prime * prime:
+            raise ValueError("packed lane not below prime^2")
+        out.append([x % prime for x in lanes])
+    return out
 
 
 # polynomial helpers used by the tests only

@@ -470,3 +470,11 @@ def test_randomized_verify_of_a_bad_fiber(capsys, monkeypatch, tmp_path, text, m
     path.write_text(text)
     monkeypatch.setattr(omdet.varchenko, "multiplicity", None)
     assert run(capsys, "verify", str(path), "--mode", "randomized") == (2, "", f"error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("command", ["formula", "det", "verify"])
+def test_fiber_without_topes_exits_two(capsys, tmp_path, command):
+    path = tmp_path / "no-topes.cov"
+    path.write_text("n=2\nI=1,2\nu=00\n00\n")
+    message = "error: the fiber has no topes; the distance matrix is empty\n"
+    assert run(capsys, command, str(path)) == (2, "", message)

@@ -3,11 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omdet.realizable import enumerate_covectors
 from omdet.signvec import (
     CovectorSet,
     FiberError,
     FiberView,
     SignVector,
+    _bmax_table,
+    _composition_gap,
     boundary_max,
     check_covector_axioms,
     compose,
@@ -26,9 +29,12 @@ from omdet.signvec import (
     validate_fiber,
     weight_exponents,
 )
-from omdet.wiring import faces
+from omdet.varchenko import face_multiplicities
+from omdet.wiring import faces, non_pappus
 
 from oracle import (
+    bmax_table,
+    boundary_multiplicity,
     concurrent_lines,
     coord_lines,
     corpus_fibers,
@@ -37,6 +43,7 @@ from oracle import (
     longest_chain_to,
     naive_axiom_check,
     one_line,
+    random_central_arrangement,
     random_wiring,
     whole_fiber,
 )
@@ -379,9 +386,9 @@ class TestClosureOracle:
         if gap is None:
             assert closure == [] and witness is None
         else:
-            u, v = gap
-            assert closure == [f"not closed under composition: {u} o {v} = {compose(u, v)} missing"]
-            assert witness == gap
+            u, v, w = gap
+            assert closure == [f"not closed under composition: {u} o {v} = {w} missing"]
+            assert witness == (u, v)
 
     @pytest.mark.parametrize("name", sorted(CLOSURE_INPUTS))
     def test_unmutated_inputs_are_closed(self, name):
@@ -411,3 +418,98 @@ class TestClosureOracle:
             for m in self.mutants(f)
         )
         assert gaps >= 20
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_sets(self, data):
+        # raw draws are rarely closed; their closures are, and a closure with
+        # one member dropped usually fails late in member order
+        n = data.draw(st.integers(1, 5))
+        vector = st.text(alphabet="+-0", min_size=n, max_size=n).map(sv)
+        drawn = data.draw(st.lists(vector, min_size=1, max_size=12, unique=True))
+        kind = data.draw(st.sampled_from(["raw", "closed", "closed, one dropped"]))
+        if kind != "raw":
+            closed = set(drawn)
+            while True:
+                grown = closed | {compose(u, v) for u in closed for v in closed}
+                if grown == closed:
+                    break
+                closed = grown
+            drawn = data.draw(st.permutations(sorted(closed, key=SignVector.sort_key)))
+            if kind == "closed, one dropped" and len(drawn) > 1:
+                del drawn[data.draw(st.integers(0, len(drawn) - 1))]
+        gap = first_composition_gap(drawn)
+        assert _composition_gap(drawn) == gap
+        if kind == "closed":
+            assert gap is None
+        s = CovectorSet.of(drawn, n=n)
+        canonical = first_composition_gap(s.members)
+        assert check_covector_axioms(s).composition_witness == (None if canonical is None else canonical[:2])
+
+
+def _bmax_inputs():
+    """Corpus fibers, non-Pappus, and seeded wiring and arrangement fibers."""
+    views = dict(corpus_fibers(), non_pappus=faces(non_pappus()))
+    rng = random.Random(12)
+    for k in range(8):
+        views[f"wiring:{k}"] = faces(random_wiring(rng, max_wires=6))
+    for k in range(8):
+        views[f"arrangement:{k}"] = whole_fiber(enumerate_covectors(random_central_arrangement(rng)))
+    return views
+
+
+BMAX_INPUTS = _bmax_inputs()
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the text of the FiberError it raises."""
+    try:
+        return fn(*args)
+    except FiberError as exc:
+        return f"FiberError: {exc}"
+
+
+def _fresh(f: FiberView) -> FiberView:
+    """The same fiber with an empty cache."""
+    return FiberView(f.base, f.free, f.anchor, f.members)
+
+
+class TestBoundaryMaxOracle:
+    """The one-sweep boundary maxima against the per-index pairwise scan."""
+
+    @staticmethod
+    def assert_matches_oracle(f: FiberView) -> list:
+        """Compares tables and multiplicities; returns the oracle's outcomes."""
+        tables = {i: _outcome(bmax_table, f, i) for i in f.free}
+
+        def table(f, i):
+            if isinstance(tables[i], str):
+                raise FiberError(tables[i].removeprefix("FiberError: "))
+            return tables[i]
+
+        fast = _fresh(f)
+        for i in sorted(f.free):
+            assert _outcome(_bmax_table, fast, i) == tables[i], i
+        faces_ = [u for u in f.members if not u.is_tope]
+        expected = [_outcome(boundary_multiplicity, f, u, table) for u in faces_]
+        assert [_outcome(multiplicity, fast, u) for u in faces_] == expected
+        # the face loop in member order raises the first failure, from a cold cache too
+        first = next((e for e in expected if isinstance(e, str)), expected)
+        assert _outcome(lambda g: [multiplicity(g, u) for u in faces_], _fresh(f)) == first
+        return expected
+
+    @pytest.mark.parametrize("name", sorted(BMAX_INPUTS))
+    def test_valid_fibers(self, name):
+        f = BMAX_INPUTS[name]
+        expected = self.assert_matches_oracle(f)
+        assert [beta for _, _, beta in face_multiplicities(_fresh(f))] == expected
+
+    def test_one_member_removed(self):
+        errors = []
+        for f in BMAX_INPUTS.values():
+            for drop in f.members:
+                kept = tuple(m for m in f.members if m != drop)
+                mutant = FiberView(CovectorSet.of(kept, n=f.n), f.free, f.anchor, kept)
+                errors += [e for e in self.assert_matches_oracle(mutant) if isinstance(e, str)]
+        for kind in ("no unique maximum", "odd boundary count", "depends on the index choice"):
+            assert any(kind in e for e in errors), kind

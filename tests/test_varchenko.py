@@ -18,6 +18,7 @@ from omdet.realizable import arrangement_fiber
 from omdet.signvec import FiberError, FiberView, SignVector, compose, fiber_of, leq, parse_cov, topal_fiber, topes
 from omdet.varchenko import (
     SizeGuardError,
+    _eliminate,
     bareiss_determinant,
     build_matrix,
     cfd_check,
@@ -45,6 +46,7 @@ from oracle import (
     degree_bound,
     fused_bareiss,
     one_line,
+    pack_rows,
     parallel_affine,
     parse_poly,
     permutation_determinant,
@@ -55,6 +57,7 @@ from oracle import (
     specialization_mapping,
     substitute,
     substitute_factored,
+    unpack_rows,
     whole_fiber,
 )
 
@@ -341,11 +344,25 @@ class TestDetModPacked:
     def test_lane_bound_at_250_rows(self):
         # entry p - 1 - min(r, c): at every step the multiplier is p - 1 and the
         # pivot's reduced lanes are p - 1, so the last row's lanes take 249
-        # additions of (p - 1)^2, more than 128 bits hold
+        # additions of (p - 1)^2, more than 128 bits hold; packed unreduced,
+        # each lane also starts p(p - 1) higher, just below p^2
         prime = DET_MOD_PRIMES[-1]
         m = 250
         rows = [[prime - 1 - min(r, c) for c in range(m)] for r in range(m)]
         assert det_mod(rows, prime) == row_det_mod(rows, prime) == (-1) ** m % prime
+        lifted = [[x + prime * (prime - 1) for x in row] for row in rows]
+        assert _eliminate(pack_rows(lifted, prime), prime) == (-1) ** m % prime
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_unreduced_lanes(self, data):
+        # the randomized path packs residues unreduced: a lane may start anywhere below p^2
+        prime = data.draw(st.sampled_from(DET_MOD_PRIMES))
+        m = data.draw(st.integers(0, 12))
+        rows = _square(data, prime, m)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        lanes = [[x % prime + prime * rng.choice((prime - 1, rng.randrange(prime))) for x in row] for row in rows]
+        assert _eliminate(pack_rows(lanes, prime), prime) == row_det_mod(rows, prime)
 
 
 class TestVerify:
@@ -611,7 +628,8 @@ class TestMaskEvaluation:
         prime = draw_prime(rng)
         at = {v: rng.randrange(prime) for v in range(formula.nvars)}
         residues = residues_mod(flat, at, prime)
-        assert m.residues(at, prime, spec) == [residues[r * m.size : (r + 1) * m.size] for r in range(m.size)]
+        expected = [residues[r * m.size : (r + 1) * m.size] for r in range(m.size)]
+        assert unpack_rows(m.residues(at, prime, spec), prime, m.size) == expected
         used, rows = m.support(spec)
         assert used == used_variables(flat)
         assert rows == degree_bound(entries, FactoredPoly(formula.nvars))
