@@ -28,29 +28,34 @@ kernel that expands every entry (``tests/oracle.py``).
 ``determinant(f, specialize)`` is the one symbolic entry point, used by
 ``verify`` and the command line alike: the size guard on the tope count,
 then the matrix, the specialization, the candidates (the binomials of
-``product_formula(f, specialize)``, the one closed form) and the
-elimination.  The face multiplicities behind both are computed once per
-fiber and cached on it.
+``product_formula(f, specialize)``, the one closed form, or the distinct
+1 - b_v of the non-tope members where the multiplicities are not well
+defined) and the elimination.  The face multiplicities behind both are
+computed once per fiber and cached on it.
 
 The randomized check compares both sides at random points modulo a random
 prime without building the polynomial entries, which only the symbolic path
 needs: the matrix keeps the topes' sign masks on the free set, which fix
-every entry.  Per evaluation each variable's image is evaluated once and
-tabulated over every subset of each byte of the masks, so an entry's residue
-is one lookup per byte and sign; the variables to draw and the degree bound
-come from the same masks.  ``VarchenkoMatrix.residues`` writes each row's
-residues straight into a packed row, the last product unreduced, and
-``verify`` eliminates those rows as they are.
+every entry.  The free indices are split into the fewest balanced chunks
+whose two subset tables are no larger than the matrix, and each tope's
+masks are coded on every chunk once per matrix.  Per evaluation each
+variable's image is evaluated once and tabulated over every subset of each
+chunk, so an entry's residue is one lookup per chunk and sign; the
+variables to draw and the degree bound come from the same masks.
+``VarchenkoMatrix.residues`` writes each row's residues straight into a
+packed row, the last product unreduced, and ``verify`` eliminates those
+rows as they are.
 
 The modular elimination works on packed rows: each row is one integer with
-a lane of w bits per column, so a row update is one big-integer shift,
-multiply and add rather than one interpreted step per entry.  Updates add a
-non-negative multiple of the reduced pivot row instead of subtracting, and
-never reduce: a lane starts below p^2 and stays below p^2 + m(p-1)^2, which
-w bits hold, so no lane carries into the next.  Only the pivot row is
-reduced, in one unpack-reduce-repack pass per step.  ``det_mod`` takes a
-list of integer rows and packs them for the same elimination.  The tests
-compare it against the row-list elimination (``tests/oracle.py``).
+a lane of w bits per column, the column to eliminate in the top lane, so a
+row update is one big-integer mask, shift, multiply and add rather than one
+interpreted step per entry.  Updates add a non-negative multiple of the
+pivot row instead of subtracting, and never reduce: a lane starts below p^2
+and stays below (3m+1)p^2, which w bits hold, so no lane carries into the
+next.  Only the pivot row is reduced, below 3p in every lane at once, by a
+Barrett reduction on the whole packed integer.  ``det_mod`` takes a list of
+integer rows and packs them for the same elimination.  The tests compare it
+against the row-list elimination (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 from .polyring import (
     ExactDivisionError,
@@ -224,42 +230,62 @@ class VarchenkoMatrix:
         used.update(images[2 * i - 1][1] for i in _mask_to_indices(used_m))
         return sorted(used), degree
 
+    @cached_property
+    def _chunks(self) -> tuple[tuple[list[int], list[tuple[int, int]]], ...]:
+        """The free indices in the fewest balanced chunks of at most s, with 2 * 2^s <= size^2.
+
+        Each chunk is (its indices, each tope's (plus, minus) code on them),
+        where bit j of a code stands for the chunk's j-th index.  The bound
+        keeps a chunk's two subset tables no larger than one pass over the
+        entries.
+        """
+        free = sorted(self.fiber.free)
+        cap = max(1, (self.size * self.size).bit_length() - 2)
+        count = -(-len(free) // cap)
+        chunks = []
+        for c in range(count):
+            idx = free[c * len(free) // count : (c + 1) * len(free) // count]
+            bits = [(j, 1 << (i - 1)) for j, i in enumerate(idx)]
+            codes = [
+                (sum(1 << j for j, b in bits if pr & b), sum(1 << j for j, b in bits if mr & b))
+                for pr, mr in zip(self.plus, self.minus)
+            ]
+            chunks.append((idx, codes))
+        return tuple(chunks)
+
     def residues(self, assignment, prime: int, specialize: Specialization | None = None) -> list[int]:
         """Packed rows of the entry residues at {variable: residue}, under the optional specialization.
 
         Row r is one integer whose lane c (``_lane_bytes(prime, size)``
-        bytes, lane 0 lowest) holds a value below prime^2 congruent to
+        bytes, lane 0 highest) holds a value below prime^2 congruent to
         entry (r, c): the rows that ``_eliminate`` takes.  Each source
-        variable's image is evaluated once.  For each byte k of the free
-        masks, P_k and M_k hold the products mod prime of every subset of
-        that byte's a_i^+ and a_i^- images, so entry (r, c) is the product
-        over k of P_k[byte_k(plus[r] & minus[c])] * M_k[byte_k(minus[r] & plus[c])],
-        and the last factor is left unreduced.  Variables that no nonzero
-        entry uses may be left out of the assignment.
+        variable's image is evaluated once.  For each chunk k of the free
+        indices (``_chunks``), P_k and M_k hold the products mod prime of
+        every subset of that chunk's a_i^+ and a_i^- images, so entry (r, c)
+        is the product over k of P_k[plus_k[r] & minus_k[c]] * M_k[minus_k[r] & plus_k[c]]
+        on the tope codes, and the last factor is left unreduced.  Variables
+        that no nonzero entry uses may be left out of the assignment.
         """
         images = _images(specialize, self.nvars)
         x = [(c * assignment.get(t, 0) if t is not None else c) % prime for c, t in images]
-        free = self.fiber.free_mask
-        chunks = [
+        tables = [
             (
-                k,
-                _subset_products(x[2 * k : 2 * k + 16 : 2], prime),
-                _subset_products(x[2 * k + 1 : 2 * k + 16 : 2], prime),
-                [((pc >> k) & 255, (mc >> k) & 255) for pc, mc in zip(self.plus, self.minus)],
+                _subset_products([x[2 * i - 2] for i in idx], prime),
+                _subset_products([x[2 * i - 1] for i in idx], prime),
+                codes,
             )
-            for k in range(0, self.fiber.n, 8)
-            if (free >> k) & 255
+            for idx, codes in self._chunks
         ]
         width = _lane_bytes(prime, self.size)
         rows = []
-        for pr, mr in zip(self.plus, self.minus):
+        for r in range(self.size):
             row = None
-            for k, p_k, m_k, cols in chunks:
-                pk, mk = (pr >> k) & 255, (mr >> k) & 255
+            for p_k, m_k, codes in tables:
+                pk, mk = codes[r]
                 if row is None:
-                    row = [p_k[pk & mc] * m_k[mk & pc] for pc, mc in cols]
+                    row = [p_k[pk & mc] * m_k[mk & pc] for pc, mc in codes]
                 else:
-                    row = [a % prime * p_k[pk & mc] % prime * m_k[mk & pc] for a, (pc, mc) in zip(row, cols)]
+                    row = [a % prime * p_k[pk & mc] % prime * m_k[mk & pc] for a, (pc, mc) in zip(row, codes)]
             rows.append(_pack(row or [1] * self.size, width))
         return rows
 
@@ -439,11 +465,11 @@ def bareiss_determinant(rows: list[list[IntPolynomial]], nvars: int, bases=()) -
 
 
 def face_multiplicities(f: FiberView) -> tuple:
-    """(covector, weight, multiplicity) for every non-tope fiber member, cached on the fiber."""
+    """(covector, weight, multiplicity) for every non-tope member of a fiber with topes, cached on the fiber."""
     cached = f._cache.get("faces")
     if cached is not None:
         return cached
-    _require_valid_fiber(f)
+    _valid_topes(f)
     nvars = 2 * f.n
     faces = tuple((u, weight_monomial(u, nvars), multiplicity(f, u)) for u in f.members if not u.is_tope)
     f._cache["faces"] = faces
@@ -468,8 +494,10 @@ def determinant(
 
     The size guard runs on the tope count before any matrix work.  The
     formula's binomials 1 - b_v are the candidates of the factored
-    elimination; they only speed it up, so a fiber whose multiplicities are
-    not well defined (which the determinant alone does not need) gets none.
+    elimination; they only speed it up.  A fiber whose multiplicities are
+    not well defined (which the determinant alone does not need) has no
+    formula, and its candidates are the distinct 1 - b_v of its non-tope
+    members, specialized.
     """
     _check_size_guard(len(f.topes), max_topes, force)
     entries = build_matrix(f).entries
@@ -478,7 +506,10 @@ def determinant(
     try:
         bases = [base for base, _ in product_formula(f, specialize).factors]
     except FiberError:
-        bases = []
+        one = IntPolynomial.one(2 * f.n)
+        bases = {one - weight_monomial(u) for u in f.members if not u.is_tope}
+        if specialize is not None:
+            bases = {specialize.apply_poly(base) for base in bases}
     nvars = 2 * f.n if specialize is None else specialize.nvars
     return bareiss_determinant([list(r) for r in entries], nvars, bases)
 
@@ -521,53 +552,95 @@ def draw_prime(rng: random.Random) -> int:
     return candidate
 
 
+def _row_bits(prime: int, m: int) -> int:
+    """a = 2 bitlen(p) + bitlen(3m + 1): every lane of an m-column row stays below (3m + 1)p^2 < 2^a."""
+    return 2 * prime.bit_length() + (3 * m + 1).bit_length()
+
+
 def _lane_bytes(prime: int, m: int) -> int:
-    """Bytes per lane of an m-column packed row mod prime: at least 2 bitlen(p) + bitlen(m) + 1 bits."""
-    return -(-(2 * prime.bit_length() + m.bit_length() + 1) // 8)
+    """Bytes per lane of an m-column packed row mod prime.
+
+    Lanes stay below 2^a (``_row_bits``, see ``_eliminate``), and the pivot
+    row's Barrett product needs 2(a - k + 1) bits, k = bitlen(p) (see
+    ``_lane_reducer``), which is a + bitlen(3m + 1) + 2 and so the larger:
+    a lane is that many bits, rounded up to whole bytes.
+    """
+    return -(-2 * (_row_bits(prime, m) - prime.bit_length() + 1) // 8)
 
 
 def _pack(lanes, width: int) -> int:
-    """Non-negative lanes of width bytes each, lane 0 lowest, as one integer."""
-    return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in lanes]), "little")
+    """Non-negative lanes of width bytes each, lane 0 highest, as one integer."""
+    return int.from_bytes(b"".join(map(int.to_bytes, lanes, repeat(width), repeat("big"))), "big")
+
+
+def _lane_reducer(prime: int, m: int):
+    """reduce(t): every lane of a packed row t, each below 2^a, taken below 3p, all at once.
+
+    SWAR Barrett reduction, with k = bitlen(p), a = ``_row_bits(prime, m)``,
+    the lane width w of ``_lane_bytes(prime, m)``, s = a - k + 1,
+    mu = 2^a // p and M the mask of each lane's low s bits:
+    q = ((((t >> (k-1)) & M) * mu) >> s) & M holds, in each lane, the
+    estimate q = floor(floor(x / 2^(k-1)) * mu / 2^s) of floor(x / p) for
+    that lane's x, and t - q*p leaves x - q*p there.
+
+    - x - q*p >= 0, so no lane borrows: floor(x / 2^(k-1)) <= x / 2^(k-1)
+      and mu <= 2^a / p, so q <= x / p.
+    - x - q*p < 3p: below p, q = 0.  From p >= 2^(k-1) on,
+      floor(x / 2^(k-1)) > x / 2^(k-1) - 1 >= 0 and mu > 2^a / p - 1 > 0,
+      so their product over 2^s exceeds x/p - x/2^a - 2^(k-1)/p > x/p - 2
+      (x < 2^a), and the floor loses less than 1 more: q > x/p - 3.  The
+      bound is reached: remainders of 2p and more occur.
+    - Lanes do not mix: x >> (k-1) < 2^s and mu <= 2^s, so a lane's product
+      is below 2^(2s) <= 2^w, and each right shift moves the low bits of the
+      lane above to bits w - s and up (w >= 2s > a), which M clears.
+    """
+    k, a = prime.bit_length(), _row_bits(prime, m)
+    s, mu = a - k + 1, (1 << a) // prime
+    mask = int.from_bytes(((1 << s) - 1).to_bytes(_lane_bytes(prime, m), "big") * m, "big")
+
+    def reduce(t: int) -> int:
+        return t - ((((t >> (k - 1)) & mask) * mu >> s) & mask) * prime
+
+    return reduce
 
 
 def _eliminate(rows: list[int], prime: int) -> int:
     """Determinant mod prime of an m x m matrix given as packed rows, which it consumes.
 
-    Each row of the active submatrix is one integer with a lane of w bits
-    per column, column k in lane 0, w = 8 * _lane_bytes(prime, m); a lane
-    starts below p^2.  Eliminating column k with pivot row P sets
-    row <- (row >> w) + g * tail, where g = lane0(row) * (p - pivot^-1)
-    mod p and tail is P's lanes 1.. reduced mod p: adding g*y is
-    subtracting lane0(row)/pivot * y mod p, and lane 0 (now zero mod p) is
-    shifted out.  Lanes are never reduced in an update and never go
-    negative.  Invariant: each of fewer than m steps adds at most (p-1)^2
-    to a lane, so every lane stays below p^2 + m(p-1)^2 < (m+1)p^2 <= 2^w,
-    and no carry crosses a lane.  Only the pivot row is unpacked, reduced
-    lane by lane and repacked, in one pass per step.
+    Each row is one integer with a lane of w bits per column, w = 8 *
+    _lane_bytes(prime, m), the active submatrix's first column in the top
+    lane: column c of a step's m' active columns sits at bit (m'-1-c)w.  A
+    lane starts below p^2.  Eliminating that column with pivot row P sets
+    row <- (row & low) + g * tail, where low masks the lanes below the top,
+    g = top(row) * (p - pivot^-1) mod p and tail is P's lower lanes, each
+    reduced below 3p by ``_lane_reducer``: adding g*y is subtracting
+    top(row)/pivot * y mod p, and the top lane (now zero mod p) is dropped.
+    Lanes are never reduced in an update and never go negative.
+    Invariant: each of fewer than m steps adds at most (p-1)(3p-1) < 3p^2
+    to a lane, so every lane stays below p^2 + 3(m-1)p^2 < (3m+1)p^2 < 2^a,
+    the bound the pivot row's reduction needs, and no carry crosses a lane.
     """
     m = len(rows)
-    width = _lane_bytes(prime, m)
-    w = 8 * width
-    lane0 = (1 << w) - 1
+    w = 8 * _lane_bytes(prime, m)
+    reduce = _lane_reducer(prime, m)
     a = rows
     det = 1
     for k in range(m):
+        top = (m - 1 - k) * w
         for r in range(k, m):
-            if (a[r] & lane0) % prime:
+            if (a[r] >> top) % prime:
                 break
         else:
             return 0
         if r != k:
             a[k], a[r] = a[r], a[k]
             det = -det % prime
-        pivot = (a[k] & lane0) % prime
+        pivot = (a[k] >> top) % prime
         det = det * pivot % prime
-        raw = a[k].to_bytes((m - k) * width, "little")
-        lanes = (int.from_bytes(raw[i : i + width], "little") % prime for i in range(width, len(raw), width))
-        tail = _pack(lanes, width)
+        low = (1 << top) - 1
+        tail = reduce(a[k] & low)
         neg = prime - pow(pivot, -1, prime)
-        a[k + 1 :] = [(row >> w) + (row & lane0) * neg % prime * tail for row in a[k + 1 :]]
+        a[k + 1 :] = [(row & low) + (row >> top) * neg % prime * tail for row in a[k + 1 :]]
     return det
 
 

@@ -517,23 +517,30 @@ def row_det_mod(rows: list[list[int]], prime: int) -> int:
 
 
 def _lane_bits(prime: int, m: int) -> int:
-    """Bits per lane of m-column packed rows mod prime: 2 bitlen(prime) + bitlen(m) + 1, rounded up to bytes."""
-    return 8 * -(-(2 * prime.bit_length() + m.bit_length() + 1) // 8)
+    """Bits per lane of m-column packed rows mod prime: 2(a - k + 1), rounded up to bytes.
+
+    k = bitlen(prime) and a = 2k + bitlen(3m + 1): lanes stay below 2^a, and
+    the pivot row's Barrett product takes 2(a - k + 1) bits.
+    """
+    k = prime.bit_length()
+    a = 2 * k + (3 * m + 1).bit_length()
+    return 8 * -(-2 * (a - k + 1) // 8)
 
 
 def pack_rows(rows: list[list[int]], prime: int) -> list[int]:
-    """Square rows of lanes in [0, prime^2) as packed rows, lane c at bit c * w, unreduced."""
-    w = _lane_bits(prime, len(rows))
+    """Square rows of lanes in [0, prime^2) as packed rows, lane c at bit (m - 1 - c) * w, unreduced."""
+    m = len(rows)
+    w = _lane_bits(prime, m)
     for row in rows:
         if not all(0 <= x < prime * prime for x in row):
             raise ValueError("lane outside [0, prime^2)")
-    return [sum(x << (w * c) for c, x in enumerate(row)) for row in rows]
+    return [sum(x << (w * (m - 1 - c)) for c, x in enumerate(row)) for row in rows]
 
 
 def unpack_rows(rows: list[int], prime: int, m: int) -> list[list[int]]:
     """Packed m-column rows mod prime as lists of their lanes, reduced mod prime.
 
-    Lane 0 is lowest.  A row with bits beyond its m lanes, or a lane not
+    Lane 0 is highest.  A row with bits beyond its m lanes, or a lane not
     below prime^2, raises ValueError.
     """
     w = _lane_bits(prime, m)
@@ -541,7 +548,7 @@ def unpack_rows(rows: list[int], prime: int, m: int) -> list[list[int]]:
     for row in rows:
         if not 0 <= row < 1 << (w * m):
             raise ValueError("packed row outside its m lanes")
-        lanes = [(row >> (w * c)) & ((1 << w) - 1) for c in range(m)]
+        lanes = [(row >> (w * (m - 1 - c))) & ((1 << w) - 1) for c in range(m)]
         if max(lanes, default=0) >= prime * prime:
             raise ValueError("packed lane not below prime^2")
         out.append([x % prime for x in lanes])

@@ -387,7 +387,7 @@ GOLDEN = Path(__file__).parent / "golden"
         ("json", None, "verify_three_lines_plain.json"),
         ("text", "all=a", "verify_three_lines_all_a.txt"),
         ("json", "all=a", "verify_three_lines_all_a.json"),
-        # n = 9: the tope masks span two byte chunks; the map pins a zero and a negative image
+        # n = 9: one residue chunk holds all nine free indices of the 33 topes; the map pins a zero and a negative image
         ("text", None, "verify_non_pappus_plain.txt"),
         ("json", None, "verify_non_pappus_plain.json"),
         ("text", "a1p=0,a2m=-3", "verify_non_pappus_a1p_0_a2m_neg3.txt"),
@@ -472,7 +472,7 @@ def test_randomized_verify_of_a_bad_fiber(capsys, monkeypatch, tmp_path, text, m
     assert run(capsys, "verify", str(path), "--mode", "randomized") == (2, "", f"error: {message.format(path=path)}\n")
 
 
-@pytest.mark.parametrize("command", ["formula", "det", "verify"])
+@pytest.mark.parametrize("command", ["faces", "formula", "det", "verify"])
 def test_fiber_without_topes_exits_two(capsys, tmp_path, command):
     path = tmp_path / "no-topes.cov"
     path.write_text("n=2\nI=1,2\nu=00\n00\n")

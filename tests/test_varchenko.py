@@ -14,11 +14,12 @@ from omdet.polyring import (
     residues_mod,
     used_variables,
 )
-from omdet.realizable import arrangement_fiber
+from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors
 from omdet.signvec import FiberError, FiberView, SignVector, compose, fiber_of, leq, parse_cov, topal_fiber, topes
 from omdet.varchenko import (
     SizeGuardError,
     _eliminate,
+    _lane_reducer,
     bareiss_determinant,
     build_matrix,
     cfd_check,
@@ -35,9 +36,10 @@ from omdet.varchenko import (
     weight_monomial,
     witt_check,
 )
-from omdet.wiring import faces, non_pappus
+from omdet.wiring import WiringDiagram, faces, non_pappus
 
 from oracle import (
+    _lane_bits,
     concurrent_lines,
     constant_term,
     coord_lines,
@@ -273,7 +275,14 @@ class TestModularPieces:
         assert det_mod([[1, 2], [2, 4]], 101) == 0
 
 
-DET_MOD_PRIMES = (2, 3, 101, draw_prime(random.Random(3)))
+def _next_prime(n: int) -> int:
+    n += 1
+    while not is_probable_prime(n):
+        n += 1
+    return n
+
+
+DET_MOD_PRIMES = (2, 3, 101, _next_prime(2**60), 2**61 - 1, draw_prime(random.Random(3)))
 
 
 def _square(data, prime: int, m: int):
@@ -342,16 +351,39 @@ class TestDetModPacked:
         assert det_mod(rows, prime) == row_det_mod(rows, prime) == expected
 
     def test_lane_bound_at_250_rows(self):
-        # entry p - 1 - min(r, c): at every step the multiplier is p - 1 and the
-        # pivot's reduced lanes are p - 1, so the last row's lanes take 249
-        # additions of (p - 1)^2, more than 128 bits hold; packed unreduced,
-        # each lane also starts p(p - 1) higher, just below p^2
+        # entry p - 1 - min(r, c): at every step the multiplier is p - 1 and
+        # the pivot's lanes are congruent to p - 1, so the last row's lanes
+        # take 249 additions of at least (p - 1)^2, more than 2^128 in all;
+        # packed unreduced, each lane also starts p(p - 1) higher, just below p^2
         prime = DET_MOD_PRIMES[-1]
         m = 250
         rows = [[prime - 1 - min(r, c) for c in range(m)] for r in range(m)]
         assert det_mod(rows, prime) == row_det_mod(rows, prime) == (-1) ** m % prime
         lifted = [[x + prime * (prime - 1) for x in row] for row in rows]
         assert _eliminate(pack_rows(lifted, prime), prime) == (-1) ** m % prime
+
+    def test_pivot_row_reduction(self):
+        # the SWAR Barrett reduction takes every lane below 2^a to a congruent
+        # value below 3p, and the bound is reached
+        quotients = []
+
+        @settings(derandomize=True, max_examples=300, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            prime = data.draw(st.sampled_from(DET_MOD_PRIMES))
+            m = data.draw(st.integers(1, 12))
+            a = 2 * prime.bit_length() + (3 * m + 1).bit_length()
+            lanes = data.draw(st.lists(st.integers(0, 2**a - 1), min_size=m, max_size=m))
+            w = _lane_bits(prime, m)
+            packed = _lane_reducer(prime, m)(sum(x << (w * (m - 1 - c)) for c, x in enumerate(lanes)))
+            assert 0 <= packed < 1 << (w * m)
+            reduced = [(packed >> (w * (m - 1 - c))) & ((1 << w) - 1) for c in range(m)]
+            for x, r in zip(lanes, reduced):
+                assert 0 <= r < 3 * prime and (x - r) % prime == 0
+            quotients.append(max(r // prime for r in reduced))
+
+        check()
+        assert max(quotients) == 2
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(data=st.data())
@@ -569,7 +601,7 @@ class TestResidueOracle:
 
 @cache
 def _wide_fiber():
-    """concurrent_lines() on indices 1, 33 and 64 of 64, + elsewhere: its masks span three byte chunks."""
+    """concurrent_lines() on indices 1, 33 and 64 of 64, + elsewhere: a free set far from contiguous."""
 
     def spread(v):
         signs = ["+"] * 64
@@ -580,6 +612,29 @@ def _wide_fiber():
     s = concurrent_lines()
     lines = ["n=64", "I=1,33,64", f"u={spread(topes(s)[0])}", *map(spread, s.members)]
     return parse_cov("\n".join(lines) + "\n")
+
+
+def _reversal(wires: int) -> WiringDiagram:
+    return WiringDiagram.of(wires, [(k, k + 1) for i in range(wires) for k in range(wires - 1 - i)])
+
+
+@cache
+def _chunked_fibers():
+    """Fibers whose free sets leave out indices, or span several residue chunks."""
+    planes = RationalArrangement.of([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    s = enumerate_covectors(planes)
+    affine = RationalArrangement.of([[1, 0], [0, 1], [1, 1], [1, -1]], [0, 1, 2, -1], affine=True)
+    return {
+        "affine": arrangement_fiber(affine),
+        "fiber-subset": topal_fiber(s, (1, 2, 4, 6), topes(s)[0]),
+        "wide": _wide_fiber(),
+        "reversal-9": faces(_reversal(9)),
+        "reversal-10": faces(_reversal(10)),
+        # 16 topes: two tables of 2^8 would hold 512 > 16^2 entries
+        "wires-8": faces(WiringDiagram.of(8, [(k, k + 1) for k in range(7)])),
+        "wires-17": faces(WiringDiagram.of(17, [(0, 1), (15, 16)])),
+        "wires-64": faces(WiringDiagram.of(64, [(0, 1), (30, 31)])),
+    }
 
 
 @cache
@@ -637,6 +692,40 @@ class TestMaskEvaluation:
         report = verify(f, mode="randomized", seed=seed, evals=2, specialize=spec)
         assert report.degree_bound == degree_bound(entries, formula)
         assert (report.prime, report.evals) == randomized_compare(entries, formula, seed=seed, evals=2)
+
+    @pytest.mark.parametrize(
+        "name, chunks",
+        [
+            ("affine", 1),
+            ("fiber-subset", 1),
+            ("wide", 1),
+            ("reversal-9", 1),
+            ("reversal-10", 1),
+            ("wires-8", 2),
+            ("wires-17", 3),
+            ("wires-64", 6),
+        ],
+    )
+    def test_residues_over_free_chunks(self, name, chunks):
+        # non-contiguous free sets, and free sets split into balanced chunks
+        # whose two tables hold at most size^2 entries
+        f = _chunked_fibers()[name]
+        m = build_matrix(f)
+        sizes = [len(idx) for idx, _ in m._chunks]
+        assert len(sizes) == chunks
+        assert [i for idx, _ in m._chunks for i in idx] == sorted(f.free)
+        assert max(sizes) - min(sizes) <= 1
+        assert 2 * 2 ** max(sizes) <= m.size**2
+        if chunks > 1:
+            assert 2 * 2 ** -(-len(f.free) // (chunks - 1)) > m.size**2
+        rng = random.Random(name)
+        for spec in (None, Specialization.of(m.nvars, {0: 0, 3: -3}), Specialization.collapse_all(m.nvars)):
+            entries = m.entries if spec is None else [[spec.apply_poly(e) for e in row] for row in m.entries]
+            prime = draw_prime(rng)
+            at = {v: rng.randrange(prime) for v in range(2 * f.n if spec is None else spec.nvars)}
+            residues = residues_mod([e for row in entries for e in row], at, prime)
+            expected = [residues[r * m.size : (r + 1) * m.size] for r in range(m.size)]
+            assert unpack_rows(m.residues(at, prime, spec), prime, m.size) == expected, spec
 
     def test_randomized_verify_builds_no_entries(self, monkeypatch):
         f = faces(non_pappus())
@@ -816,9 +905,39 @@ class TestFactoredBareissEdges:
         assert det == fused_bareiss(rows, 1) == permutation_determinant(rows, 1)
         assert det == parse_poly("-2*a^2 - 2*a^4 + 2*a^6 + 2*a^8", 1)
 
+    def test_ill_defined_multiplicity_takes_the_members_bases(self, monkeypatch):
+        # a seeded 5-wire fiber with the segment -0--- removed: still closed,
+        # but the multiplicity of 00--- depends on the index; with no formula
+        # the candidates are the distinct 1 - b_v of the non-tope members
+        members = (
+            "----- -+--- -+--0 -+--+ -+-0+ -+-++ -+0++ -++++ 0---- 00--- 0+--- 0+--0 0+--+ 0+00+ 0++++ +---- +0--- "
+            "++--- ++--0 ++--+ ++0-- ++0-0 ++0-+ +++-- +++-0 +++-+ +++0- +++00 +++0+ ++++- ++++0 +++++"
+        ).split()
+        f = fiber_of([sv(x) for x in members], anchor=sv("-----"))
+        with pytest.raises(FiberError, match="depends on the index choice"):
+            face_multiplicities(f)
+        calls = []
+        kernel = omdet.varchenko.bareiss_determinant
+        monkeypatch.setattr(omdet.varchenko, "bareiss_determinant", lambda *args: calls.append(args) or kernel(*args))
+        m = build_matrix(f)
+        one = P.one(m.nvars)
+        weights = {one - weight_monomial(u) for u in f.members if not u.is_tope}
+        collapse = Specialization.collapse_all(m.nvars)
+        for spec in (None, collapse):
+            det = determinant(f, spec)
+            rows, nvars, bases = calls.pop()
+            expected = {poly_str(b if spec is None else spec.apply_poly(b)) for b in weights}
+            assert sorted(map(poly_str, bases)) == sorted(expected)
+            rng = random.Random(5)
+            for _ in range(3):
+                prime = draw_prime(rng)
+                at = {v: rng.randrange(prime) for v in range(nvars)}
+                values = [[residue_oracle(e, at, prime) for e in row] for row in rows]
+                assert residue_oracle(det, at, prime) == row_det_mod(values, prime)
+
     def test_ill_defined_multiplicity_keeps_the_determinant(self):
         # closed under composition, so the determinant exists, but the
-        # boundary count of 0-0 is odd: elimination runs without candidates
+        # boundary count of 0-0 is odd: the candidates are the members' bases
         members = ["+++", "++-", "++0", "+-+", "+--", "+-0", "--+", "0-+", "0-0", "00+", "000"]
         f = fiber_of([sv(s) for s in members], anchor=sv("+++"))
         with pytest.raises(FiberError):
