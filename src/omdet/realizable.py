@@ -1,12 +1,11 @@
 """Covector sets of rational hyperplane arrangements, decided exactly.
 
 A central arrangement is a list of nonzero rational linear forms; the sign
-vector of a point records on which side of each hyperplane it lies.  Which
-sign vectors are attainable is decided by one loop over integer rows: each
-variable is eliminated through an equality (zero sign) that involves it, by
-fraction-free substitution, or else by a Fourier-Motzkin step on the strict
-inequalities, until 0 > 0 is derived or no constraint is left.  No floating
-point is used anywhere in this module.
+vector of a point records on which side of each hyperplane it lies.  The
+attainable sign vectors (the covectors) are read off the cocircuits: each
+is the sign vector of the integer rows against the cofactor vector of r - 1
+independent rows, r the rank, and every covector is a composition of the
+cocircuits below it.  No floating point is used anywhere in this module.
 
 Affine arrangements (nonzero offsets) are handled by homogenization: the
 form <h, x> = c becomes <h, x> - c*t = 0 in one extra variable, a hyperplane
@@ -19,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -93,7 +92,7 @@ class RationalArrangement:
         return cls.from_json(json.loads(text))
 
 
-# exact feasibility
+# cocircuits and their compositions
 
 
 def _integer_rows(arr: RationalArrangement) -> list[tuple[int, ...]]:
@@ -106,128 +105,115 @@ def _integer_rows(arr: RationalArrangement) -> list[tuple[int, ...]]:
     return rows
 
 
-def _normalized(constraints):
-    """Constraints divided by the gcd of their entries (positive, so every
-    direction is kept and deduping is exact), with 0 = 0 dropped; None on
-    the contradiction 0 > 0."""
-    out = {}
-    for row, strict in constraints:
-        g = gcd(*row)
-        if not g:
-            if strict:
-                return None
+def _pivot_columns(rows) -> list[int]:
+    """Indices of r linearly independent columns, r the rank of rows: the
+    pivot columns of a fraction-free row echelon form."""
+    pivots = []
+    for j in range(len(rows[0])):
+        head = next((row for row in rows if row[j]), None)
+        if head is None:
             continue
-        out[tuple(c // g for c in row), strict] = None
-    return list(out)
+        pivots.append(j)
+        rows = [[head[j] * a - row[j] * b for a, b in zip(row, head)] for row in rows if row is not head]
+        rows = [[c // g for c in row] for row in rows if (g := gcd(*row))]
+    return pivots
 
 
-def _fm_feasible(constraints) -> bool:
-    """Feasibility of integer constraints row . x > 0 (strict) / = 0.
+def _cocircuits(arr: RationalArrangement) -> set[tuple[int, int]]:
+    """The cocircuits of the arrangement as (plus, minus) masks.
 
-    Variable k is eliminated through an equality that involves it when there
-    is one, by the fraction-free substitution row -> e[k]*row - row[k]*e with
-    e[k] > 0, which keeps every kind.  Otherwise it is eliminated by a
-    Fourier-Motzkin step; then only strict rows involve k, so every
-    combination is strict.  All constraints are homogeneous, so the only
-    failure mode is deriving the contradiction 0 > 0.
+    Every other column of the integer rows is a combination of r pivot
+    columns, so keeping only those leaves the linear dependencies among the
+    rows, and with them the covectors, unchanged.  A hyperplane of the
+    matroid is spanned by r - 1 independent rows S; with c their cofactor
+    vector, <row_i, c> = det(S, row_i).  Fraction-free elimination of the
+    rows of S from every row (a Bareiss step, each division exact) leaves
+    row i one nonzero column, holding det(S, row_i) times a factor common
+    to all rows; a zero head row means S is dependent.  The signs, and their
+    negatives, are the two cocircuits that vanish on the hyperplane.
     """
-    active = _normalized(constraints)
-    k = 0
-    while active:
-        eq = next((row for row, strict in active if not strict and row[k]), None)
-        if eq is not None:
-            if eq[k] < 0:
-                eq = tuple(-c for c in eq)
-            active = _normalized(
-                (tuple(eq[k] * a - row[k] * b for a, b in zip(row, eq)) if row[k] else row, strict)
-                for row, strict in active
-            )
-        else:
-            pos = [row for row, _ in active if row[k] > 0]
-            neg = [row for row, _ in active if row[k] < 0]
-            untouched = [c for c in active if not c[0][k]]
-            if not pos or not neg:
-                # the variable is unbounded in one direction; its constraints
-                # impose nothing on the others
-                active = untouched
-            else:
-                active = _normalized(
-                    untouched
-                    + [
-                        (tuple(-nrow[k] * a + prow[k] * b for a, b in zip(prow, nrow)), True)
-                        for prow, nrow in product(pos, neg)
-                    ]
-                )
-        k += 1
-    return active is not None
-
-
-def _feasible(rows, plus: int, minus: int) -> bool:
-    """Is there a point where row i is positive if bit i of plus is set,
-    negative if bit i of minus is set, and zero otherwise?"""
-    constraints = []
+    rows = _integer_rows(arr)
+    columns = _pivot_columns(rows)
+    rows = [[row[j] for j in columns] for row in rows]
+    # a subset with two parallel rows is dependent, and swapping a row for a
+    # parallel one spans the same hyperplane: one row per line suffices
+    lines = {}
     for i, row in enumerate(rows):
-        if minus >> i & 1:
-            row = tuple(-c for c in row)
-        constraints.append((row, bool((plus | minus) >> i & 1)))
-    return _fm_feasible(constraints)
+        g = gcd(*row) if next(filter(None, row)) > 0 else -gcd(*row)
+        lines.setdefault(tuple(c // g for c in row), i)
+    found = set()
+    for subset in combinations(lines.values(), len(columns) - 1):
+        reduced, previous = rows, 1
+        for s in subset:
+            head = reduced[s]
+            j = next((j for j, c in enumerate(head) if c), None)
+            if j is None:
+                break
+            reduced = [[(head[j] * a - row[j] * b) // previous for a, b in zip(row, head)] for row in reduced]
+            previous = head[j]
+        else:
+            plus = minus = 0
+            for i, row in enumerate(reduced):
+                value = sum(row)
+                if value > 0:
+                    plus |= 1 << i
+                elif value < 0:
+                    minus |= 1 << i
+            found.add((plus, minus))
+            found.add((minus, plus))
+    return found
 
 
 def sign_feasible(arr: RationalArrangement, sigma: SignVector) -> bool:
-    """Exact test: does some point realize the sign vector sigma?"""
+    """Exact test: does some point realize the sign vector sigma?
+
+    Every covector is the composition of the cocircuits conformal to it, so
+    sigma is attainable exactly when the cocircuits below it cover its
+    support.  Each call computes every cocircuit afresh: one elimination of
+    r - 1 rows from all n rows for each (r-1)-subset of the distinct lines.
+    """
     if arr.affine:
         raise ValueError("sign_feasible expects a central (or homogenized) arrangement")
     if sigma.n != arr.n:
         raise ValueError(f"sign vector length {sigma.n} does not match {arr.n} hyperplanes")
-    return _feasible(_integer_rows(arr), sigma.plus, sigma.minus)
+    covered = 0
+    for plus, minus in _cocircuits(arr):
+        if not plus & ~sigma.plus and not minus & ~sigma.minus:
+            covered |= plus | minus
+    return covered == sigma.support_mask
 
 
 def enumerate_covectors(arr: RationalArrangement) -> CovectorSet:
     """All attainable sign vectors of a central arrangement.
 
-    The arrangement is built one hyperplane at a time, keeping one
-    representative of each antipodal pair of covectors so far.  Hyperplane
-    k+1 either misses the cell of a covector of the first k hyperplanes (one
-    extension, + or -), cuts it (three: +, 0, -), or contains it (only 0,
-    when its form vanishes on the cell's span).  So each representative
-    costs at most two feasibility tests (integer Fourier-Motzkin with the
-    cell's equalities eliminated in the same loop), and the work follows
-    the output size.  The result must pass the covector axioms, which are
-    checked before it is returned.
+    The covectors are the closure of the zero vector under composition with
+    the cocircuits.  A vector is coded as one integer, plus | minus << n;
+    v o c depends on c only through its signs on v's zero set, so each
+    distinct zero set projects the cocircuits once and its members compose
+    with the distinct projections only.  The result must pass the covector
+    axioms, which are checked before it is returned.
     """
     if arr.affine:
         raise ValueError("enumerate_covectors expects a central arrangement; homogenize first")
     if arr.n == 0:
         raise ValueError("cannot enumerate covectors of an empty arrangement")
     n = arr.n
-    rows = _integer_rows(arr)
-    reps = [(0, 0)]  # (plus, minus) masks over the hyperplanes added so far
-    for k in range(n):
-        bit = 1 << k
-        head = rows[: k + 1]
-        grown = []
-        for plus, minus in reps:
-            if not plus | minus:
-                # the zero vector is its own antipode: keep + and drop its mirror -
-                grown += [(bit, 0), (0, 0)] if _feasible(head, bit, 0) else [(0, 0)]
-                continue
-            up = _feasible(head, plus | bit, minus)
-            down = _feasible(head, plus, minus | bit)
-            if up and down:
-                grown += [(plus | bit, minus), (plus, minus), (plus, minus | bit)]
-            elif up:
-                grown.append((plus | bit, minus))
-            elif down:
-                grown.append((plus, minus | bit))
-            else:
-                # the form vanishes on the cell's span
-                grown.append((plus, minus))
-        reps = grown
-    out = CovectorSet.of(
-        [SignVector(n, plus, minus) for plus, minus in reps]
-        + [SignVector(n, minus, plus) for plus, minus in reps],
-        n=n,
-    )
+    full = (1 << n) - 1
+    codes = [plus | minus << n for plus, minus in _cocircuits(arr)]
+    seen = {0}
+    stack = [0]
+    shadows_of: dict[int, set[int]] = {}
+    while stack:
+        v = stack.pop()
+        zero = full & ~(v | v >> n)
+        open_ = zero | zero << n
+        shadows = shadows_of.get(open_)
+        if shadows is None:
+            shadows = shadows_of[open_] = set(map(open_.__and__, codes))
+        fresh = set(map(v.__or__, shadows)) - seen
+        seen |= fresh
+        stack += fresh
+    out = CovectorSet.of([SignVector(n, code & full, code >> n) for code in seen], n=n)
     found = loops(out)
     if found:
         raise ValueError(f"arrangement has loops at indices {sorted(found)}")

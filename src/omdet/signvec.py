@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 MAX_GROUND_SET = 64
 
 _SIGN_OF_CHAR = {"+": 1, "-": -1, "0": 0}
-_CHAR_OF_SIGN = {1: "+", -1: "-", 0: "0"}
+_CHAR_OF_RANK = bytes.maketrans(b"\0\1\2", b"-0+")
+_ONES = int.from_bytes(b"\1" * MAX_GROUND_SET, "big")
 
 
 def as_int(value) -> int:
@@ -88,7 +89,7 @@ class SignVector:
         return 0
 
     def to_string(self) -> str:
-        return "".join(_CHAR_OF_SIGN[self.sign(i)] for i in range(1, self.n + 1))
+        return bytes(self.sort_key()).translate(_CHAR_OF_RANK).decode()
 
     @property
     def support_mask(self) -> int:
@@ -116,8 +117,17 @@ class SignVector:
         return SignVector(self.n, self.minus, self.plus)
 
     def sort_key(self) -> tuple[int, ...]:
-        """Key for the canonical order: per-index rank with - < 0 < +."""
-        return tuple(1 + self.sign(i) for i in range(1, self.n + 1))
+        """Key for the canonical order: per-index rank 0, 1, 2 for -, 0, +.
+
+        bin(mask | 1 << n) writes one ASCII digit byte per index behind the
+        same prefix "0b1", so read back as integers the prefixes cancel in
+        plus - minus; every byte of plus - minus + ones is then 1 + p - m in
+        0..2, and the ranks are read off bytewise with no carry.
+        """
+        guard = 1 << self.n
+        plus = int.from_bytes(bin(self.plus | guard).encode(), "big")
+        minus = int.from_bytes(bin(self.minus | guard).encode(), "big")
+        return tuple((plus - minus + (_ONES >> 8 * (MAX_GROUND_SET - self.n))).to_bytes(self.n, "little"))
 
     def __str__(self):
         return self.to_string()

@@ -7,7 +7,9 @@ closure oracle composes every ordered pair of SignVector objects, the
 boundary-maximum oracle compares each index's candidates below each tope
 pairwise, the enumeration oracle runs a feasibility test on every sign
 vector, the feasibility oracle is Gaussian substitution of the equalities
-over Fraction followed by Fourier-Motzkin on the reduced forms, the chain
+over Fraction followed by Fourier-Motzkin on the reduced forms, the
+incremental enumeration oracle extends the covectors one hyperplane at a
+time by integer Fourier-Motzkin tests, with no cocircuit, the chain
 oracle is a recursive longest-path search, the specialization oracle is
 the general substitution homomorphism built from polynomial products and
 powers, the elimination oracle is the fused Bareiss kernel that expands
@@ -26,6 +28,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd, lcm
 
 from omdet.polyring import (
     FactoredPoly,
@@ -300,6 +303,113 @@ def exhaustive_covectors(arr: RationalArrangement, feasible=sign_feasible) -> tu
     """
     candidates = (SignVector.from_string("".join(s)) for s in product("-0+", repeat=arr.n))
     return tuple(sigma for sigma in candidates if feasible(arr, sigma))
+
+
+def _int_normalized(constraints):
+    """Integer constraints divided by the gcd of their entries (positive, so
+    every direction is kept and deduping is exact), with 0 = 0 dropped; None
+    on the contradiction 0 > 0."""
+    out = {}
+    for row, strict in constraints:
+        g = gcd(*row)
+        if not g:
+            if strict:
+                return None
+            continue
+        out[tuple(c // g for c in row), strict] = None
+    return list(out)
+
+
+def _int_fm_feasible(constraints) -> bool:
+    """Feasibility of integer constraints row . x > 0 (strict) / = 0.
+
+    Variable k is eliminated through an equality that involves it when there
+    is one, by the fraction-free substitution row -> e[k]*row - row[k]*e with
+    e[k] > 0, which keeps every kind.  Otherwise it is eliminated by a
+    Fourier-Motzkin step; then only strict rows involve k, so every
+    combination is strict.  All constraints are homogeneous, so the only
+    failure mode is deriving the contradiction 0 > 0.
+    """
+    active = _int_normalized(constraints)
+    k = 0
+    while active:
+        eq = next((row for row, strict in active if not strict and row[k]), None)
+        if eq is not None:
+            if eq[k] < 0:
+                eq = tuple(-c for c in eq)
+            active = _int_normalized(
+                (tuple(eq[k] * a - row[k] * b for a, b in zip(row, eq)) if row[k] else row, strict)
+                for row, strict in active
+            )
+        else:
+            pos = [row for row, _ in active if row[k] > 0]
+            neg = [row for row, _ in active if row[k] < 0]
+            untouched = [c for c in active if not c[0][k]]
+            if not pos or not neg:
+                # the variable is unbounded in one direction; its constraints
+                # impose nothing on the others
+                active = untouched
+            else:
+                active = _int_normalized(
+                    untouched
+                    + [
+                        (tuple(-nrow[k] * a + prow[k] * b for a, b in zip(prow, nrow)), True)
+                        for prow, nrow in product(pos, neg)
+                    ]
+                )
+        k += 1
+    return active is not None
+
+
+def _int_feasible(rows, plus: int, minus: int) -> bool:
+    """Is there a point where row i is positive if bit i of plus is set,
+    negative if bit i of minus is set, and zero otherwise?"""
+    constraints = []
+    for i, row in enumerate(rows):
+        if minus >> i & 1:
+            row = tuple(-c for c in row)
+        constraints.append((row, bool((plus | minus) >> i & 1)))
+    return _int_fm_feasible(constraints)
+
+
+def fm_covectors(arr: RationalArrangement) -> tuple[SignVector, ...]:
+    """Covectors of a central arrangement, one hyperplane at a time, in
+    canonical order.
+
+    Each covector of the first k hyperplanes misses, cuts or lies in
+    hyperplane k+1, so it extends by one sign, by all three, or by 0 alone;
+    at most two integer Fourier-Motzkin tests per antipodal pair decide
+    which.  No cocircuit is computed.
+    """
+    n = arr.n
+    rows = []
+    for normal, _ in arr.hyperplanes:
+        scale = lcm(*(c.denominator for c in normal))
+        rows.append(tuple(c.numerator * (scale // c.denominator) for c in normal))
+    reps = [(0, 0)]  # (plus, minus) masks over the hyperplanes added so far
+    for k in range(n):
+        bit = 1 << k
+        head = rows[: k + 1]
+        grown = []
+        for plus, minus in reps:
+            if not plus | minus:
+                # the zero vector is its own antipode: keep + and drop its mirror -
+                grown += [(bit, 0), (0, 0)] if _int_feasible(head, bit, 0) else [(0, 0)]
+                continue
+            up = _int_feasible(head, plus | bit, minus)
+            down = _int_feasible(head, plus, minus | bit)
+            if up and down:
+                grown += [(plus | bit, minus), (plus, minus), (plus, minus | bit)]
+            elif up:
+                grown.append((plus | bit, minus))
+            elif down:
+                grown.append((plus, minus | bit))
+            else:
+                # the form vanishes on the cell's span
+                grown.append((plus, minus))
+        reps = grown
+    found = {SignVector(n, plus, minus) for plus, minus in reps} | {SignVector(n, minus, plus) for plus, minus in reps}
+    return tuple(sorted(found, key=lambda v: [v.sign(i) for i in range(1, n + 1)]))
 
 
 # feasibility over Fraction

@@ -4,6 +4,7 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omdet.realizable import (
     RationalArrangement,
@@ -16,7 +17,7 @@ from omdet.signvec import SignVector, topes
 from omdet.varchenko import determinant, product_formula
 from omdet.polyring import IntPolynomial
 
-from oracle import exhaustive_covectors, fraction_feasible, random_central_arrangement
+from oracle import exhaustive_covectors, fm_covectors, fraction_feasible, random_central_arrangement
 
 sv = SignVector.from_string
 P = IntPolynomial
@@ -189,6 +190,75 @@ class TestEnumerationOracle:
         assert len(s) == 531
         assert len(topes(s)) == 134 == 2 * sum(comb(11, k) for k in range(3))
         assert s.verified
+
+
+def _drawn_arrangement(data) -> RationalArrangement:
+    """A central arrangement with d <= 4 and n <= 6, or the homogenization of
+    an affine one with d <= 3 and n <= 5.  The normals are combinations of a
+    drawn number of base vectors, so inputs of lower rank (with dependent
+    leading columns when a base vector starts with zeros) come up, and a
+    normal may repeat an earlier one times 1, 2, -1 or -1/3."""
+    affine = data.draw(st.booleans(), label="affine")
+    d = data.draw(st.integers(1, 3 if affine else 4), label="d")
+    vector = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    bases = data.draw(st.lists(vector.filter(any), min_size=1, max_size=d), label="bases")
+    normals = []
+    for _ in range(data.draw(st.integers(1, 5 if affine else 6), label="n")):
+        if normals and data.draw(st.booleans()):
+            scale = data.draw(st.sampled_from((1, 2, -1, Fraction(-1, 3))))
+            normal = [scale * c for c in data.draw(st.sampled_from(normals))]
+        else:
+            weights = data.draw(st.lists(st.integers(-2, 2), min_size=len(bases), max_size=len(bases)))
+            normal = [sum(w * base[k] for w, base in zip(weights, bases)) for k in range(d)]
+        normals.append(normal if any(normal) else bases[0])
+    if not affine:
+        return RationalArrangement.of(normals)
+    offsets = data.draw(st.lists(st.integers(-2, 2), min_size=len(normals), max_size=len(normals)))
+    return homogenize(RationalArrangement.of(normals, offsets, affine=True)).central
+
+
+class TestCocircuitEnumeration:
+    """The cocircuit closure against enumerations that compute no cocircuit."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_fraction_oracle(self, data):
+        arr = _drawn_arrangement(data)
+        assert enumerate_covectors(arr).members == exhaustive_covectors(arr, fraction_feasible)
+
+    @pytest.mark.parametrize(
+        "normals",
+        [
+            [[0, 1], [0, 2], [0, -1]],
+            [[0, 0, 1], [0, 1, 1], [0, 2, 2], [0, -1, 1], [0, 1, -3]],
+            [[1, 2, 3], [-1, -2, -3], [2, 4, 6], [1, 0, 0], [0, 0, 1]],
+            [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 3], [1, -1, 0, 0], [2, 0, 0, 2]],
+            [[Fraction(1, 2), Fraction(-1, 3)], [3, -2], [Fraction(-3, 7), Fraction(2, 7)], [1, 1]],
+        ],
+    )
+    def test_sign_feasible_matches_fraction_oracle(self, normals):
+        # every one of the 3^n sign vectors, feasible or not
+        arr = RationalArrangement.of(normals)
+        for signs in product("-0+", repeat=arr.n):
+            sigma = sv("".join(signs))
+            assert sign_feasible(arr, sigma) == fraction_feasible(arr, sigma), str(sigma)
+
+    def test_matches_incremental_fourier_motzkin(self):
+        rng = random.Random(1407)
+        cases = []
+        for n in (7, 7, 7, 8, 8, 8):
+            cases.append(RationalArrangement.of([[rng.randint(-4, 4) or 1 for _ in range(3)] for _ in range(n)]))
+        for _ in range(4):
+            normals = [[rng.randint(-3, 3) or -1 for _ in range(3)] for _ in range(6)]
+            normals[5] = [-2 * c for c in normals[rng.randrange(5)]]
+            offsets = [rng.randint(-3, 3) for _ in range(6)]
+            cases.append(homogenize(RationalArrangement.of(normals, offsets, affine=True)).central)
+        # 16 hyperplanes on 6 lines in R^5: the subsets run over the lines
+        lines = [[rng.randint(-3, 3) or 2 for _ in range(5)] for _ in range(6)]
+        scales = [rng.choice((1, 3, -1)) for _ in range(16)]
+        cases.append(RationalArrangement.of([[k * c for c in lines[i % 6]] for i, k in enumerate(scales)]))
+        for arr in cases:
+            assert enumerate_covectors(arr).members == fm_covectors(arr), arr
 
 
 def _rank(rows):

@@ -78,6 +78,15 @@ class TestSignVector:
         ordered = sorted([sv("+0"), sv("-+"), sv("0-"), sv("--")], key=SignVector.sort_key)
         assert [str(u) for u in ordered] == ["--", "-+", "0-", "+0"]
 
+    @settings(derandomize=True, max_examples=200)
+    @given(text=st.integers(1, 64).flatmap(lambda n: st.text("+-0", min_size=n, max_size=n)))
+    def test_mask_reads_match_per_index_signs(self, text):
+        # sort_key and to_string read the masks in one pass; per index they
+        # must agree with sign(i)
+        u = sv(text)
+        assert u.sort_key() == tuple(1 + u.sign(i) for i in range(1, u.n + 1))
+        assert u.to_string() == "".join("-0+"[1 + u.sign(i)] for i in range(1, u.n + 1)) == text
+
 
 class TestOperations:
     def test_compose_examples(self):
