@@ -46,7 +46,6 @@ from .signvec import (
     validate_fiber,
 )
 from .varchenko import (
-    DEFAULT_SYMBOLIC_LIMIT,
     SizeGuardError,
     determinant,
     product_formula,
@@ -224,7 +223,7 @@ def _cmd_faces(args) -> int:
 def _cmd_det(args) -> int:
     fiber = _as_fiber(_load_input(args))
     spec = _parse_specialize(args.specialize, 2 * fiber.n)
-    print(poly_str(determinant(fiber, spec, args.max_symbolic, args.force_symbolic)))
+    print(poly_str(determinant(fiber, spec, args.force_symbolic)))
     return 0
 
 
@@ -246,7 +245,6 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         evals=args.evals,
         specialize=spec,
-        max_topes=args.max_symbolic,
         force_symbolic=args.force_symbolic,
     )
     if args.format == "json":
@@ -319,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("det", help="exact symbolic determinant")
     add_common(p)
     p.add_argument("--specialize", help="all=a, var=int list, or a JSON map")
-    p.add_argument("--max-symbolic", type=int, default=DEFAULT_SYMBOLIC_LIMIT)
     p.add_argument("--force-symbolic", action="store_true")
     p.set_defaults(func=_cmd_det)
 
@@ -334,7 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--evals", type=int, default=5)
     p.add_argument("--specialize", help="all=a, var=int list, or a JSON map")
-    p.add_argument("--max-symbolic", type=int, default=DEFAULT_SYMBOLIC_LIMIT)
     p.add_argument("--force-symbolic", action="store_true")
     # accepted for compatibility: randomized evaluations run one after another
     p.add_argument("--workers", type=int, default=1)

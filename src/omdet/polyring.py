@@ -113,8 +113,8 @@ def monomial_degree(nvars: int, key: int) -> int:
     return key >> (LANE_BITS * nvars)
 
 
-def _accumulate_product(out: dict, a: dict, b: dict, sign: int):
-    """Accumulate sign * a * b into out, without intermediate normalization.
+def _accumulate_product(out: dict, a: dict, b: dict):
+    """Accumulate a * b into out, without intermediate normalization.
 
     Lane overflow cannot corrupt neighbouring lanes (16-bit lanes hold sums
     of two 15-bit exponents), so the overflow check can run once at the end
@@ -124,16 +124,10 @@ def _accumulate_product(out: dict, a: dict, b: dict, sign: int):
         a, b = b, a
     get = out.get
     b_items = list(b.items())
-    if sign == 1:
-        for k1, c1 in a.items():
-            for k2, c2 in b_items:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-    else:
-        for k1, c1 in a.items():
-            for k2, c2 in b_items:
-                k = k1 + k2
-                out[k] = get(k, 0) - c1 * c2
+    for k1, c1 in a.items():
+        for k2, c2 in b_items:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
 
 
 def _strip_and_check(nvars: int, out: dict) -> dict:
@@ -343,7 +337,7 @@ class IntPolynomial:
         if q is None:
             return NotImplemented
         out: dict[int, int] = {}
-        _accumulate_product(out, self._terms, q._terms, 1)
+        _accumulate_product(out, self._terms, q._terms)
         return IntPolynomial(self.nvars, _strip_and_check(self.nvars, out))
 
     __rmul__ = __mul__

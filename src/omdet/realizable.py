@@ -25,6 +25,13 @@ from typing import NamedTuple
 from .signvec import CovectorSet, FiberView, SignVector, as_int, check_covector_axioms, loops, topal_fiber
 
 
+def _as_fraction(value) -> Fraction:
+    """Fraction(value), but a float or bool raises ValueError instead of converting inexactly."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"expected an integer or a p/q string, got {value!r}")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class RationalArrangement:
     """n hyperplanes <h_i, x> = c_i in d variables, with exact coefficients."""
@@ -52,14 +59,15 @@ class RationalArrangement:
 
     @classmethod
     def of(cls, normals, offsets=None, affine: bool = False, dim: int | None = None) -> RationalArrangement:
-        normals = [tuple(Fraction(c) for c in normal) for normal in normals]
+        """Exact coefficients from integers, Fractions or p/q strings; a float or bool raises ValueError."""
+        normals = [tuple(_as_fraction(c) for c in normal) for normal in normals]
         if dim is None:
             if not normals:
                 raise ValueError("dim is required for an arrangement with no hyperplanes")
             dim = len(normals[0])
         if offsets is None:
             offsets = [Fraction(0)] * len(normals)
-        offsets = [Fraction(c) for c in offsets]
+        offsets = [_as_fraction(c) for c in offsets]
         if len(offsets) != len(normals):
             raise ValueError("offsets and normals differ in length")
         return cls(dim, tuple(zip(normals, offsets)), affine)
@@ -78,8 +86,8 @@ class RationalArrangement:
     def from_json(cls, doc: dict) -> RationalArrangement:
         hyperplanes = doc["hyperplanes"]
         return cls.of(
-            [[Fraction(c) for c in h["normal"]] for h in hyperplanes],
-            [Fraction(h.get("offset", "0")) for h in hyperplanes],
+            [h["normal"] for h in hyperplanes],
+            [h.get("offset", 0) for h in hyperplanes],
             affine=bool(doc.get("affine", False)),
             dim=as_int(doc["dim"]) if "dim" in doc else None,
         )

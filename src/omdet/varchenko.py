@@ -97,22 +97,22 @@ from .signvec import (
     weight_exponents,
 )
 
-DEFAULT_SYMBOLIC_LIMIT = 16
+SYMBOLIC_LIMIT = 16
 
 
 class SizeGuardError(ValueError):
     """Symbolic determinant requested beyond the tope-count guard."""
 
 
-def _check_size_guard(topes: int, max_topes: int, force: bool):
+def _check_size_guard(topes: int, force: bool):
     """The symbolic size guard, checked on the tope count before any matrix work.
 
     Multivariate intermediate swell makes large symbolic determinants
-    expensive, so more than ``max_topes`` topes require ``force``.
+    expensive, so more than ``SYMBOLIC_LIMIT`` topes require ``force``.
     """
-    if topes > max_topes and not force:
+    if topes > SYMBOLIC_LIMIT and not force:
         raise SizeGuardError(
-            f"symbolic determinant of {topes} topes exceeds the guard of {max_topes}; "
+            f"symbolic determinant of {topes} topes exceeds the guard of {SYMBOLIC_LIMIT}; "
             "use randomized mode or force it (--force-symbolic on the command line)"
         )
 
@@ -419,7 +419,7 @@ def _expanded_quotient(nvars: int, num: dict, kept: dict, rest: dict, lo: dict) 
 
 def _product(x: dict, y: dict) -> dict:
     out: dict[int, int] = {}
-    _accumulate_product(out, x, y, 1)
+    _accumulate_product(out, x, y)
     return out
 
 
@@ -487,7 +487,6 @@ def product_formula(f: FiberView, specialize: Specialization | None = None) -> F
 def determinant(
     f: FiberView,
     specialize: Specialization | None = None,
-    max_topes: int = DEFAULT_SYMBOLIC_LIMIT,
     force: bool = False,
 ) -> IntPolynomial:
     """Exact symbolic determinant of a fiber's distance matrix, optionally specialized.
@@ -499,7 +498,7 @@ def determinant(
     formula, and its candidates are the distinct 1 - b_v of its non-tope
     members, specialized.
     """
-    _check_size_guard(len(f.topes), max_topes, force)
+    _check_size_guard(len(f.topes), force)
     entries = build_matrix(f).entries
     if specialize is not None:
         entries = [[specialize.apply_poly(e) for e in row] for row in entries]
@@ -760,7 +759,6 @@ def verify(
     seed: int = 0,
     evals: int = 5,
     specialize: Specialization | None = None,
-    max_topes: int = DEFAULT_SYMBOLIC_LIMIT,
     force_symbolic: bool = False,
 ) -> VerificationReport:
     """Check determinant = factored product on a fiber.
@@ -774,10 +772,10 @@ def verify(
         raise ValueError(f"unknown mode {mode!r}")
     size = len(f.topes)
     if mode == "auto":
-        mode = "symbolic" if size <= max_topes else "randomized"
+        mode = "symbolic" if size <= SYMBOLIC_LIMIT else "randomized"
     # the guard's and the matrix's errors are reported before the multiplicities'
     if mode == "symbolic":
-        det = determinant(f, specialize, max_topes, force_symbolic)
+        det = determinant(f, specialize, force_symbolic)
     else:
         matrix = build_matrix(f)
     faces = face_multiplicities(f)

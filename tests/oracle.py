@@ -63,15 +63,15 @@ def permutation_determinant(entries, nvars: int) -> IntPolynomial:
 def mul_sub_div(p, q, r, s, denominator):
     """(p*q - r*s) / denominator with the division known to be exact.
 
-    The fused elimination kernel: both products, the subtraction and the
-    heap division run on raw term dicts, with no intermediate polynomial.
+    The fused elimination kernel: p*q and (-r)*s accumulate into one raw
+    term dict and the heap division runs on it, with no intermediate product.
     """
     for other in (q, r, s, denominator):
         if p.nvars != other.nvars:
             raise ValueError("variable universes differ")
     acc: dict[int, int] = {}
-    _accumulate_product(acc, p._terms, q._terms, 1)
-    _accumulate_product(acc, r._terms, s._terms, -1)
+    _accumulate_product(acc, p._terms, q._terms)
+    _accumulate_product(acc, (-r)._terms, s._terms)
     num = _strip_and_check(p.nvars, acc)
     return IntPolynomial(p.nvars, _divide_exact(p.nvars, num, denominator._terms))
 

@@ -39,6 +39,12 @@ def nonpappus_cov(tmp_path):
     return str(path)
 
 
+GUARD_LINE = (
+    "error: symbolic determinant of 33 topes exceeds the guard of 16; "
+    "use randomized mode or force it (--force-symbolic on the command line)\n"
+)
+
+
 def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
@@ -149,9 +155,15 @@ class TestVerifyCommand:
         assert doc["mode"] == "symbolic"
 
     def test_guard_requires_flag(self, capsys, nonpappus_cov):
-        code, _, err = run(capsys, "verify", nonpappus_cov, "--mode", "symbolic")
+        code, out, err = run(capsys, "verify", nonpappus_cov, "--mode", "symbolic")
         assert code == 2
-        assert "guard" in err
+        assert out == ""
+        assert err == GUARD_LINE
+
+    def test_auto_past_guard_is_randomized(self, capsys, nonpappus_cov):
+        code, out, err = run(capsys, "verify", nonpappus_cov, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["mode"] == "randomized"
 
     def test_seeded_determinism(self, capsys, nonpappus_cov):
         args = ("verify", nonpappus_cov, "--specialize", "all=a", "--format", "json", "--seed", "5")
@@ -226,7 +238,7 @@ class TestLimits:
         code, out, err = run(capsys, "det", nonpappus_cov)
         assert code == 2
         assert out == ""
-        assert "guard" in err and "--force-symbolic" in err
+        assert err == GUARD_LINE
 
     def test_out_of_memory_exits_two(self, capsys, monkeypatch, nonpappus_cov):
         def exhausted(*args, **kwargs):
@@ -304,6 +316,8 @@ class TestLimits:
             '{"dim": 2, "hyperplanes": [{"normal": ["1/0", 2]}]}',
             '{"dim": 2, "hyperplanes": [{"normal": [1e400, 2]}]}',
             '{"dim": 2.7, "hyperplanes": [{"normal": [1, 2]}]}',
+            '{"dim": 3, "hyperplanes": [{"normal": [1, 0, 0.1]}, {"normal": [0, 1, 0.2]}, {"normal": [1, 1, 0.3]}]}',
+            '{"dim": 2, "hyperplanes": [{"normal": [true, 2]}]}',
             json.dumps({"dim": 1, "hyperplanes": [{"normal": [k]} for k in range(1, 66)]}),
         ],
     )

@@ -122,7 +122,8 @@ class TestEnumerate:
 
 
 class TestEnumerationOracle:
-    """enumerate_covectors against one sign_feasible call per sign vector."""
+    """enumerate_covectors against one fraction_feasible call per sign vector,
+    which computes no cocircuit (sign_feasible shares them with the code under test)."""
 
     def test_random_central(self):
         rng = random.Random(2003)
@@ -131,7 +132,7 @@ class TestEnumerationOracle:
             arr = random_central_arrangement(rng)
             normals = [normal for normal, _ in arr.hyperplanes]
             proportional += any(_rank([a, b]) == 1 for a, b in combinations(normals, 2))
-            assert enumerate_covectors(arr).members == exhaustive_covectors(arr), normals
+            assert enumerate_covectors(arr).members == exhaustive_covectors(arr, fraction_feasible), normals
         assert proportional >= 20
 
     def test_four_dimensions(self):
@@ -146,7 +147,7 @@ class TestEnumerationOracle:
                 cases.append(normals)
         for normals in cases:
             arr = RationalArrangement.of(normals)
-            assert enumerate_covectors(arr).members == exhaustive_covectors(arr), normals
+            assert enumerate_covectors(arr).members == exhaustive_covectors(arr, fraction_feasible), normals
 
     @pytest.mark.parametrize(
         "normals, offsets",
@@ -158,7 +159,7 @@ class TestEnumerationOracle:
     )
     def test_homogenized_parallel_lines(self, normals, offsets):
         central, _, _ = homogenize(RationalArrangement.of(normals, offsets, affine=True))
-        assert enumerate_covectors(central).members == exhaustive_covectors(central)
+        assert enumerate_covectors(central).members == exhaustive_covectors(central, fraction_feasible)
 
     def test_fraction_oracle_mixed_denominators(self):
         # fractional normals reach the integer rows only through the lcm
@@ -338,6 +339,11 @@ class TestJson:
         )
         again = RationalArrangement.loads(arr.dumps())
         assert again == arr
+
+    @pytest.mark.parametrize("normals, offsets", [([[0.5, 1]], None), ([[True, 1]], None), ([[1]], [0.5])])
+    def test_rejects_inexact_coordinates(self, normals, offsets):
+        with pytest.raises(ValueError):
+            RationalArrangement.of(normals, offsets, affine=True)
 
     def test_rejects_zero_normal(self):
         with pytest.raises(ValueError):

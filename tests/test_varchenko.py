@@ -180,19 +180,22 @@ class TestDeterminant:
             rows = [[m.entry(r, c) for c in order] for r in order]
             assert bareiss_determinant(rows, m.nvars) == base
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         f = whole_fiber(concurrent_lines())
+        unguarded = determinant(f)
+        monkeypatch.setattr(omdet.varchenko, "SYMBOLIC_LIMIT", 4)
         with pytest.raises(SizeGuardError):
-            determinant(f, max_topes=4)
-        assert determinant(f, max_topes=4, force=True) == determinant(f)
+            determinant(f)
+        assert determinant(f, force=True) == unguarded
 
     def test_size_guard_runs_before_the_matrix(self, monkeypatch):
         def no_matrix(f):
             raise AssertionError("the matrix was built past the guard")
 
         monkeypatch.setattr(omdet.varchenko, "build_matrix", no_matrix)
+        monkeypatch.setattr(omdet.varchenko, "SYMBOLIC_LIMIT", 4)
         with pytest.raises(SizeGuardError):
-            determinant(whole_fiber(concurrent_lines()), max_topes=4)
+            determinant(whole_fiber(concurrent_lines()))
 
     def test_specialized_matches_the_specialized_formula(self):
         for name, f in corpus_fibers().items():
@@ -403,16 +406,18 @@ class TestVerify:
         assert report.agreement and report.mode == "symbolic"
         assert report.determinant == P.one(2) - pair(2, 1)
 
-    def test_auto_switches_to_randomized(self):
+    def test_auto_switches_to_randomized(self, monkeypatch):
         f = whole_fiber(concurrent_lines())
-        report = verify(f, mode="auto", max_topes=4)
+        monkeypatch.setattr(omdet.varchenko, "SYMBOLIC_LIMIT", 4)
+        report = verify(f, mode="auto")
         assert report.mode == "randomized" and report.agreement
 
-    def test_symbolic_guard(self):
+    def test_symbolic_guard(self, monkeypatch):
         f = whole_fiber(concurrent_lines())
+        monkeypatch.setattr(omdet.varchenko, "SYMBOLIC_LIMIT", 4)
         with pytest.raises(SizeGuardError):
-            verify(f, mode="symbolic", max_topes=4)
-        report = verify(f, mode="symbolic", max_topes=4, force_symbolic=True)
+            verify(f, mode="symbolic")
+        report = verify(f, mode="symbolic", force_symbolic=True)
         assert report.agreement
 
     def test_randomized_reproducible(self):
