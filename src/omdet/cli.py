@@ -223,7 +223,7 @@ def _cmd_faces(args) -> int:
 def _cmd_det(args) -> int:
     fiber = _as_fiber(_load_input(args))
     spec = _parse_specialize(args.specialize, 2 * fiber.n)
-    print(poly_str(determinant(fiber, spec, args.force_symbolic)))
+    print(poly_str(determinant(fiber, spec, force=args.force_symbolic)))
     return 0
 
 

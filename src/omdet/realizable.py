@@ -22,7 +22,9 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .signvec import CovectorSet, FiberView, SignVector, as_int, check_covector_axioms, loops, topal_fiber
+from .signvec import (
+    CovectorSet, FiberView, SignVector, as_int, check_covector_axioms, composition_closure, loops, topal_fiber
+)
 
 
 def _as_fraction(value) -> Fraction:
@@ -195,11 +197,8 @@ def enumerate_covectors(arr: RationalArrangement) -> CovectorSet:
     """All attainable sign vectors of a central arrangement.
 
     The covectors are the closure of the zero vector under composition with
-    the cocircuits.  A vector is coded as one integer, plus | minus << n;
-    v o c depends on c only through its signs on v's zero set, so each
-    distinct zero set projects the cocircuits once and its members compose
-    with the distinct projections only.  The result must pass the covector
-    axioms, which are checked before it is returned.
+    the cocircuits (``composition_closure``).  The result must pass the
+    covector axioms, which are checked before it is returned.
     """
     if arr.affine:
         raise ValueError("enumerate_covectors expects a central arrangement; homogenize first")
@@ -207,20 +206,7 @@ def enumerate_covectors(arr: RationalArrangement) -> CovectorSet:
         raise ValueError("cannot enumerate covectors of an empty arrangement")
     n = arr.n
     full = (1 << n) - 1
-    codes = [plus | minus << n for plus, minus in _cocircuits(arr)]
-    seen = {0}
-    stack = [0]
-    shadows_of: dict[int, set[int]] = {}
-    while stack:
-        v = stack.pop()
-        zero = full & ~(v | v >> n)
-        open_ = zero | zero << n
-        shadows = shadows_of.get(open_)
-        if shadows is None:
-            shadows = shadows_of[open_] = set(map(open_.__and__, codes))
-        fresh = set(map(v.__or__, shadows)) - seen
-        seen |= fresh
-        stack += fresh
+    seen = composition_closure(n, [plus | minus << n for plus, minus in _cocircuits(arr)])
     out = CovectorSet.of([SignVector(n, code & full, code >> n) for code in seen], n=n)
     found = loops(out)
     if found:

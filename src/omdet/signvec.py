@@ -327,34 +327,142 @@ def _composition_gap(members) -> tuple[SignVector, SignVector, SignVector] | Non
             return u, v, w
 
 
-def check_covector_axioms(s: CovectorSet) -> AxiomReport:
-    """Run the four covector axioms; marks the set verified when all pass.
+def composition_closure(n: int, codes, within: set[int] | None = None) -> set[int] | None:
+    """Codes of the closure of the zero vector under composition with ``codes``.
 
-    Failures are report content, not exceptions; each failed axiom carries
-    one concrete witness.
+    A vector is coded as one integer, plus | minus << n.  v o c depends on
+    c only through its signs on v's zero set, so each distinct zero set
+    projects the codes once and its members compose with the distinct
+    projections only.  Given ``within``, the result is None as soon as a
+    composition falls outside it, so a closure that could grow to 3^n
+    codes stops early.
+    """
+    full = (1 << n) - 1
+    seen = {0}
+    stack = [0]
+    shadows_of: dict[int, set[int]] = {}
+    while stack:
+        v = stack.pop()
+        zero = full & ~(v | v >> n)
+        open_ = zero | zero << n
+        shadows = shadows_of.get(open_)
+        if shadows is None:
+            shadows = shadows_of[open_] = set(map(open_.__and__, codes))
+        fresh = set(map(v.__or__, shadows)) - seen
+        if within is not None and not fresh <= within:
+            return None
+        seen |= fresh
+        stack += fresh
+    return seen
+
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first, each as a power of two."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
+
+
+def _maximal(masks) -> list[int]:
+    """The distinct masks that no other mask strictly contains.
+
+    Distinct masks of one size never contain each other, so each mask is
+    compared only with the maximal masks of larger size.
+    """
+    out: list[int] = []
+    larger: list[int] = []
+    size = None
+    for mask in sorted(set(masks), key=int.bit_count, reverse=True):
+        if mask.bit_count() != size:
+            size = mask.bit_count()
+            larger = out[:]
+        if all(mask & ~big for big in larger):
+            out.append(mask)
+    return out
+
+
+def _cocircuit_check(s: CovectorSet) -> bool:
+    """True when s is the covector set of an oriented matroid, read off its cocircuits.
+
+    The cocircuits of an oriented matroid are its minimal-support nonzero
+    covectors, and the covectors are their compositions (Bjorner, Las
+    Vergnas, Sturmfels, White and Ziegler, *Oriented Matroids*, ch. 3).
+    So s is a covector set exactly when its minimal-support nonzero members
+    come as one pair X, -X per support, pass modular elimination, and
+    compose to the whole set; a composition closure of such pairs holds 0
+    and is closed under negation and composition, so True certifies all
+    four axioms.  Modular elimination runs over pairs whose zero sets meet
+    in a coline, a maximal pairwise intersection of zero sets.  An element
+    outside a coline lies in at most one zero set of the coline's pencil,
+    so each (X, Y, e) has one candidate pair +-Z, or none and the check
+    fails.
+    """
+    n = s.n
+    full = (1 << n) - 1
+    by_zero: dict[int, list[tuple[int, int]]] = {}
+    for m in s.members:
+        if m.plus | m.minus:
+            by_zero.setdefault(full & ~(m.plus | m.minus), []).append((m.plus, m.minus))
+    zeros = _maximal(by_zero)
+    cocircuits = []
+    for zero in zeros:
+        pair = by_zero[zero]
+        if len(pair) != 2 or pair[0] != pair[1][::-1]:
+            return False
+        cocircuits.append(pair[0])
+    codes = [code for p, m in cocircuits for code in (p | m << n, m | p << n)]
+    members = {m.plus | m.minus << n for m in s.members}
+    if composition_closure(n, codes, members) != members:
+        return False
+
+    common = full
+    for zero in zeros:
+        common &= zero
+    holders: dict[int, list[int]] = {}
+    for k, zero in enumerate(zeros):
+        for bit in _bits(zero & ~common):
+            holders.setdefault(bit, []).append(k)
+    # zero sets that share no element outside the common part meet in it,
+    # which is then a coline only if no two zero sets share such an element
+    pencils: dict[int, set[int]] = {}
+    for group in holders.values():
+        for a, k in enumerate(group):
+            for j in group[a + 1 :]:
+                pencils.setdefault(zeros[k] & zeros[j], set()).update((k, j))
+    if not pencils and len(zeros) > 1:
+        pencils[common] = set(range(len(zeros)))
+
+    for line in _maximal(pencils):
+        pencil = [(*cocircuits[k], zeros[k] & ~line) for k in pencils[line]]
+        owner = {bit: h for h, (_, _, rest) in enumerate(pencil) for bit in _bits(rest)}
+        for a, (xp, xm, _) in enumerate(pencil):
+            for bp, bm, _ in pencil[a + 1 :]:
+                for yp, ym in ((bp, bm), (bm, bp)):
+                    sep = (xp & ym) | (xm & yp)
+                    no_plus, no_minus = ~(xp | yp), ~(xm | ym)
+                    while sep:
+                        h = owner.get(sep & -sep)
+                        if h is None:
+                            return False
+                        # Z or -Z must have its + within X+ | Y+ and its - within X- | Y-
+                        zp, zm, rest = pencil[h]
+                        if (zp & no_plus or zm & no_minus) and (zm & no_plus or zp & no_minus):
+                            return False
+                        sep &= ~rest
+    return True
+
+
+def _elimination_witness(s: CovectorSet) -> tuple[SignVector, SignVector, int] | None:
+    """First (u, v, j) over member pairs in order with no member eliminating j between u and v.
+
+    Elimination is symmetric in (u, v): S(u,v) = S(v,u) and the two
+    compositions agree outside S, so unordered pairs suffice.  Pairs that
+    share (S, composition-outside-S) pose the same requirement and are
+    deduplicated.
     """
     full = (1 << s.n) - 1
-    index = {(m.plus, m.minus) for m in s.members}
     vectors = [(m.plus, m.minus) for m in s.members]
-
-    zero_ok = (0, 0) in index
-
-    negation_ok = True
-    negation_witness = None
-    for m in s.members:
-        if (m.minus, m.plus) not in index:
-            negation_ok = False
-            negation_witness = m
-            break
-
-    gap = _composition_gap(s.members)
-
-    # Elimination is symmetric in (u, v): S(u,v) = S(v,u) and the two
-    # compositions agree outside S, so unordered pairs suffice.  Pairs that
-    # share (S, composition-outside-S) pose the same requirement and are
-    # deduplicated.
-    elimination_ok = True
-    elimination_witness = None
     seen: set[tuple[int, int, int]] = set()
     count = len(vectors)
     for a in range(count):
@@ -379,29 +487,37 @@ def check_covector_axioms(s: CovectorSet) -> AxiomReport:
                     if not remaining:
                         break
             if remaining:
-                elimination_ok = False
                 j = remaining & -remaining
-                elimination_witness = (
-                    SignVector(s.n, up, um),
-                    SignVector(s.n, vp, vm),
-                    j.bit_length(),
-                )
-                break
-        if not elimination_ok:
-            break
+                return SignVector(s.n, up, um), SignVector(s.n, vp, vm), j.bit_length()
+    return None
 
-    report = AxiomReport(
-        zero_ok,
-        negation_ok,
+
+def check_covector_axioms(s: CovectorSet) -> AxiomReport:
+    """Run the four covector axioms; marks the set verified when all pass.
+
+    Failures are report content, not exceptions; each failed axiom carries
+    one concrete witness.  ``_cocircuit_check`` decides a passing set from
+    its own minimal-support members.  Only when it fails do the per-axiom
+    scans run, the pairwise elimination scan ``_elimination_witness``
+    included, so a failing set reports the first failing (u, v, j) in
+    member order.
+    """
+    if _cocircuit_check(s):
+        object.__setattr__(s, "verified", True)
+        return AxiomReport(True, True, True, True)
+    index = {(m.plus, m.minus) for m in s.members}
+    negation_witness = next((m for m in s.members if (m.minus, m.plus) not in index), None)
+    gap = _composition_gap(s.members)
+    elimination_witness = _elimination_witness(s)
+    return AxiomReport(
+        (0, 0) in index,
+        negation_witness is None,
         gap is None,
-        elimination_ok,
+        elimination_witness is None,
         negation_witness,
         None if gap is None else gap[:2],
         elimination_witness,
     )
-    if report.ok:
-        object.__setattr__(s, "verified", True)
-    return report
 
 
 def _chain_ranks(s: CovectorSet) -> dict[SignVector, int]:

@@ -487,6 +487,7 @@ def product_formula(f: FiberView, specialize: Specialization | None = None) -> F
 def determinant(
     f: FiberView,
     specialize: Specialization | None = None,
+    *,
     force: bool = False,
 ) -> IntPolynomial:
     """Exact symbolic determinant of a fiber's distance matrix, optionally specialized.
@@ -759,6 +760,7 @@ def verify(
     seed: int = 0,
     evals: int = 5,
     specialize: Specialization | None = None,
+    *,
     force_symbolic: bool = False,
 ) -> VerificationReport:
     """Check determinant = factored product on a fiber.
@@ -775,7 +777,7 @@ def verify(
         mode = "symbolic" if size <= SYMBOLIC_LIMIT else "randomized"
     # the guard's and the matrix's errors are reported before the multiplicities'
     if mode == "symbolic":
-        det = determinant(f, specialize, force_symbolic)
+        det = determinant(f, specialize, force=force_symbolic)
     else:
         matrix = build_matrix(f)
     faces = face_multiplicities(f)

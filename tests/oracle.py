@@ -3,18 +3,20 @@
 Everything here deliberately avoids the package's optimized code paths:
 the determinant oracle is a permutation expansion (no elimination), the
 axiom oracle is a direct quantifier translation over sign tuples, the
-closure oracle composes every ordered pair of SignVector objects, the
-boundary-maximum oracle compares each index's candidates below each tope
-pairwise, the enumeration oracle runs a feasibility test on every sign
-vector, the feasibility oracle is Gaussian substitution of the equalities
-over Fraction followed by Fourier-Motzkin on the reduced forms, the
-incremental enumeration oracle extends the covectors one hyperplane at a
-time by integer Fourier-Motzkin tests, with no cocircuit, the chain
-oracle is a recursive longest-path search, the specialization oracle is
-the general substitution homomorphism built from polynomial products and
-powers, the elimination oracle is the fused Bareiss kernel that expands
-every intermediate entry, the degree-bound oracle reads the row maxima off
-the polynomial entries rather than the tope masks, and the modular
+elimination-witness oracle scans member pairs and every member per
+separated index with no deduplication, the closure oracle composes every
+ordered pair of SignVector objects, the boundary-maximum oracle compares
+each index's candidates below each tope pairwise, the enumeration oracle
+runs a feasibility test on every sign vector, the feasibility oracle is
+Gaussian substitution of the equalities over Fraction followed by
+Fourier-Motzkin on the reduced forms, the incremental enumeration oracle
+extends the covectors one hyperplane at a time by integer
+Fourier-Motzkin tests, with no cocircuit, the chain oracle is a
+recursive longest-path search, the specialization oracle is the general
+substitution homomorphism built from polynomial products and powers, the
+elimination oracle is the fused Bareiss kernel that expands every
+intermediate entry, the degree-bound oracle reads the row maxima off the
+polynomial entries rather than the tope masks, and the modular
 determinant oracle eliminates on lists of residues, one interpreted step
 per entry.
 
@@ -41,7 +43,7 @@ from omdet.polyring import (
     var_label,
 )
 from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors, sign_feasible
-from omdet.signvec import CovectorSet, FiberError, SignVector, compose, leq, topal_fiber
+from omdet.signvec import CovectorSet, FiberError, SignVector, compose, leq, separation, topal_fiber
 from omdet.wiring import WiringDiagram
 
 
@@ -140,6 +142,34 @@ def first_composition_gap(members):
             if compose(u, v) not in index:
                 return u, v, compose(u, v)
     return None
+
+
+def first_elimination_failure(members):
+    """First (u, v, j) over pairs u before v in member order, j ascending in S(u, v),
+    such that no member is zero at j and equals u o v outside S(u, v)."""
+    members = list(members)
+    for a, u in enumerate(members):
+        for v in members[a + 1 :]:
+            sep = separation(u, v)
+            outside = [i for i in range(1, u.n + 1) if i not in sep]
+            comp = compose(u, v)
+            for j in sorted(sep):
+                if not any(
+                    w.sign(j) == 0 and all(w.sign(i) == comp.sign(i) for i in outside) for w in members
+                ):
+                    return u, v, j
+    return None
+
+
+def closure(vectors):
+    """The zero vector, the vectors and their negatives, closed under composition pair by pair."""
+    vectors = list(vectors)
+    closed = {SignVector.zero(vectors[0].n)} | set(vectors) | {-v for v in vectors}
+    while True:
+        grown = closed | {compose(u, v) for u in closed for v in closed}
+        if grown == closed:
+            return CovectorSet.of(closed)
+        closed = grown
 
 
 def bmax_table(f, i: int) -> dict:

@@ -369,7 +369,7 @@ class TestLimits:
     def test_exponent_overflow_exits_two(self, capsys, monkeypatch, one_line_cov):
         # no input reaches the exponent lane cap in test time, so the
         # determinant is replaced by one that overflows
-        def overflow(*args):
+        def overflow(*args, **kwargs):
             raise ExponentOverflowError("exponent overflow during division")
 
         monkeypatch.setattr(omdet.cli, "determinant", overflow)

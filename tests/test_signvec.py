@@ -3,17 +3,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omdet.realizable import enumerate_covectors
+import omdet.signvec
+from omdet.realizable import RationalArrangement, _cocircuits, enumerate_covectors
 from omdet.signvec import (
     CovectorSet,
     FiberError,
     FiberView,
     SignVector,
     _bmax_table,
+    _cocircuit_check,
     _composition_gap,
+    _elimination_witness,
     boundary_max,
     check_covector_axioms,
     compose,
+    composition_closure,
     fiber_of,
     format_cov,
     leq,
@@ -35,11 +39,13 @@ from omdet.wiring import faces, non_pappus
 from oracle import (
     bmax_table,
     boundary_multiplicity,
+    closure,
     concurrent_lines,
     coord_lines,
     corpus_fibers,
     corpus_sets,
     first_composition_gap,
+    first_elimination_failure,
     longest_chain_to,
     naive_axiom_check,
     one_line,
@@ -183,6 +189,152 @@ class TestAxioms:
                     continue
                 mutated = CovectorSet.of([m for m in s.members if m != removed])
                 assert not check_covector_axioms(mutated).ok, (name, str(removed))
+
+
+def _small_arrangement(rng: random.Random) -> RationalArrangement:
+    d, n = rng.choice((2, 3, 3)), rng.randint(2, 5)
+    normals = []
+    while len(normals) < n:
+        normal = [rng.randint(-2, 2) for _ in range(d)]
+        if any(normal):
+            normals.append(normal)
+    return RationalArrangement.of(normals)
+
+
+def _cocircuit_vectors(rng: random.Random) -> list[SignVector]:
+    arr = _small_arrangement(rng)
+    return [SignVector(arr.n, plus, minus) for plus, minus in sorted(_cocircuits(arr))]
+
+
+def _random_vector(rng: random.Random, n: int, within: int | None = None) -> SignVector:
+    plus = minus = 0
+    for i in range(n):
+        if within is None or within >> i & 1:
+            sign = rng.choice((-1, 0, 1) if within is None else (-1, 1))
+            plus |= (sign > 0) << i
+            minus |= (sign < 0) << i
+    return SignVector(n, plus, minus)
+
+
+def _arrangement(rng):
+    return closure(_cocircuit_vectors(rng))
+
+
+def _cocircuit_subset(rng):
+    cocircuits = _cocircuit_vectors(rng)
+    return closure(rng.sample(cocircuits, rng.randint(1, len(cocircuits))))
+
+
+def _one_sign_flipped(rng):
+    cocircuits = _cocircuit_vectors(rng)
+    x = rng.choice(cocircuits)
+    bit = 1 << (rng.choice(sorted(x.support())) - 1)
+    kept = [c for c in cocircuits if c not in (x, -x)]
+    return closure(kept + [SignVector(x.n, x.plus ^ bit, x.minus ^ bit)])
+
+
+def _random_vectors(rng):
+    n = rng.randint(1, 4)
+    return closure(_random_vector(rng, n) for _ in range(rng.randint(1, 4)))
+
+
+def _three_patterns(rng):
+    # x and y share the minimal support but y is neither x nor -x; the
+    # other generators' supports contain it
+    n = rng.randint(2, 4)
+    support = 0
+    while support.bit_count() < 2:
+        support = rng.getrandbits(n)
+    x = _random_vector(rng, n, support)
+    flip = 1 << rng.choice([i for i in range(n) if support >> i & 1])
+    y = SignVector(n, x.plus ^ flip, x.minus ^ flip)
+    wider = [_random_vector(rng, n, support | rng.getrandbits(n)) for _ in range(rng.randint(0, 2))]
+    return closure([x, y, *wider])
+
+
+def _with_loops(rng):
+    base = rng.choice(FAMILIES[:-1])[1](rng)
+    width = base.n + rng.randint(1, 2)
+    kept = sorted(rng.sample(range(width), base.n))
+
+    def widen(m):
+        text = ["0"] * width
+        for pos, ch in zip(kept, str(m)):
+            text[pos] = ch
+        return sv("".join(text))
+
+    return CovectorSet.of(map(widen, base.members), n=width)
+
+
+FAMILIES = [
+    ("arrangement", _arrangement),
+    ("cocircuit subset", _cocircuit_subset),
+    ("one sign flipped", _one_sign_flipped),
+    ("random vectors", _random_vectors),
+    ("three sign patterns", _three_patterns),
+    ("loops", _with_loops),
+]
+
+
+def _cocircuit_verdict(s: CovectorSet) -> bool:
+    """The cocircuit check's verdict on s, after comparing it with the pairwise scans."""
+    fast = _cocircuit_check(s)
+    witness = first_elimination_failure(s.members)
+    assert _elimination_witness(s) == witness
+    assert fast == (witness is None)
+    report = check_covector_axioms(s)
+    assert report.zero_ok and report.negation_ok and report.composition_ok
+    assert report.elimination_witness == witness
+    if len(s) <= 40:
+        assert naive_axiom_check(s.members) == fast
+    return fast
+
+
+class TestCocircuitCheck:
+    """The cocircuit check against the pairwise scans on sets that hold 0
+    and are closed under negation and composition."""
+
+    @pytest.mark.parametrize("family", [name for name, _ in FAMILIES])
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_pairwise_scans(self, family, seed):
+        _cocircuit_verdict(dict(FAMILIES)[family](random.Random(seed)))
+
+    def test_families_reach_both_verdicts(self):
+        verdicts = {
+            name: {_cocircuit_verdict(build(random.Random(seed))) for seed in range(25)}
+            for name, build in FAMILIES
+        }
+        assert verdicts == {
+            "arrangement": {True},
+            "cocircuit subset": {True, False},
+            "one sign flipped": {True, False},
+            "random vectors": {True, False},
+            "three sign patterns": {False},
+            "loops": {True, False},
+        }
+
+    def test_closure_stops_outside_the_set(self):
+        # the unit vectors' closure is all 3^n sign vectors; the check must
+        # stop at the first composition that is not a member
+        n = 9
+        units = [SignVector(n, 1 << i, 0) for i in range(n)] + [SignVector(n, 0, 1 << i) for i in range(n)]
+        codes = {u.plus | u.minus << n for u in units}
+        assert composition_closure(n, codes, codes | {0}) is None
+        assert len(composition_closure(n, codes)) == 3**n
+        report = check_covector_axioms(CovectorSet.of(units + [SignVector.zero(n)]))
+        assert report.composition_witness == (units[n], units[n + 1])
+
+    def test_pairwise_scan_never_runs_on_passing_sets(self, monkeypatch):
+        def scan(s):
+            raise AssertionError("the pairwise scan ran on a passing set")
+
+        monkeypatch.setattr(omdet.signvec, "_elimination_witness", scan)
+        for name, s in corpus_sets().items():
+            assert check_covector_axioms(CovectorSet.of(s.members, n=s.n)).ok, name
+        rng = random.Random(24)
+        normals = [[rng.randint(-9, 9) or 1 for _ in range(3)] for _ in range(24)]
+        assert enumerate_covectors(RationalArrangement.of(normals)).verified
 
 
 class TestStructure:

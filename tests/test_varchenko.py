@@ -188,6 +188,15 @@ class TestDeterminant:
             determinant(f)
         assert determinant(f, force=True) == unguarded
 
+    def test_overrides_are_keyword_only(self):
+        # a positional third argument used to be max_topes; it must not
+        # become a truthy override that skips the guard
+        f = whole_fiber(concurrent_lines())
+        with pytest.raises(TypeError):
+            determinant(f, None, 16)
+        with pytest.raises(TypeError):
+            verify(f, "symbolic", 0, 5, None, 16)
+
     def test_size_guard_runs_before_the_matrix(self, monkeypatch):
         def no_matrix(f):
             raise AssertionError("the matrix was built past the guard")
