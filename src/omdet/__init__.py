@@ -25,7 +25,6 @@ from .signvec import (
     FiberError,
     FiberView,
     SignVector,
-    boundary_max,
     check_covector_axioms,
     compose,
     fiber_of,
@@ -35,8 +34,6 @@ from .signvec import (
     multiplicity,
     negate,
     parse_cov,
-    poset_rank,
-    rank,
     separation,
     topal_fiber,
     topes,
@@ -48,14 +45,12 @@ from .varchenko import (
     VarchenkoMatrix,
     VerificationReport,
     build_matrix,
-    cfd_check,
     determinant,
     distance,
     face_multiplicities,
     product_formula,
     verify,
     weight_monomial,
-    witt_check,
 )
 from .realizable import (
     RationalArrangement,

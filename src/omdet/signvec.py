@@ -520,42 +520,6 @@ def check_covector_axioms(s: CovectorSet) -> AxiomReport:
     )
 
 
-def _chain_ranks(s: CovectorSet) -> dict[SignVector, int]:
-    """Longest-chain length from the all-zeros vector to each member."""
-    cached = getattr(s, "_chain_rank_cache", None)
-    if cached is not None:
-        return cached
-    by_support = sorted(s.members, key=lambda m: (bin(m.support_mask).count("1"),) + m.sort_key())
-    ranks: dict[SignVector, int] = {}
-    for v in by_support:
-        best = 0
-        for u, r in ranks.items():
-            if u != v and leq(u, v) and r + 1 > best:
-                best = r + 1
-        ranks[v] = best if v.support_mask else 0
-    object.__setattr__(s, "_chain_rank_cache", ranks)
-    return ranks
-
-
-def rank(s: CovectorSet) -> int:
-    """Length of a longest chain in (s, <=)."""
-    if not s.verified:
-        raise ValueError("rank requires a set that passed the covector axioms")
-    if not s.members:
-        return 0
-    return max(_chain_ranks(s).values())
-
-
-def poset_rank(s: CovectorSet, u: SignVector) -> int:
-    """Length of a longest chain from the all-zeros vector up to u."""
-    if not s.verified:
-        raise ValueError("poset_rank requires a set that passed the covector axioms")
-    ranks = _chain_ranks(s)
-    if u not in ranks:
-        raise ValueError(f"{u} is not a member of the set")
-    return ranks[u]
-
-
 @dataclass(frozen=True)
 class FiberView:
     """The covectors of a base set that agree with an anchor outside I.
@@ -675,34 +639,32 @@ def validate_fiber(f: FiberView) -> tuple[str, ...]:
 
 
 def _bmax_sweep(f: FiberView):
-    """(maxima, counts, invalid) of every free index in one sweep over the topes, cached on the fiber.
+    """(counts, invalid) of every free index in one sweep over the topes, cached on the fiber.
 
-    ``maxima[i]`` lists, in tope order, the maximum of each tope's i-th
-    boundary (None when the boundary is empty), ``counts[i]`` counts the
-    topes per maximum by its (plus, minus) masks, and ``invalid[i]`` is the
-    first tope whose i-th boundary has no unique maximum.  A member lies
-    below a tope exactly when it is the tope restricted to the member's
-    support, so the members are grouped by support and looked up by the
-    tope's plus mask on it.  The members below a tope agree with it, so
-    their join (the OR of their masks) is a sign vector; a boundary has a
-    unique maximum exactly when its join is a member, and the join is then
-    that maximum.
+    ``counts[i]`` counts the topes per maximum of their i-th boundary, by
+    the maximum's (plus, minus) masks; topes with an empty i-th boundary are
+    not counted.  ``invalid[i]`` is the first tope whose i-th boundary has
+    no unique maximum.  A member lies below a tope exactly when it is the
+    tope restricted to the member's support, so the members are grouped by
+    support and looked up by the tope's plus mask on it.  The members below
+    a tope agree with it, so their join (the OR of their masks) is a sign
+    vector; a boundary has a unique maximum exactly when its join is a
+    member, and the join is then that maximum.
     """
     cached = f._cache.get("bmax")
     if cached is not None:
         return cached
     free = f.free_mask
-    by_masks = {(m.plus, m.minus): m for m in f.members}
+    member_masks = {(m.plus, m.minus) for m in f.members}
     by_support: dict[int, dict[int, tuple[int, int]]] = {}
-    for masks in by_masks:
+    for masks in member_masks:
         support = masks[0] | masks[1]
         if free & ~support:
             by_support.setdefault(support, {})[masks[0]] = masks
     groups = [(s, sorted(_mask_to_indices(free & ~s)), below) for s, below in by_support.items()]
-    maxima = {i: [None] * len(f.topes) for i in f.free}
     counts: dict[int, dict[tuple[int, int], int]] = {i: {} for i in f.free}
     invalid: dict[int, SignVector] = {}
-    for k, t in enumerate(f.topes):
+    for t in f.topes:
         joins: dict[int, tuple[int, int]] = {}
         for support, zeros, below in groups:
             w = below.get(t.plus & support)
@@ -711,23 +673,21 @@ def _bmax_sweep(f: FiberView):
                     j = joins.get(i)
                     joins[i] = w if j is None else (j[0] | w[0], j[1] | w[1])
         for i, join in joins.items():
-            best = by_masks.get(join)
-            if best is None:
-                invalid.setdefault(i, t)
-            else:
-                maxima[i][k] = best
+            if join in member_masks:
                 counts[i][join] = counts[i].get(join, 0) + 1
-    result = f._cache["bmax"] = maxima, counts, invalid
+            else:
+                invalid.setdefault(i, t)
+    result = f._cache["bmax"] = counts, invalid
     return result
 
 
-def _bmax(f: FiberView, i: int) -> tuple[list, dict[tuple[int, int], int]]:
-    """(maxima, counts) of the i-th boundaries, from the sweep.
+def _bmax(f: FiberView, i: int) -> dict[tuple[int, int], int]:
+    """Tope counts per maximum of the i-th boundaries, by its (plus, minus) masks, from the sweep.
 
     Raises FiberError at the first tope whose i-th boundary has no unique
     maximum, naming it, the index and two incomparable candidates.
     """
-    maxima, counts, invalid = _bmax_sweep(f)
+    counts, invalid = _bmax_sweep(f)
     t = invalid.get(i)
     if t is not None:
         bit = 1 << (i - 1)
@@ -738,28 +698,7 @@ def _bmax(f: FiberView, i: int) -> tuple[list, dict[tuple[int, int], int]]:
             f"boundary of tope {t} at index {i} has no unique maximum "
             f"({w} and {best} are incomparable); not a valid fiber"
         )
-    return maxima[i], counts[i]
-
-
-def _bmax_table(f: FiberView, i: int) -> dict[SignVector, SignVector | None]:
-    """Per-tope maximum of the i-th boundary, cached on the fiber."""
-    key = ("bmax", i)
-    if key not in f._cache:
-        f._cache[key] = dict(zip(f.topes, _bmax(f, i)[0]))
-    return f._cache[key]
-
-
-def boundary_max(f: FiberView, t: SignVector, i: int) -> SignVector | None:
-    """Unique maximum of {w in fiber | w <= t, w_i = 0}, or None when empty.
-
-    A nonempty boundary without a unique maximum means the input is not a
-    valid oriented-matroid fiber and raises FiberError.
-    """
-    if t not in f or not t.is_tope:
-        raise ValueError(f"{t} is not a tope of the fiber")
-    if i not in f.free:
-        raise ValueError(f"index {i} is not in the fiber's free set")
-    return _bmax_table(f, i)[t]
+    return counts[i]
 
 
 def multiplicity(f: FiberView, u: SignVector) -> int:
@@ -778,7 +717,7 @@ def multiplicity(f: FiberView, u: SignVector) -> int:
         raise FiberError(f"{u} has no zero index inside the free set")
     values = []
     for i in admissible:
-        count = _bmax(f, i)[1].get((u.plus, u.minus), 0)
+        count = _bmax(f, i).get((u.plus, u.minus), 0)
         if count % 2:
             raise FiberError(
                 f"odd boundary count {count} for {u} at index {i}; not a valid fiber"

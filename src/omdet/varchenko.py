@@ -81,18 +81,13 @@ from .polyring import (
     var_label,
 )
 from .signvec import (
-    CovectorSet,
     FiberError,
     FiberView,
     SignVector,
     _mask_to_indices,
     _separation_mask,
-    compose,
-    leq,
     loops,
     multiplicity,
-    poset_rank,
-    topes,
     validate_fiber,
     weight_exponents,
 )
@@ -805,61 +800,3 @@ def verify(
         degree_bound=max(row_degree, formula.total_degree()),
         evals=records,
     )
-
-
-# identity checkers
-
-
-def cfd_check(f: FiberView, c: SignVector, d: SignVector, face: SignVector) -> bool:
-    """Distance factorization through a face below the first tope.
-
-    For topes C, D of the fiber and a member F with F <= C, checks
-    v(C, D) == v(C, F o D) * v(F o D, D).
-    """
-    if c not in f or not c.is_tope:
-        raise ValueError(f"{c} is not a tope of the fiber")
-    if d not in f or not d.is_tope:
-        raise ValueError(f"{d} is not a tope of the fiber")
-    if face not in f:
-        raise ValueError(f"{face} is not a fiber member")
-    if not leq(face, c):
-        raise ValueError(f"{face} is not below {c}")
-    fd = compose(face, d)
-    if fd not in f:
-        raise FiberError(f"composition {face} o {d} escapes the fiber")
-    free = sorted(f.free)
-    nvars = 2 * f.n
-    lhs = distance(c, d, free, nvars)
-    rhs = distance(c, fd, free, nvars) * distance(fd, d, free, nvars)
-    return lhs == rhs
-
-
-def witt_check(s: CovectorSet, a: SignVector, d: SignVector, x) -> bool:
-    """Alternating-sum identity over the faces nested between a and a tope d.
-
-    With rk the longest-chain rank from the all-zeros vector, checks
-
-      sum_{F: a <= F <= d} (-1)^rk(F) * sum_{C tope: F o C = d} x_C
-        == (-1)^rk(d) * sum_{C tope: a o C = a o (-d)} x_C
-
-    for an integer weight x_C per tope (missing topes weigh 0).
-    """
-    if not s.verified:
-        raise ValueError("witt_check requires a set that passed the covector axioms")
-    if a not in s:
-        raise ValueError(f"{a} is not a member of the set")
-    if d not in s or not d.is_tope:
-        raise ValueError(f"{d} is not a tope of the set")
-    if not leq(a, d) or a == d:
-        raise ValueError("need a nested pair: a <= d and a != d")
-    all_topes = topes(s)
-    lhs = 0
-    for face in s.members:
-        if leq(a, face) and leq(face, d):
-            coeff = sum(x.get(c, 0) for c in all_topes if compose(face, c) == d)
-            if coeff:
-                lhs += (-1) ** poset_rank(s, face) * coeff
-    target = compose(a, -d)
-    rhs_sum = sum(x.get(c, 0) for c in all_topes if compose(a, c) == target)
-    rhs = (-1) ** poset_rank(s, d) * rhs_sum
-    return lhs == rhs

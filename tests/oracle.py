@@ -21,7 +21,9 @@ determinant oracle eliminates on lists of residues, one interpreted step
 per entry.
 
 The polynomial helpers the tests need but the package does not (the text
-parser, exact division and the constant term) live here as well.
+parser, exact division and the constant term) live here as well, and so
+do the checkers of the paper's lemmas: Witt's alternating sum, with ranks
+from the chain oracle, and the distance factorization through a face.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 from math import gcd, lcm
 
@@ -43,7 +46,8 @@ from omdet.polyring import (
     var_label,
 )
 from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors, sign_feasible
-from omdet.signvec import CovectorSet, FiberError, SignVector, compose, leq, separation, topal_fiber
+from omdet.signvec import CovectorSet, FiberError, SignVector, compose, leq, separation, topal_fiber, topes
+from omdet.varchenko import distance
 from omdet.wiring import WiringDiagram
 
 
@@ -216,6 +220,71 @@ def longest_chain_to(members, target) -> int:
     if not below:
         return 0
     return 1 + max(longest_chain_to(members, m) for m in below)
+
+
+@cache
+def chain_ranks(members) -> dict:
+    """Longest-chain rank of every member, once per member tuple."""
+    return {m: longest_chain_to(members, m) for m in members}
+
+
+# paper lemmas
+
+
+def cfd_check(f, c: SignVector, d: SignVector, face: SignVector) -> bool:
+    """Distance factorization through a face below the first tope.
+
+    For topes C, D of the fiber and a member F with F <= C, checks
+    v(C, D) == v(C, F o D) * v(F o D, D).
+    """
+    if c not in f or not c.is_tope:
+        raise ValueError(f"{c} is not a tope of the fiber")
+    if d not in f or not d.is_tope:
+        raise ValueError(f"{d} is not a tope of the fiber")
+    if face not in f:
+        raise ValueError(f"{face} is not a fiber member")
+    if not leq(face, c):
+        raise ValueError(f"{face} is not below {c}")
+    fd = compose(face, d)
+    if fd not in f:
+        raise FiberError(f"composition {face} o {d} escapes the fiber")
+    free = sorted(f.free)
+    nvars = 2 * f.n
+    lhs = distance(c, d, free, nvars)
+    rhs = distance(c, fd, free, nvars) * distance(fd, d, free, nvars)
+    return lhs == rhs
+
+
+def witt_check(s: CovectorSet, a: SignVector, d: SignVector, x) -> bool:
+    """Alternating-sum identity over the faces nested between a and a tope d.
+
+    With rk the longest-chain rank from the all-zeros vector, checks
+
+      sum_{F: a <= F <= d} (-1)^rk(F) * sum_{C tope: F o C = d} x_C
+        == (-1)^rk(d) * sum_{C tope: a o C = a o (-d)} x_C
+
+    for an integer weight x_C per tope (missing topes weigh 0).
+    """
+    if not s.verified:
+        raise ValueError("witt_check requires a set that passed the covector axioms")
+    if a not in s:
+        raise ValueError(f"{a} is not a member of the set")
+    if d not in s or not d.is_tope:
+        raise ValueError(f"{d} is not a tope of the set")
+    if not leq(a, d) or a == d:
+        raise ValueError("need a nested pair: a <= d and a != d")
+    ranks = chain_ranks(s.members)
+    all_topes = topes(s)
+    lhs = 0
+    for face in s.members:
+        if leq(a, face) and leq(face, d):
+            coeff = sum(x.get(c, 0) for c in all_topes if compose(face, c) == d)
+            if coeff:
+                lhs += (-1) ** ranks[face] * coeff
+    target = compose(a, -d)
+    rhs_sum = sum(x.get(c, 0) for c in all_topes if compose(a, c) == target)
+    rhs = (-1) ** ranks[d] * rhs_sum
+    return lhs == rhs
 
 
 # shared corpus

@@ -14,7 +14,6 @@ from omdet.polyring import IntPolynomial, Specialization, factored_str
 from omdet.signvec import (
     CovectorSet,
     SignVector,
-    boundary_max,
     check_covector_axioms,
     format_cov,
     leq,
@@ -22,22 +21,18 @@ from omdet.signvec import (
     topal_fiber,
     topes,
 )
-from omdet.varchenko import (
-    build_matrix,
-    cfd_check,
-    determinant,
-    product_formula,
-    verify,
-    witt_check,
-)
+from omdet.varchenko import build_matrix, determinant, product_formula, verify
 from omdet.wiring import face_census, faces, non_pappus, validate
 
 from oracle import (
+    bmax_table,
+    cfd_check,
     corpus_fibers,
     corpus_sets,
     permutation_determinant,
     random_central_arrangement,
     random_wiring,
+    witt_check,
 )
 from omdet.realizable import enumerate_covectors
 
@@ -212,13 +207,14 @@ def test_criterion_4_multiplicity_well_defined():
     fibers["non_pappus"] = faces(non_pappus())
     pairs_checked = 0
     for name, fiber in fibers.items():
+        tables = {i: bmax_table(fiber, i) for i in fiber.free}
         for u in fiber.members:
             if u.is_tope:
                 continue
             admissible = sorted(i for i in u.zero_set() if i in fiber.free)
             counts = []
             for i in admissible:
-                count = sum(1 for t in fiber.topes if boundary_max(fiber, t, i) == u)
+                count = sum(1 for w in tables[i].values() if w == u)
                 assert count % 2 == 0, (name, str(u), i)
                 counts.append(count // 2)
             assert len(set(counts)) == 1, (name, str(u))
@@ -230,7 +226,7 @@ def test_criterion_4_multiplicity_well_defined():
                 for u in fiber.members
                 if not u.is_tope and u.sign(i) == 0
             )
-            rhs = sum(1 for t in fiber.topes if boundary_max(fiber, t, i) is not None)
+            rhs = sum(1 for w in tables[i].values() if w is not None)
             assert lhs == rhs, (name, i)
     report(4, pairs_checked > 0, f"beta independent of the index on {len(fibers)} fibers "
                                  f"({pairs_checked} face-index pairs), counting identity holds")

@@ -492,3 +492,24 @@ def test_fiber_without_topes_exits_two(capsys, tmp_path, command):
     path.write_text("n=2\nI=1,2\nu=00\n00\n")
     message = "error: the fiber has no topes; the distance matrix is empty\n"
     assert run(capsys, command, str(path)) == (2, "", message)
+
+
+PUBLIC_NAMES = """
+AxiomReport CovectorSet ExactDivisionError ExponentOverflowError FaceCensus FactoredPoly
+FiberError FiberView IntPolynomial RationalArrangement SignVector SizeGuardError
+Specialization VarchenkoMatrix VerificationReport WiringDiagram arrangement_fiber
+build_matrix check_covector_axioms compose determinant distance enumerate_covectors
+face_census face_multiplicities faces factored_str fiber_of format_cov homogenize leq
+loops multiplicity negate non_pappus parse_cov poly_str polyring product_formula
+realizable separation sign_feasible signvec topal_fiber topes validate validate_fiber
+var_index var_label varchenko verify weight_exponents weight_monomial wiring
+""".split()
+
+
+def test_public_namespace_is_pinned():
+    # a fresh interpreter, so that submodules other tests import (omdet.cli) do not show
+    env = dict(os.environ, PYTHONPATH=str(Path(omdet.cli.__file__).parents[1]))
+    code = 'import omdet; print(*sorted(n for n in vars(omdet) if not n.startswith("_")))'
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 54

@@ -22,7 +22,6 @@ from omdet.varchenko import (
     _lane_reducer,
     bareiss_determinant,
     build_matrix,
-    cfd_check,
     determinant,
     det_mod,
     distance,
@@ -34,12 +33,12 @@ from omdet.varchenko import (
     randomized_compare,
     verify,
     weight_monomial,
-    witt_check,
 )
 from omdet.wiring import WiringDiagram, faces, non_pappus
 
 from oracle import (
     _lane_bits,
+    cfd_check,
     concurrent_lines,
     constant_term,
     coord_lines,
@@ -61,6 +60,7 @@ from oracle import (
     substitute_factored,
     unpack_rows,
     whole_fiber,
+    witt_check,
 )
 
 sv = SignVector.from_string
