@@ -23,7 +23,12 @@ linear recurrence) and its leftover, and re-factors the result by trial
 division.  Under a specialization the bases can share factors and the
 leftover division can then be inexact; the kept binomials are multiplied
 back in and the division repeated.  The tests compare this against the fused
-kernel that expands every entry (``tests/oracle.py``).
+kernel that expands every entry (``tests/oracle.py``).  The intermediates are
+minors, a_ij = det M[{1..k, i}, {1..k, j}], so a variable swap sigma with
+sigma(M) = M^T gives sigma(a_ij) = a_ji.  The distance matrix has one:
+d(w, v) is d(v, w) with a_i^+ and a_i^- exchanged (the identity under all=a).
+So only the upper triangle is eliminated, unless a zero pivot turns up; the
+elimination then restarts on every entry, with row swaps.
 
 ``determinant(f, specialize)`` is the one symbolic entry point, used by
 ``verify`` and the command line alike: the size guard on the tope count,
@@ -66,6 +71,7 @@ from functools import cached_property
 from itertools import repeat
 
 from .polyring import (
+    LANE_BITS,
     ExactDivisionError,
     FactoredPoly,
     IntPolynomial,
@@ -418,6 +424,52 @@ def _product(x: dict, y: dict) -> dict:
     return out
 
 
+def _mirror(rows: list[list[IntPolynomial]], nvars: int):
+    """The identity if rows is symmetric, else (nvars even) the swap a_i^+ <-> a_i^- of every key in a
+    factored entry if it maps each rows[r][c] to rows[c][r], else None."""
+    pairs = [(x._terms, rows[c][r]._terms) for r, row in enumerate(rows) for c, x in enumerate(row) if c > r]
+    if all(x == y for x, y in pairs):
+        return lambda entry: entry
+    top = LANE_BITS * nvars
+    plus = sum(((1 << LANE_BITS) - 1) << LANE_BITS * lane for lane in range(1, nvars, 2))  # the a_i^+ lanes
+
+    def key(k: int) -> int:
+        return k >> top << top | (k & plus) >> LANE_BITS | (k & plus >> LANE_BITS) << LANE_BITS
+
+    def swap(terms: dict) -> dict:
+        return {key(k): v for k, v in terms.items()}
+
+    if nvars % 2 or any(swap(x) != y for x, y in pairs):
+        return None
+    return lambda entry: (swap(entry[0]), {(key(b), c): e for (b, c), e in entry[1].items()})
+
+
+def _factored_pass(start: list, nvars: int, candidates, mirror=None):
+    """(last pivot, sign) of eliminating a copy of the factored entries ``start``; with a mirror, only
+    the upper triangle, with column k read as the mirror of row k, and None at a zero pivot."""
+    a = [list(row) for row in start]
+    m, sign, prev = len(a), 1, ({0: 1}, {})
+    for k in range(m - 1):
+        if not a[k][k][0]:
+            if mirror:
+                return None
+            for r in range(k + 1, m):
+                if a[r][k][0]:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return ({}, {}), 1
+        pivot, row_k = a[k][k], a[k]
+        for i in range(k + 1, m):
+            row_i = a[i]
+            aik = mirror(row_k[i]) if mirror else row_i[k]
+            for j in range(i if mirror else k + 1, m):
+                row_i[j] = _update(nvars, pivot, row_i[j], aik, row_k[j], prev, candidates)
+        prev = pivot
+    return a[m - 1][m - 1], sign
+
+
 def factored_bareiss(rows: list[list[IntPolynomial]], nvars: int, bases=()) -> FactoredPoly:
     """Fraction-free elimination over entries kept as leftover * prod (1 - c*x^b)^e.
 
@@ -426,30 +478,16 @@ def factored_bareiss(rows: list[list[IntPolynomial]], nvars: int, bases=()) -> F
     them, smallest monomial first.  With no candidates this is plain
     elimination on the leftovers.  Returns the determinant as the leftover
     (sign included) times the binomial powers.
+
+    When ``_mirror`` finds sigma with sigma(M) = M^T, only the upper triangle
+    is eliminated, the lower one being its mirror; a zero pivot then restarts
+    the elimination from the input, on every entry and with row swaps.
     """
     candidates = sorted({bc for bc in map(_binomial, bases) if bc})
-    m = len(rows)
-    a = [[_refactor(nvars, e._terms, {}, candidates) for e in row] for row in rows]
-    sign = 1
-    prev = ({0: 1}, {})
-    for k in range(m - 1):
-        if not a[k][k][0]:
-            for r in range(k + 1, m):
-                if a[r][k][0]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return FactoredPoly(nvars, [(IntPolynomial.zero(nvars), 1)])
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, m):
-            row_i = a[i]
-            aik = row_i[k]
-            for j in range(k + 1, m):
-                row_i[j] = _update(nvars, pivot, row_i[j], aik, row_k[j], prev, candidates)
-        prev = pivot
-    lo, fac = a[m - 1][m - 1]
+    start = [[_refactor(nvars, e._terms, {}, candidates) for e in row] for row in rows]
+    mirror = _mirror(rows, nvars)
+    result = mirror and _factored_pass(start, nvars, candidates, mirror)
+    (lo, fac), sign = result or _factored_pass(start, nvars, candidates)
     factors = [(IntPolynomial(nvars, {0: 1, b: -c}), e) for (b, c), e in fac.items()]
     return FactoredPoly(nvars, factors + [(IntPolynomial(nvars, lo) * sign, 1)])
 

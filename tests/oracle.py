@@ -15,10 +15,11 @@ Fourier-Motzkin tests, with no cocircuit, the chain oracle is a
 recursive longest-path search, the specialization oracle is the general
 substitution homomorphism built from polynomial products and powers, the
 elimination oracle is the fused Bareiss kernel that expands every
-intermediate entry, the degree-bound oracle reads the row maxima off the
-polynomial entries rather than the tope masks, and the modular
-determinant oracle eliminates on lists of residues, one interpreted step
-per entry.
+intermediate entry (it also lists each step's minors), the side-swap
+oracle is that substitution exchanging each a_i^+ with a_i^-, the
+degree-bound oracle reads the row maxima off the polynomial entries
+rather than the tope masks, and the modular determinant oracle
+eliminates on lists of residues, one interpreted step per entry.
 
 The polynomial helpers the tests need but the package does not (the text
 parser, exact division and the constant term) live here as well, and so
@@ -107,6 +108,34 @@ def fused_bareiss(rows, nvars: int) -> IntPolynomial:
         prev = pivot
     det = a[m - 1][m - 1]
     return -det if sign < 0 else det
+
+
+def bareiss_minors(rows, nvars: int):
+    """The fused elimination's active submatrix after each step, with no row swaps (a zero pivot raises).
+
+    Entry (i, j) after step k is the minor of rows on the first k + 1 rows
+    and columns plus row k + 1 + i and column k + 1 + j.
+    """
+    m = len(rows)
+    a = [list(r) for r in rows]
+    prev = IntPolynomial.one(nvars)
+    steps = []
+    for k in range(m - 1):
+        pivot = a[k][k]
+        if pivot.is_zero:
+            raise ValueError(f"zero pivot at step {k}")
+        for i in range(k + 1, m):
+            aik = a[i][k]
+            for j in range(k + 1, m):
+                a[i][j] = mul_sub_div(pivot, a[i][j], aik, a[k][j], prev)
+        prev = pivot
+        steps.append([row[k + 1 :] for row in a[k + 1 :]])
+    return steps
+
+
+def swap_sides(p: IntPolynomial) -> IntPolynomial:
+    """p with every a_i^+ and a_i^- exchanged, by substitution."""
+    return substitute(p, {v: IntPolynomial.variable(p.nvars, v ^ 1) for v in range(p.nvars)})
 
 
 def naive_axiom_check(members) -> bool:

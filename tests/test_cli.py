@@ -419,6 +419,31 @@ def test_symbolic_verify_golden(capsys, tmp_path, fmt, name):
     _check_verify_golden(capsys, tmp_path, ["--mode", "symbolic"], fmt, "all=a", name)
 
 
+@pytest.mark.parametrize(
+    "fmt, spec, name",
+    [
+        # the factored elimination mirrors the upper triangle through the side swap
+        ("text", None, "verify_three_lines_symbolic_plain.txt"),
+        ("json", None, "verify_three_lines_symbolic_plain.json"),
+        # a zero pivot restarts it on the full loop; the determinant is 0
+        ("text", "a1p=1,a1m=1", "verify_three_lines_symbolic_a1p_1_a1m_1.txt"),
+        ("json", "a1p=1,a1m=1", "verify_three_lines_symbolic_a1p_1_a1m_1.json"),
+        # no mirror: the full loop
+        ("text", "a1p=0,a2m=-3", "verify_three_lines_symbolic_a1p_0_a2m_neg3.txt"),
+        ("json", "a1p=0,a2m=-3", "verify_three_lines_symbolic_a1p_0_a2m_neg3.json"),
+    ],
+)
+def test_symbolic_verify_mirror_golden(capsys, tmp_path, fmt, spec, name):
+    _check_verify_golden(capsys, tmp_path, ["--mode", "symbolic"], fmt, spec, name)
+
+
+def test_det_non_pappus_all_a_golden(capsys, nonpappus_cov):
+    # 33 topes under all=a: a symmetric matrix, mirrored by the identity
+    code, out, _ = run(capsys, "det", nonpappus_cov, "--specialize", "all=a", "--force-symbolic")
+    assert code == 0
+    assert out == (GOLDEN / "det_non_pappus_all_a.txt").read_text()
+
+
 def _check_verify_golden(capsys, tmp_path, mode_args, fmt, spec, name):
     path = tmp_path / "input.cov"
     path.write_text(format_cov(faces(non_pappus()) if "non_pappus" in name else concurrent_lines()))

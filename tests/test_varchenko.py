@@ -3,7 +3,7 @@ import random
 from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import omdet.varchenko
 from omdet.polyring import (
@@ -20,6 +20,7 @@ from omdet.varchenko import (
     SizeGuardError,
     _eliminate,
     _lane_reducer,
+    _mirror,
     bareiss_determinant,
     build_matrix,
     determinant,
@@ -38,6 +39,7 @@ from omdet.wiring import WiringDiagram, faces, non_pappus
 
 from oracle import (
     _lane_bits,
+    bareiss_minors,
     cfd_check,
     concurrent_lines,
     constant_term,
@@ -58,6 +60,7 @@ from oracle import (
     specialization_mapping,
     substitute,
     substitute_factored,
+    swap_sides,
     unpack_rows,
     whole_fiber,
     witt_check,
@@ -962,3 +965,146 @@ class TestFactoredBareissEdges:
         collapse = Specialization.collapse_all(m.nvars)
         rows = [[collapse.apply_poly(e) for e in row] for row in m.entries]
         assert determinant(f, collapse) == permutation_determinant(rows, 1)
+
+
+def _mirror_maps(nvars: int, kind: str, rng: random.Random):
+    """A specialization of the given kind: none, all=a, constant on both sides of
+    some hyperplanes (it commutes with the side swap), or constant on one side."""
+    if kind == "none":
+        return None
+    if kind == "all=a":
+        return Specialization.collapse_all(nvars)
+    planes = rng.sample(range(nvars // 2), rng.randint(1, nvars // 2))
+    if kind == "commuting":
+        values = {}
+        for i in planes:
+            values[2 * i] = values[2 * i + 1] = rng.randint(-2, 2)
+    else:
+        values = {2 * i + rng.randrange(2): rng.randint(-3, 3) for i in planes}
+    return Specialization.of(nvars, values)
+
+
+def _random_poly(rng: random.Random, nvars: int, bases) -> IntPolynomial:
+    """A few small terms, times one of the bases now and then."""
+    p = P.zero(nvars)
+    for _ in range(rng.randint(1, 3)):
+        exps = {v: rng.randint(0, 1) for v in range(nvars)}
+        p = p + P.monomial(nvars, exps, rng.choice((-2, -1, 1, 2)))
+    return p * rng.choice(bases) if rng.random() < 0.5 else p
+
+
+class TestMirroredBareiss:
+    """The upper-triangle elimination against the full-loop and permutation oracles.
+
+    sigma(M) = M^T for the side swap sigma (the identity when M is
+    symmetric), and the Bareiss intermediates are minors, so the full loop's
+    intermediates satisfy a_ji = sigma(a_ij): the mirrored pass reads the
+    lower triangle off the upper one.
+    """
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["none", "all=a", "commuting", "one-sided"]),
+    )
+    def test_seeded_fibers(self, seed, kind):
+        rng = random.Random(seed)
+        f = faces(random_wiring(rng, max_wires=4)) if seed % 2 else arrangement_fiber(random_central_arrangement(rng))
+        assume(len(f.topes) <= 10)
+        m = build_matrix(f)
+        spec = _mirror_maps(m.nvars, kind, rng)
+        formula = product_formula(f, spec)
+        rows = [list(r) for r in m.entries]
+        if spec is not None:
+            rows = [[spec.apply_poly(e) for e in row] for row in rows]
+        if kind != "one-sided":
+            assert _mirror(rows, formula.nvars) is not None
+        det = factored_bareiss(rows, formula.nvars, _bases(formula)).expand()
+        assert det == fused_bareiss(rows, formula.nvars) == formula.expand()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4))
+    def test_swap_symmetric_matrices(self, seed, m):
+        # none of these bases is fixed by the swap, so the mirror moves the binomials' keys
+        bases = [parse_poly(t, 4) for t in ("1 - a1p", "1 + 2*a1p*a2m", "1 - a2m^2", "1 - a1m*a2p")]
+        rng = random.Random(seed)
+        rows = [[None] * m for _ in range(m)]
+        for r in range(m):
+            # a zero on the diagonal now and then makes a zero pivot, and the mirrored pass restarts
+            q = _random_poly(rng, 4, bases) if rng.random() < 0.8 else P.zero(4)
+            rows[r][r] = q * swap_sides(q) if rng.random() < 0.5 else q + swap_sides(q)
+            for c in range(r + 1, m):
+                rows[r][c] = _random_poly(rng, 4, bases)
+                rows[c][r] = swap_sides(rows[r][c])
+        assert _mirror(rows, 4) is not None
+        expected = permutation_determinant(rows, 4)
+        assert factored_bareiss(rows, 4, bases).expand() == expected == fused_bareiss(rows, 4)
+        assert bareiss_determinant(rows, 4) == expected
+
+    def test_full_loop_intermediates_are_mirrored(self):
+        # the lemma behind the mirrored pass, on the full loop's own intermediates
+        for f in [whole_fiber(concurrent_lines())] + _seeded_fibers(count=8):
+            m = build_matrix(f)
+            collapse = Specialization.collapse_all(m.nvars)
+            cases = [([list(r) for r in m.entries], m.nvars, swap_sides)]
+            cases.append(([[collapse.apply_poly(e) for e in row] for row in m.entries], 1, lambda p: p))
+            for rows, nvars, sigma in cases:
+                for sub in bareiss_minors(rows, nvars):
+                    for i, row in enumerate(sub):
+                        assert all(sub[j][i] == sigma(x) for j, x in enumerate(row))
+        # and they are the minors: det rows[{0..k, k+1+i}, {0..k, k+1+j}]
+        rows = build_matrix(whole_fiber(concurrent_lines())).entries
+        for k, sub in enumerate(bareiss_minors(rows, 6)):
+            for i, row in enumerate(sub):
+                for j, x in enumerate(row):
+                    keep_r, keep_c = [*range(k + 1), k + 1 + i], [*range(k + 1), k + 1 + j]
+                    assert x == permutation_determinant([[rows[r][c] for c in keep_c] for r in keep_r], 6)
+
+
+def _counted_updates(monkeypatch) -> list:
+    calls = []
+    update = omdet.varchenko._update
+    monkeypatch.setattr(omdet.varchenko, "_update", lambda *args: calls.append(None) or update(*args))
+    return calls
+
+
+class TestMirroredUpdateCount:
+    """A mirrored pass updates (m-1)m(m+1)/6 entries, the full loop (m-1)m(2m-1)/6."""
+
+    @pytest.mark.parametrize(
+        "fiber, values",
+        [
+            ("three lines", None),  # the side swap
+            ("three lines", "all=a"),  # the identity
+            ("non-Pappus", "all=a"),
+        ],
+    )
+    def test_mirrored(self, monkeypatch, fiber, values):
+        f = whole_fiber(concurrent_lines()) if fiber == "three lines" else faces(non_pappus())
+        spec = None if values is None else Specialization.collapse_all(2 * f.n)
+        calls = _counted_updates(monkeypatch)
+        determinant(f, spec, force=True)
+        m = len(f.topes)
+        assert len(calls) == (m - 1) * m * (m + 1) // 6
+
+    def test_one_sided_map_runs_the_full_loop(self, monkeypatch):
+        f = whole_fiber(concurrent_lines())
+        calls = _counted_updates(monkeypatch)
+        determinant(f, Specialization.of(6, {0: 0, 3: -3}))
+        m = len(f.topes)
+        assert len(calls) == (m - 1) * m * (2 * m - 1) // 6
+
+    def test_zero_pivot_restarts_on_the_full_loop(self, monkeypatch):
+        f = whole_fiber(concurrent_lines())
+        spec = Specialization.of(6, {0: 1, 1: 1})
+        rows = [[spec.apply_poly(e) for e in row] for row in build_matrix(f).entries]
+        m = len(rows)
+        # the mirrored pass stops at step k, whose pivot is the leading (k+1)-minor
+        k = next(k for k in range(1, m) if permutation_determinant([r[: k + 1] for r in rows[: k + 1]], 6) == 0)
+        calls = _counted_updates(monkeypatch)
+        assert determinant(f, spec) == 0
+        mirrored = len(calls)
+        calls.clear()
+        monkeypatch.setattr(omdet.varchenko, "_mirror", lambda *args: None)
+        assert determinant(f, spec) == 0
+        assert mirrored == sum((m - 1 - s) * (m - s) // 2 for s in range(k)) + len(calls)
