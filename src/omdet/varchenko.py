@@ -426,8 +426,8 @@ def _product(x: dict, y: dict) -> dict:
 
 def _mirror(rows: list[list[IntPolynomial]], nvars: int):
     """The identity if rows is symmetric, else (nvars even) the swap a_i^+ <-> a_i^- of every key in a
-    factored entry if it maps each rows[r][c] to rows[c][r], else None."""
-    pairs = [(x._terms, rows[c][r]._terms) for r, row in enumerate(rows) for c, x in enumerate(row) if c > r]
+    factored entry if it maps each rows[r][c] to rows[c][r], the diagonal included, else None."""
+    pairs = [(x._terms, rows[c][r]._terms) for r, row in enumerate(rows) for c, x in enumerate(row) if c >= r]
     if all(x == y for x, y in pairs):
         return lambda entry: entry
     top = LANE_BITS * nvars

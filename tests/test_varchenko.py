@@ -1041,6 +1041,32 @@ class TestMirroredBareiss:
         assert factored_bareiss(rows, 4, bases).expand() == expected == fused_bareiss(rows, 4)
         assert bareiss_determinant(rows, 4) == expected
 
+    def test_diagonal_the_swap_moves_has_no_mirror(self):
+        # the off-diagonal entries mirror, but sigma(a1p) = a1m != a1p on the diagonal
+        rows = [[parse_poly(t, 2) for t in row] for row in (["a1p", "a1p", "0"], ["a1m", "1", "1"], ["0", "1", "1"])]
+        assert _mirror(rows, 2) is None
+        assert bareiss_determinant(rows, 2) == permutation_determinant(rows, 2) == parse_poly("-a1p*a1m", 2)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4))
+    def test_swap_symmetric_off_the_diagonal_only(self, seed, m):
+        bases = [parse_poly(t, 4) for t in ("1 - a1p", "1 + 2*a1p*a2m", "1 - a2m^2", "1 - a1m*a2p")]
+        rng = random.Random(seed)
+        rows = [[None] * m for _ in range(m)]
+        for r in range(m):
+            q = _random_poly(rng, 4, bases)
+            rows[r][r] = q * swap_sides(q)
+            for c in range(r + 1, m):
+                rows[r][c] = _random_poly(rng, 4, bases)
+                rows[c][r] = swap_sides(rows[r][c])
+        moved = rng.randrange(m)
+        rows[moved][moved] = rows[moved][moved] + parse_poly("a1p", 4)
+        # only the identity mirror (sigma-fixed entries off the diagonal) may remain
+        symmetric = all(rows[r][c] == rows[c][r] for r in range(m) for c in range(m))
+        assert symmetric or _mirror(rows, 4) is None
+        expected = permutation_determinant(rows, 4)
+        assert factored_bareiss(rows, 4, bases).expand() == expected == fused_bareiss(rows, 4)
+
     def test_full_loop_intermediates_are_mirrored(self):
         # the lemma behind the mirrored pass, on the full loop's own intermediates
         for f in [whole_fiber(concurrent_lines())] + _seeded_fibers(count=8):
