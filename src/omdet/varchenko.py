@@ -30,6 +30,11 @@ d(w, v) is d(v, w) with a_i^+ and a_i^- exchanged (the identity under all=a).
 So only the upper triangle is eliminated, unless a zero pivot turns up; the
 elimination then restarts on every entry, with row swaps.
 
+A binomial multiset is one integer with a 16-bit lane per candidate, laid out
+like a packed monomial key: multisets add as integers, and their common part
+is a SWAR lane-wise minimum (``_lane_min``).  With the swap mirror the
+candidates are closed under sigma, which permutes the lanes.
+
 ``determinant(f, specialize)`` is the one symbolic entry point, used by
 ``verify`` and the command line alike: the size guard on the tope count,
 then the matrix, the specialization, the candidates (the binomials of
@@ -67,20 +72,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, reduce
+from itertools import compress, repeat
+from operator import or_
 
 from .polyring import (
     LANE_BITS,
+    MAX_EXPONENT,
     ExactDivisionError,
+    ExponentOverflowError,
     FactoredPoly,
     IntPolynomial,
     Specialization,
     _accumulate_product,
     _divide_exact,
+    _lanes,
     _strip_and_check,
     divide_binomial,
     factored_str,
+    pack_monomial,
     poly_str,
     residues_mod,
     used_variables,
@@ -160,11 +170,20 @@ def _images(specialize: Specialization | None, nvars: int) -> tuple:
     return tuple((1, v) for v in range(nvars)) if specialize is None else specialize.images
 
 
-def _subset_products(values, prime: int) -> list[int]:
-    """Products mod prime over every subset of values, indexed by the subset's bitmask."""
+def _subset_products(values, modulus: int) -> list[int]:
+    """Products mod modulus over every subset of values, indexed by the subset's bitmask."""
     table = [1]
     for x in values:
-        table += [y * x % prime for y in table]
+        table += [y * x % modulus for y in table]
+    return table
+
+
+def _subset_terms(images, nvars: int) -> list[tuple[int, int]]:
+    """(coefficient, packed key) products over every subset of the images (c, t), by the subset's bitmask."""
+    table = [(1, 0)]
+    for c, t in images:
+        key = 0 if t is None else pack_monomial(nvars, {t: 1})
+        table += [(a * c, k + key) for a, k in table]
     return table
 
 
@@ -191,11 +210,22 @@ class VarchenkoMatrix:
     def nvars(self) -> int:
         return 2 * self.fiber.n
 
-    @cached_property
-    def entries(self) -> tuple[tuple[IntPolynomial, ...], ...]:
-        free = sorted(self.fiber.free)
-        ts = self.tope_order
-        return tuple(tuple(distance(tr, tc, free, self.nvars) for tc in ts) for tr in ts)
+    def polynomials(self, specialize: Specialization | None = None) -> tuple[tuple[IntPolynomial, ...], ...]:
+        """The entries under the optional specialization, in its target universe: the monomial twin of
+        ``residues``, over tables of (coefficient, packed key) products, whose keys add."""
+        nvars = self.nvars if specialize is None else specialize.nvars
+        tables = self._tables(_images(specialize, self.nvars), lambda images: _subset_terms(images, nvars))
+        rows = []
+        for r in range(self.size):
+            row = [(1, 0)] * self.size
+            for p_k, m_k, codes in tables:
+                pk, mk = codes[r]
+                lookups = [(p_k[pk & mc], m_k[mk & pc]) for pc, mc in codes]
+                row = [(a * x * y, k + kx + ky) for (a, k), ((x, kx), (y, ky)) in zip(row, lookups)]
+            rows.append(tuple(IntPolynomial(nvars, {k: a}) for a, k in row))
+        return tuple(rows)
+
+    entries = cached_property(polynomials)  # with no map, built on first use
 
     def entry(self, r: int, c: int) -> IntPolynomial:
         return self.entries[r][c]
@@ -205,31 +235,28 @@ class VarchenkoMatrix:
 
         Both are taken under the optional specialization, in its target
         universe.  A source variable sent to 0 makes every entry it divides
-        zero, and a zero entry uses no variable and has degree 0.
+        zero, and a zero entry uses no variable and has degree 0.  Evaluated as in
+        ``residues``, with every variable image at 2 and every other nonzero at 1, an entry is 2^degree or 0.
         """
         images = _images(specialize, self.nvars)
-        zero, var = [0, 0], [0, 0]
-        for v, (c, t) in enumerate(images):
-            if c == 0:
-                zero[v & 1] |= 1 << (v >> 1)
-            elif t is not None:
-                var[v & 1] |= 1 << (v >> 1)
-        (zero_p, zero_m), (var_p, var_m) = zero, var
+        x = [0 if c == 0 else 1 if t is None else 2 for c, t in images]
+        tables = self._tables(x, lambda values: _subset_products(values, 2 << self.nvars))  # nothing reduced
+        sides = (self.plus, self.minus)
+        every = [reduce(or_, masks) for masks in sides]
         used_p = used_m = degree = 0
-        for pr, mr in zip(self.plus, self.minus):
-            top = 0
-            for pc, mc in zip(self.plus, self.minus):
-                s, t = pr & mc, mr & pc
-                if not (s & zero_p or t & zero_m):
-                    s &= var_p
-                    t &= var_m
-                    used_p |= s
-                    used_m |= t
-                    top = max(top, s.bit_count() + t.bit_count())
-            degree += top
+        for r in range(self.size):
+            row = [1] * self.size
+            for p_k, m_k, codes in tables:
+                pk, mk = codes[r]
+                row = [v * p_k[pk & mc] * m_k[mk & pc] for v, (pc, mc) in zip(row, codes)]
+            degree += max(row).bit_length() - 1  # the diagonal entry is 1
+            # entry (r, c) uses a_i^+ over plus[r] & minus[c] and a_i^- over minus[r] & plus[c]
+            cols_p, cols_m = every if all(row) else [reduce(or_, compress(masks, row), 0) for masks in sides]
+            used_p |= self.plus[r] & cols_m
+            used_m |= self.minus[r] & cols_p
         used = {images[2 * i - 2][1] for i in _mask_to_indices(used_p)}
         used.update(images[2 * i - 1][1] for i in _mask_to_indices(used_m))
-        return sorted(used), degree
+        return sorted(used - {None}), degree
 
     @cached_property
     def _chunks(self) -> tuple[tuple[list[int], list[tuple[int, int]]], ...]:
@@ -254,6 +281,13 @@ class VarchenkoMatrix:
             chunks.append((idx, codes))
         return tuple(chunks)
 
+    def _tables(self, values, table) -> list:
+        """(P_k, M_k, codes) for each chunk k: table over the values of its a_i^+ and of its a_i^- in turn."""
+        return [
+            (table([values[2 * i - 2] for i in idx]), table([values[2 * i - 1] for i in idx]), codes)
+            for idx, codes in self._chunks
+        ]
+
     def residues(self, assignment, prime: int, specialize: Specialization | None = None) -> list[int]:
         """Packed rows of the entry residues at {variable: residue}, under the optional specialization.
 
@@ -269,14 +303,7 @@ class VarchenkoMatrix:
         """
         images = _images(specialize, self.nvars)
         x = [(c * assignment.get(t, 0) if t is not None else c) % prime for c, t in images]
-        tables = [
-            (
-                _subset_products([x[2 * i - 2] for i in idx], prime),
-                _subset_products([x[2 * i - 1] for i in idx], prime),
-                codes,
-            )
-            for idx, codes in self._chunks
-        ]
+        tables = self._tables(x, lambda values: _subset_products(values, prime))
         width = _lane_bytes(prime, self.size)
         rows = []
         for r in range(self.size):
@@ -315,34 +342,24 @@ def _binomial(base: IntPolynomial):
     return b, -terms[b]
 
 
-# A binomial multiset is a dict {(b, c): e} standing for prod (1 - c*x^b)^e.
-# These dicts are never changed in place once built, so entries share them.
+def _lane_check(x: int, guard: int) -> int:
+    """x, unless a lane reached its guard bit, which is past MAX_EXPONENT."""
+    if x & guard:
+        raise ExponentOverflowError(f"binomial power exceeds exponent limit {MAX_EXPONENT}")
+    return x
 
 
-def _plus(x: dict, y: dict) -> dict:
-    if not x or not y:
-        return x or y
-    out = dict(x)
-    for bc, e in y.items():
-        out[bc] = out.get(bc, 0) + e
-    return out
+def _lane_min(x: int, y: int, guard: int) -> int:
+    """The lane-wise minimum of two multisets: (x | guard) - y keeps a lane's guard bit exactly where
+    x >= y, with no borrow between lanes, and t - (t >> 15) makes each kept bit a mask selecting y."""
+    t = ((x | guard) - y) & guard
+    return x ^ ((x ^ y) & (t - (t >> (LANE_BITS - 1))))
 
 
-def _common(x: dict, y: dict) -> dict:
-    if not x or not y:
-        return {}
-    return {bc: min(e, y[bc]) for bc, e in x.items() if bc in y}
-
-
-def _minus(x: dict, y: dict) -> dict:
-    if not x or not y:
-        return x
-    return {bc: e - y.get(bc, 0) for bc, e in x.items() if e > y.get(bc, 0)}
-
-
-def _times_binomials(terms: dict, fac: dict) -> dict:
+def _times_binomials(terms: dict, fac: int, candidates) -> dict:
     """terms times the binomials of fac; zero coefficients are left in."""
-    for (b, c), e in fac.items():
+    for j, e in _lanes(len(candidates), fac):
+        b, c = candidates[j]
         for _ in range(e):
             out = dict(terms)
             for k, v in terms.items():
@@ -351,63 +368,65 @@ def _times_binomials(terms: dict, fac: dict) -> dict:
     return terms
 
 
-def _divide_out(nvars: int, terms: dict, fac: dict, lo: dict) -> dict:
+def _divide_out(nvars: int, terms: dict, fac: int, lo: dict, candidates) -> dict:
     """terms / (lo times the binomials of fac), exact or ExactDivisionError."""
-    for (b, c), e in fac.items():
+    for j, e in _lanes(len(candidates), fac) if fac else ():
         for _ in range(e):
-            terms = divide_binomial(nvars, terms, b, c)
+            terms = divide_binomial(nvars, terms, *candidates[j])
     return terms if lo == {0: 1} else _divide_exact(nvars, dict(terms), lo)
 
 
-def _refactor(nvars: int, terms: dict, fac: dict, candidates) -> tuple[dict, dict]:
+def _refactor(nvars: int, terms: dict, fac: int, candidates, guard: int) -> tuple[dict, int]:
     """(leftover, fac plus every candidate binomial that divides terms), by trial division.
 
     A binomial with c = 1 vanishes where every variable is 1, so it is tried
     only while the coefficients sum to zero.
     """
     if not terms:
-        return terms, {}
-    found = {}
+        return terms, 0
+    found, n = 0, len(candidates)
     at_ones = sum(terms.values())
-    for b, c in candidates:
+    for j, (b, c) in enumerate(candidates):
         while c != 1 or at_ones == 0:
             try:
                 terms = divide_binomial(nvars, terms, b, c)
             except ExactDivisionError:
                 break
-            found[b, c] = found.get((b, c), 0) + 1
+            found += 1 << LANE_BITS * (n - 1 - j)
             at_ones = sum(terms.values())
-    return terms, _plus(fac, found)
+    return terms, _lane_check(fac + found, guard)
 
 
-def _update(nvars: int, p, q, r, s, prev, candidates):
+def _update(nvars: int, p, q, r, s, prev, candidates, guard: int):
     """(p*q - r*s) / prev on factored entries (leftover terms, binomial multiset).
 
     Binomials shared by both products are kept out of the expansion (a zero
     product shares all of the other's); those that prev also carries cancel
     against it, the rest stay in the result.
     """
-    f1, f2 = _plus(p[1], q[1]), _plus(r[1], s[1])
-    if not (p[0] and q[0]):
-        g = f2
-    elif not (r[0] and s[0]):
-        g = f1
+    (pt, pf), (qt, qf), (rt, rf), (st, sf), (lo, lf) = p, q, r, s, prev
+    f1, f2 = pf + qf, rf + sf
+    _lane_check(f1 | f2, guard)
+    if pt and qt:
+        g = _lane_min(f1, f2, guard) if rt and st else f1
+        acc = _times_binomials(_product(pt, qt), f1 - g, candidates) if f1 != g else _product(pt, qt)
     else:
-        g = _common(f1, f2)
-    acc = _times_binomials(_product(p[0], q[0]), _minus(f1, g))
-    for k, v in _times_binomials(_product(r[0], s[0]), _minus(f2, g)).items():
-        acc[k] = acc.get(k, 0) - v
+        g, acc = f2, {}
+    if rt and st:
+        rs = _times_binomials(_product(rt, st), f2 - g, candidates) if f2 != g else _product(rt, st)
+        for k, v in rs.items():
+            acc[k] = acc.get(k, 0) - v
     num = _strip_and_check(nvars, acc)
-    h = _common(g, prev[1])
-    kept, rest = _minus(g, h), _minus(prev[1], h)
+    h = _lane_min(g, lf, guard) if lf else 0
+    kept, rest = g - h, lf - h
     try:
-        quotient = _divide_out(nvars, num, rest, prev[0])
+        quotient = _divide_out(nvars, num, rest, lo, candidates)
     except ExactDivisionError:
-        quotient, kept = _expanded_quotient(nvars, num, kept, rest, prev[0]), {}
-    return _refactor(nvars, quotient, kept, candidates)
+        quotient, kept = _expanded_quotient(nvars, num, kept, rest, lo, candidates), 0
+    return _refactor(nvars, quotient, kept, candidates, guard)
 
 
-def _expanded_quotient(nvars: int, num: dict, kept: dict, rest: dict, lo: dict) -> dict:
+def _expanded_quotient(nvars: int, num: dict, kept: int, rest: int, lo: dict, candidates) -> dict:
     """num times the kept binomials, over lo times the rest: nothing is kept aside.
 
     The first division fails only when a kept binomial shares a factor with
@@ -415,40 +434,53 @@ def _expanded_quotient(nvars: int, num: dict, kept: dict, rest: dict, lo: dict) 
     divides 1 - a^6, and 1 - 4x^2 factors): without one, distinct binomials
     1 - b_v are irreducible and coprime, and no leftover has one as a factor.
     """
-    return _divide_out(nvars, _strip_and_check(nvars, _times_binomials(num, kept)), rest, lo)
+    expanded = _strip_and_check(nvars, _times_binomials(num, kept, candidates))
+    return _divide_out(nvars, expanded, rest, lo, candidates)
 
 
 def _product(x: dict, y: dict) -> dict:
+    if len(x) == 1 == len(y):
+        ((k1, c1),), ((k2, c2),) = x.items(), y.items()
+        return {k1 + k2: c1 * c2}
     out: dict[int, int] = {}
     _accumulate_product(out, x, y)
     return out
 
 
 def _mirror(rows: list[list[IntPolynomial]], nvars: int):
-    """The identity if rows is symmetric, else (nvars even) the swap a_i^+ <-> a_i^- of every key in a
-    factored entry if it maps each rows[r][c] to rows[c][r], the diagonal included, else None."""
+    """The key map of sigma with sigma(rows[r][c]) = rows[c][r] for every r and c, the diagonal included:
+    the identity if rows is symmetric, else (nvars even) the swap a_i^+ <-> a_i^- if it does, else None."""
     pairs = [(x._terms, rows[c][r]._terms) for r, row in enumerate(rows) for c, x in enumerate(row) if c >= r]
     if all(x == y for x, y in pairs):
-        return lambda entry: entry
+        return lambda k: k
     top = LANE_BITS * nvars
     plus = sum(((1 << LANE_BITS) - 1) << LANE_BITS * lane for lane in range(1, nvars, 2))  # the a_i^+ lanes
 
     def key(k: int) -> int:
         return k >> top << top | (k & plus) >> LANE_BITS | (k & plus >> LANE_BITS) << LANE_BITS
 
-    def swap(terms: dict) -> dict:
-        return {key(k): v for k, v in terms.items()}
-
-    if nvars % 2 or any(swap(x) != y for x, y in pairs):
+    if nvars % 2 or any({key(k): v for k, v in x.items()} != y for x, y in pairs):
         return None
-    return lambda entry: (swap(entry[0]), {(key(b), c): e for (b, c), e in entry[1].items()})
+    return key
 
 
-def _factored_pass(start: list, nvars: int, candidates, mirror=None):
+def _entry_mirror(key, candidates):
+    """sigma on factored entries: key on the leftover's terms, the lane permutation it makes of the
+    sigma-closed candidates on the binomials."""
+    n = len(candidates)
+    lane = {bc: n - 1 - j for j, bc in enumerate(candidates)}
+    shift = [LANE_BITS * lane[key(b), c] for b, c in candidates]
+    return lambda entry: (
+        {key(k): v for k, v in entry[0].items()},
+        sum(e << shift[j] for j, e in _lanes(n, entry[1])),
+    )
+
+
+def _factored_pass(start: list, nvars: int, candidates, guard: int, mirror=None):
     """(last pivot, sign) of eliminating a copy of the factored entries ``start``; with a mirror, only
     the upper triangle, with column k read as the mirror of row k, and None at a zero pivot."""
     a = [list(row) for row in start]
-    m, sign, prev = len(a), 1, ({0: 1}, {})
+    m, sign, prev = len(a), 1, ({0: 1}, 0)
     for k in range(m - 1):
         if not a[k][k][0]:
             if mirror:
@@ -459,13 +491,13 @@ def _factored_pass(start: list, nvars: int, candidates, mirror=None):
                     sign = -sign
                     break
             else:
-                return ({}, {}), 1
+                return ({}, 0), 1
         pivot, row_k = a[k][k], a[k]
         for i in range(k + 1, m):
             row_i = a[i]
             aik = mirror(row_k[i]) if mirror else row_i[k]
             for j in range(i if mirror else k + 1, m):
-                row_i[j] = _update(nvars, pivot, row_i[j], aik, row_k[j], prev, candidates)
+                row_i[j] = _update(nvars, pivot, row_i[j], aik, row_k[j], prev, candidates, guard)
         prev = pivot
     return a[m - 1][m - 1], sign
 
@@ -481,14 +513,18 @@ def factored_bareiss(rows: list[list[IntPolynomial]], nvars: int, bases=()) -> F
 
     When ``_mirror`` finds sigma with sigma(M) = M^T, only the upper triangle
     is eliminated, the lower one being its mirror; a zero pivot then restarts
-    the elimination from the input, on every entry and with row swaps.
+    the elimination from the input, on every entry and with row swaps.  The
+    candidates are closed under sigma, so that it permutes the lanes.
     """
-    candidates = sorted({bc for bc in map(_binomial, bases) if bc})
-    start = [[_refactor(nvars, e._terms, {}, candidates) for e in row] for row in rows]
-    mirror = _mirror(rows, nvars)
-    result = mirror and _factored_pass(start, nvars, candidates, mirror)
-    (lo, fac), sign = result or _factored_pass(start, nvars, candidates)
-    factors = [(IntPolynomial(nvars, {0: 1, b: -c}), e) for (b, c), e in fac.items()]
+    key = _mirror(rows, nvars)
+    bcs = {bc for bc in map(_binomial, bases) if bc}
+    candidates = sorted(bcs if key is None else bcs | {(key(b), c) for b, c in bcs})
+    guard = int.from_bytes(b"\x80\x00" * len(candidates), "big")  # bit 15 of every lane
+    start = [[_refactor(nvars, e._terms, 0, candidates, guard) for e in row] for row in rows]
+    result = key and _factored_pass(start, nvars, candidates, guard, _entry_mirror(key, candidates))
+    (lo, fac), sign = result or _factored_pass(start, nvars, candidates, guard)
+    binomials = [(candidates[j], e) for j, e in _lanes(len(candidates), fac)]
+    factors = [(IntPolynomial(nvars, {0: 1, b: -c}), e) for (b, c), e in binomials]
     return FactoredPoly(nvars, factors + [(IntPolynomial(nvars, lo) * sign, 1)])
 
 
@@ -533,9 +569,7 @@ def determinant(
     members, specialized.
     """
     _check_size_guard(len(f.topes), force)
-    entries = build_matrix(f).entries
-    if specialize is not None:
-        entries = [[specialize.apply_poly(e) for e in row] for row in entries]
+    rows = build_matrix(f).polynomials(specialize)
     try:
         bases = [base for base, _ in product_formula(f, specialize).factors]
     except FiberError:
@@ -544,7 +578,7 @@ def determinant(
         if specialize is not None:
             bases = {specialize.apply_poly(base) for base in bases}
     nvars = 2 * f.n if specialize is None else specialize.nvars
-    return bareiss_determinant([list(r) for r in entries], nvars, bases)
+    return bareiss_determinant([list(r) for r in rows], nvars, bases)
 
 
 # modular evaluation

@@ -18,8 +18,10 @@ elimination oracle is the fused Bareiss kernel that expands every
 intermediate entry (it also lists each step's minors), the side-swap
 oracle is that substitution exchanging each a_i^+ with a_i^-, the
 degree-bound oracle reads the row maxima off the polynomial entries
-rather than the tope masks, and the modular determinant oracle
-eliminates on lists of residues, one interpreted step per entry.
+rather than the tope masks, the support oracle reads them and the used
+variables off the masks one interpreted step per tope pair, and the
+modular determinant oracle eliminates on lists of residues, one
+interpreted step per entry.
 
 The polynomial helpers the tests need but the package does not (the text
 parser, exact division and the constant term) live here as well, and so
@@ -670,6 +672,38 @@ def degree_bound(entries, formula: FactoredPoly) -> int:
     """
     rows = sum(max(e.total_degree() for e in row) for row in entries)
     return max(rows, formula.total_degree())
+
+
+def mask_support(matrix, specialize=None) -> tuple[list[int], int]:
+    """``VarchenkoMatrix.support`` over every tope pair's sign masks, one pair at a time.
+
+    Entry (r, c) uses a_i^+ over plus[r] & minus[c] and a_i^- over
+    minus[r] & plus[c]; it is zero when one of them is sent to 0, and a
+    constant image adds no variable and no degree.
+    """
+    images = tuple((1, v) for v in range(matrix.nvars)) if specialize is None else specialize.images
+    zero, var = [0, 0], [0, 0]
+    for v, (c, t) in enumerate(images):
+        if c == 0:
+            zero[v & 1] |= 1 << (v >> 1)
+        elif t is not None:
+            var[v & 1] |= 1 << (v >> 1)
+    (zero_p, zero_m), (var_p, var_m) = zero, var
+    used_p = used_m = degree = 0
+    for pr, mr in zip(matrix.plus, matrix.minus):
+        top = 0
+        for pc, mc in zip(matrix.plus, matrix.minus):
+            s, t = pr & mc, mr & pc
+            if not (s & zero_p or t & zero_m):
+                s &= var_p
+                t &= var_m
+                used_p |= s
+                used_m |= t
+                top = max(top, s.bit_count() + t.bit_count())
+        degree += top
+    used = {images[2 * i][1] for i in range(used_p.bit_length()) if used_p >> i & 1}
+    used.update(images[2 * i + 1][1] for i in range(used_m.bit_length()) if used_m >> i & 1)
+    return sorted(used), degree
 
 
 def substitute(p: IntPolynomial, mapping, nvars: int | None = None) -> IntPolynomial:

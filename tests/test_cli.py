@@ -431,6 +431,9 @@ def test_symbolic_verify_golden(capsys, tmp_path, fmt, name):
         # no mirror: the full loop
         ("text", "a1p=0,a2m=-3", "verify_three_lines_symbolic_a1p_0_a2m_neg3.txt"),
         ("json", "a1p=0,a2m=-3", "verify_three_lines_symbolic_a1p_0_a2m_neg3.json"),
+        # the swap mirror with candidates whose c is not 1 (1 - 4*a3p*a3m)
+        ("text", "a1p=2,a1m=2,a2p=-1,a2m=-1", "verify_three_lines_symbolic_a1p_2_a1m_2_a2p_neg1_a2m_neg1.txt"),
+        ("json", "a1p=2,a1m=2,a2p=-1,a2m=-1", "verify_three_lines_symbolic_a1p_2_a1m_2_a2p_neg1_a2m_neg1.json"),
     ],
 )
 def test_symbolic_verify_mirror_golden(capsys, tmp_path, fmt, spec, name):

@@ -10,6 +10,7 @@ from omdet.polyring import (
     IntPolynomial,
     MAX_EXPONENT,
     Specialization,
+    _divide_exact,
     divide_binomial,
     factored_str,
     pack_monomial,
@@ -168,6 +169,36 @@ class TestExactDiv:
             if d.is_zero:
                 continue
             assert mul_sub_div(p, q * d, r, s * d, d) == p * q - r * s
+
+
+class TestMonomialDivisor:
+    """_divide_exact by a one-term divisor: one pass over the terms, the heap loop's errors."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), coeff=st.sampled_from([-3, -1, 1, 2, 7]))
+    def test_round_trip(self, seed, coeff):
+        rng = random.Random(seed)
+        p = random_poly(rng, 3)
+        m = P.monomial(3, {rng.randrange(3): rng.randint(0, 2), rng.randrange(3): rng.randint(0, 2)}, coeff)
+        assert _divide_exact(3, dict((p * m)._terms), m._terms) == p._terms
+
+    @pytest.mark.parametrize(
+        "dividend, divisor, message",
+        [
+            ("3*a1p^2", "2*a1p", "leading coefficient not divisible"),
+            ("a1m*a1p + a1m", "a1p", "leading monomial not divisible"),
+            ("a1p^2", "a1m", "leading monomial not divisible"),  # the a1m lane borrows
+            # the leading term fails first, wherever the dict holds it
+            ("a1m + 3*a1p^2", "2*a1p", "leading coefficient not divisible"),
+            # a term failing both checks reports its monomial
+            ("3*a1m + 4*a1p^2", "2*a1p", "leading monomial not divisible"),
+            ("a1m^2 + 4*a1p^2 + 3*a1p", "2*a1p", "leading monomial not divisible"),
+        ],
+    )
+    def test_errors_of_the_leading_term(self, dividend, divisor, message):
+        terms = dict(sorted(parse_poly(dividend, 2)._terms.items()))  # lowest key first
+        with pytest.raises(ExactDivisionError, match=f"^{message}$"):
+            _divide_exact(2, terms, parse_poly(divisor, 2)._terms)
 
 
 class TestDivideBinomial:

@@ -7,20 +7,29 @@ from hypothesis import assume, given, settings, strategies as st
 
 import omdet.varchenko
 from omdet.polyring import (
+    LANE_BITS,
+    MAX_EXPONENT,
+    ExponentOverflowError,
     FactoredPoly,
     IntPolynomial,
     Specialization,
+    _guard_mask,
+    pack_monomial,
     poly_str,
     residues_mod,
     used_variables,
+    var_index,
 )
 from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors
 from omdet.signvec import FiberError, FiberView, SignVector, compose, fiber_of, leq, parse_cov, topal_fiber, topes
 from omdet.varchenko import (
     SizeGuardError,
     _eliminate,
+    _lane_check,
+    _lane_min,
     _lane_reducer,
     _mirror,
+    _update,
     bareiss_determinant,
     build_matrix,
     determinant,
@@ -48,6 +57,7 @@ from oracle import (
     corpus_sets,
     degree_bound,
     fused_bareiss,
+    mask_support,
     one_line,
     pack_rows,
     parallel_affine,
@@ -744,6 +754,24 @@ class TestMaskEvaluation:
             expected = [residues[r * m.size : (r + 1) * m.size] for r in range(m.size)]
             assert unpack_rows(m.residues(at, prime, spec), prime, m.size) == expected, spec
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_support_matches_the_pair_loop(self, data):
+        # the subset tables against one interpreted step per tope pair, maps with zeros included
+        source = data.draw(st.sampled_from(["corpus", "wiring", "arrangement", "chunked"]))
+        if source == "corpus":
+            f = _corpus()[data.draw(st.sampled_from(sorted(_corpus())))]
+        elif source == "chunked":
+            f = _chunked_fibers()[data.draw(st.sampled_from(["affine", "fiber-subset", "wide", "wires-8", "wires-17"]))]
+        else:
+            rng = random.Random(data.draw(st.integers(0, 2**32)))
+            f = faces(random_wiring(rng)) if source == "wiring" else arrangement_fiber(random_central_arrangement(rng))
+        m = build_matrix(f)
+        one_zero = st.integers(0, m.nvars - 1).map(lambda v: Specialization.of(m.nvars, {v: 0}))
+        maps = (_mask_specializations(m.nvars, f.free), _zero_hyperplane_maps(m.nvars, f.free), one_zero)
+        spec = data.draw(st.one_of(*maps))
+        assert m.support(spec) == mask_support(m, spec)
+
     def test_randomized_verify_builds_no_entries(self, monkeypatch):
         f = faces(non_pappus())
         face_multiplicities(f)  # the face weights are polynomials; computed and cached first
@@ -762,6 +790,69 @@ class TestMaskEvaluation:
         monkeypatch.setattr(omdet.varchenko, "multiplicity", None)
         with pytest.raises(FiberError, match=r"^not closed under composition: 0\+ o \+0 = \+\+ missing$"):
             verify(f, mode="randomized")
+
+
+def _zero_hyperplane_maps(nvars, free):
+    """Maps sending both sides of one free hyperplane to 0, the other variables kept, collapsed or constant."""
+    planes = sorted(free) or [1]
+    rest = st.one_of(st.integers(-2, 2), st.just("a"), st.none())
+
+    def build(args):
+        plane, others = args
+        values = {v: x for v, x in enumerate(others) if x is not None}
+        if "a" in values.values():
+            values = {v: values.get(v, "a") for v in range(nvars)}
+        values[2 * plane - 2] = values[2 * plane - 1] = 0
+        return Specialization.of(nvars, values)
+
+    return st.tuples(st.sampled_from(planes), st.lists(rest, min_size=nvars, max_size=nvars)).map(build)
+
+
+def _distance_rows(m, spec):
+    """The distance matrix by the distance oracle, under the optional map."""
+    free = sorted(m.fiber.free)
+    rows = [[distance(tr, tc, free, m.nvars) for tc in m.tope_order] for tr in m.tope_order]
+    return tuple(tuple(e if spec is None else spec.apply_poly(e) for e in row) for row in rows)
+
+
+_MASK_MAPS = ("all=a", "a1p=0,a2m=-3", "a1p=2,a1m=2,a2p=-1,a2m=-1")
+
+
+class TestMaskPolynomials:
+    """The entries built from the tope masks against the distance oracle."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["none", *_MASK_MAPS, "zero hyperplane"]), data=st.data()
+    )
+    def test_seeded_fibers(self, seed, kind, data):
+        rng = random.Random(seed)
+        f = faces(random_wiring(rng)) if seed % 2 else arrangement_fiber(random_central_arrangement(rng))
+        m = build_matrix(f)
+        if kind == "none":
+            spec = None
+        elif kind == "zero hyperplane":
+            spec = data.draw(_zero_hyperplane_maps(m.nvars, f.free))
+        elif kind == "all=a":
+            spec = Specialization.collapse_all(m.nvars)
+        else:
+            values = {var_index(v): int(x) for v, x in (item.split("=") for item in kind.split(","))}
+            assume(max(values) < m.nvars)
+            spec = Specialization.of(m.nvars, values)
+        assert m.polynomials(spec) == _distance_rows(m, spec)
+        assert m.entries == _distance_rows(m, None)
+
+    @pytest.mark.parametrize("name", ["affine", "fiber-subset", "wide", "wires-8", "wires-17", "wires-64"])
+    def test_over_free_chunks(self, name):
+        m = build_matrix(_chunked_fibers()[name])
+        for spec in (None, Specialization.collapse_all(m.nvars), Specialization.of(m.nvars, {0: 0, 1: 0, 3: -3})):
+            assert m.polynomials(spec) == _distance_rows(m, spec), spec
+
+    def test_determinant_builds_no_distance(self, monkeypatch):
+        f = whole_fiber(concurrent_lines())
+        expected = determinant(f)
+        monkeypatch.setattr(omdet.varchenko, "distance", None)
+        assert determinant(f) == expected
 
 
 def _seeded_fibers(count=32, max_topes=10):
@@ -1134,3 +1225,61 @@ class TestMirroredUpdateCount:
         monkeypatch.setattr(omdet.varchenko, "_mirror", lambda *args: None)
         assert determinant(f, spec) == 0
         assert mirrored == sum((m - 1 - s) * (m - s) // 2 for s in range(k)) + len(calls)
+
+
+# lane values at both ends of the range, and anywhere in it
+_EXPONENTS = st.one_of(st.sampled_from([0, 1, MAX_EXPONENT - 1, MAX_EXPONENT]), st.integers(0, MAX_EXPONENT))
+
+
+def _pack_lanes(exponents) -> int:
+    """A binomial multiset with exponents[j] in lane n - 1 - j."""
+    return sum(e << LANE_BITS * (len(exponents) - 1 - j) for j, e in enumerate(exponents))
+
+
+class TestPackedMultisets:
+    """Binomial multisets as one int with a 16-bit lane per candidate."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(*[_EXPONENTS] * 2),
+            min_size=1,
+            max_size=120,
+        )
+    )
+    def test_lane_min_is_the_per_lane_min(self, pairs):
+        xs, ys = zip(*pairs)
+        guard = _guard_mask(len(pairs))
+        assert _lane_min(_pack_lanes(xs), _pack_lanes(ys), guard) == _pack_lanes([min(x, y) for x, y in pairs])
+
+    def test_lane_sum_past_the_limit_raises(self):
+        guard = _guard_mask(3)
+        full = _pack_lanes([0, MAX_EXPONENT - 1, 7])
+        assert _lane_check(full + _pack_lanes([2, 1, 0]), guard) == _pack_lanes([2, MAX_EXPONENT, 7])
+        with pytest.raises(ExponentOverflowError, match=f"exceeds exponent limit {MAX_EXPONENT}"):
+            _lane_check(full + _pack_lanes([0, 2, 0]), guard)
+        # in an update, whose products add their factors' multisets, on either side
+        one = {0: 1}
+        unit, top, step = (one, 0), (one, _pack_lanes([0, MAX_EXPONENT, 0])), (one, _pack_lanes([0, 1, 0]))
+        candidates = [(pack_monomial(1, {0: k}), 1) for k in (1, 2, 3)]
+        # in the first, the products cancel, so only the update's own check sees the sum
+        for args in ((top, step, top, step), (top, step, unit, unit), (unit, unit, step, top)):
+            with pytest.raises(ExponentOverflowError, match=f"exceeds exponent limit {MAX_EXPONENT}"):
+                _update(1, *args, unit, candidates, guard)
+
+    def test_non_pappus_all_a(self):
+        # pinned: under all=a, smallest-first trial division leaves a degree-32 leftover
+        f = faces(non_pappus())
+        m = build_matrix(f)
+        spec = Specialization.collapse_all(m.nvars)
+        rows = [list(row) for row in m.polynomials(spec)]
+        result = factored_bareiss(rows, 1, _bases(product_formula(f, spec)))
+        assert str(result) == (
+            "(1 - a^2)^55 * (1 + 8*a^2 + 36*a^4 + 112*a^6 + 266*a^8 + 504*a^10 + 784*a^12 + 1016*a^14 + 1107*a^16"
+            " + 1016*a^18 + 784*a^20 + 504*a^22 + 266*a^24 + 112*a^26 + 36*a^28 + 8*a^30 + a^32)"
+        )
+
+    def test_three_lines(self):
+        m = build_matrix(whole_fiber(concurrent_lines()))
+        result = factored_bareiss([list(row) for row in m.entries], m.nvars, _bases(product_formula(m.fiber)))
+        assert str(result) == "(1 - a1p*a1m)^2 * (1 - a2p*a2m)^2 * (1 - a3p*a3m)^2 * (1 - a1p*a1m*a2p*a2m*a3p*a3m)"
