@@ -150,11 +150,6 @@ def _divide_exact(nvars: int, rem: dict, qterms: dict) -> dict:
     if not rem:
         return {}
     guard = _guard_mask(nvars)
-    if len(qterms) == 1:  # a monomial divides term by term; the loop below reports a failure
-        ((qlead, qlc),) = qterms.items()
-        parts = {k - qlead: divmod(c, qlc) for k, c in rem.items()}
-        if all(k >= 0 and not (k & guard or r) for k, (_, r) in parts.items()):
-            return {k: q for k, (q, _) in parts.items()}
     qlead = max(qterms)
     qlc = qterms[qlead]
     qrest = [(k, c) for k, c in qterms.items() if k != qlead]

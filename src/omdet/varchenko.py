@@ -86,6 +86,7 @@ from .polyring import (
     Specialization,
     _accumulate_product,
     _divide_exact,
+    _guard_mask,
     _lanes,
     _strip_and_check,
     divide_binomial,
@@ -447,26 +448,30 @@ def _product(x: dict, y: dict) -> dict:
     return out
 
 
+def _same(x):
+    return x
+
+
 def _mirror(rows: list[list[IntPolynomial]], nvars: int):
     """The key map of sigma with sigma(rows[r][c]) = rows[c][r] for every r and c, the diagonal included:
     the identity if rows is symmetric, else (nvars even) the swap a_i^+ <-> a_i^- if it does, else None."""
     pairs = [(x._terms, rows[c][r]._terms) for r, row in enumerate(rows) for c, x in enumerate(row) if c >= r]
     if all(x == y for x, y in pairs):
-        return lambda k: k
+        return _same
     top = LANE_BITS * nvars
     plus = sum(((1 << LANE_BITS) - 1) << LANE_BITS * lane for lane in range(1, nvars, 2))  # the a_i^+ lanes
 
     def key(k: int) -> int:
         return k >> top << top | (k & plus) >> LANE_BITS | (k & plus >> LANE_BITS) << LANE_BITS
 
-    if nvars % 2 or any({key(k): v for k, v in x.items()} != y for x, y in pairs):
-        return None
-    return key
+    return None if nvars % 2 or any({key(k): v for k, v in x.items()} != y for x, y in pairs) else key
 
 
 def _entry_mirror(key, candidates):
     """sigma on factored entries: key on the leftover's terms, the lane permutation it makes of the
-    sigma-closed candidates on the binomials."""
+    sigma-closed candidates on the binomials; the identity stays the identity."""
+    if key is _same:
+        return _same
     n = len(candidates)
     lane = {bc: n - 1 - j for j, bc in enumerate(candidates)}
     shift = [LANE_BITS * lane[key(b), c] for b, c in candidates]
@@ -519,7 +524,7 @@ def factored_bareiss(rows: list[list[IntPolynomial]], nvars: int, bases=()) -> F
     key = _mirror(rows, nvars)
     bcs = {bc for bc in map(_binomial, bases) if bc}
     candidates = sorted(bcs if key is None else bcs | {(key(b), c) for b, c in bcs})
-    guard = int.from_bytes(b"\x80\x00" * len(candidates), "big")  # bit 15 of every lane
+    guard = _guard_mask(len(candidates))
     start = [[_refactor(nvars, e._terms, 0, candidates, guard) for e in row] for row in rows]
     result = key and _factored_pass(start, nvars, candidates, guard, _entry_mirror(key, candidates))
     (lo, fac), sign = result or _factored_pass(start, nvars, candidates, guard)

@@ -172,7 +172,7 @@ class TestExactDiv:
 
 
 class TestMonomialDivisor:
-    """_divide_exact by a one-term divisor: one pass over the terms, the heap loop's errors."""
+    """_divide_exact by a one-term divisor: exact quotients, and the error the leading term raises."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), coeff=st.sampled_from([-3, -1, 1, 2, 7]))
