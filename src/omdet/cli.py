@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from typing import NamedTuple
 
 from .polyring import (
     ExactDivisionError,
@@ -109,31 +110,52 @@ def _load_input(args) -> CovectorSet | FiberView:
         raise InputError(str(exc)) from exc
 
 
-def _as_fiber(obj) -> FiberView:
-    """Interpret the input as a fiber for the determinant-facing commands.
+class _CheckReport(NamedTuple):
+    """check's report: a fiber file's structural problems, or one line per covector axiom."""
 
-    A plain covector set must pass the axioms (exit 1 otherwise) and be
-    loop-free; it is then its own fiber with I = [n].  A fiber file is
-    validated structurally.
-    """
+    kind: str  # "fiber" or "covector-set"
+    ok: bool
+    items: tuple[str, ...]
+
+    def lines(self) -> list[str]:
+        title = "fiber" if self.kind == "fiber" else "axioms"
+        return [f"{title}: {'PASS' if self.ok else 'FAIL'}"] + [f"  {item}" for item in self.items]
+
+    def to_json(self) -> dict:
+        key = "problems" if self.kind == "fiber" else "axioms"
+        return {"kind": self.kind, "ok": self.ok, key: list(self.items)}
+
+
+def _check(obj) -> _CheckReport:
+    """Judge an input: the structural fiber check for a FiberView, the covector axioms otherwise."""
     if isinstance(obj, FiberView):
         problems = validate_fiber(obj)
-        if problems:
-            raise _ReportedFailure(["fiber: FAIL"] + [f"  {p}" for p in problems])
-        return obj
+        return _CheckReport("fiber", not problems, problems)
     report = check_covector_axioms(obj)
+    return _CheckReport("covector-set", report.ok, tuple(report.lines()))
+
+
+class _ReportedFailure(Exception):
+    """An input that fails check; main prints check's text report and exits 1."""
+
+
+def _print_report(report, fmt: str, ok: bool = True) -> int:
+    """Print check's, faces' or verify's report as JSON or as text lines; return 0, or 1 when not ok."""
+    print(json.dumps(report.to_json(), indent=2) if fmt == "json" else "\n".join(report.lines()))
+    return 0 if ok else 1
+
+
+def _as_fiber(obj) -> FiberView:
+    """The input as a fiber: it passes check, and a plain covector set is loop-free and has I = [n]."""
+    report = _check(obj)
     if not report.ok:
-        raise _ReportedFailure(["axioms: FAIL"] + [f"  {line}" for line in report.lines()])
+        raise _ReportedFailure(report)
+    if isinstance(obj, FiberView):
+        return obj
     found = loops(obj)
     if found:
         raise InputError(f"covector set has loops at indices {sorted(found)}")
     return topal_fiber(obj, range(1, obj.n + 1), obj.members[0])
-
-
-class _ReportedFailure(Exception):
-    def __init__(self, lines):
-        super().__init__("\n".join(lines))
-        self.lines = lines
 
 
 def _parse_specialize(text: str | None, nvars: int) -> Specialization | None:
@@ -180,26 +202,8 @@ def _parse_specialize(text: str | None, nvars: int) -> Specialization | None:
 
 
 def _cmd_check(args) -> int:
-    obj = _load_input(args)
-    if isinstance(obj, FiberView):
-        problems = validate_fiber(obj)
-        if args.format == "json":
-            doc = {"kind": "fiber", "ok": not problems, "problems": list(problems)}
-            print(json.dumps(doc, indent=2))
-        else:
-            print(f"fiber: {'PASS' if not problems else 'FAIL'}")
-            for p in problems:
-                print(f"  {p}")
-        return 0 if not problems else 1
-    report = check_covector_axioms(obj)
-    if args.format == "json":
-        doc = {"kind": "covector-set", "ok": report.ok, "axioms": report.lines()}
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"axioms: {'PASS' if report.ok else 'FAIL'}")
-        for line in report.lines():
-            print(f"  {line}")
-    return 0 if report.ok else 1
+    report = _check(_load_input(args))
+    return _print_report(report, args.format, report.ok)
 
 
 def _cmd_topes(args) -> int:
@@ -210,14 +214,7 @@ def _cmd_topes(args) -> int:
 
 
 def _cmd_faces(args) -> int:
-    fiber = _as_fiber(_load_input(args))
-    census = face_census(fiber)
-    if args.format == "json":
-        print(json.dumps(census.to_json(), indent=2))
-    else:
-        for line in census.lines():
-            print(line)
-    return 0
+    return _print_report(face_census(_as_fiber(_load_input(args))), args.format)
 
 
 def _cmd_det(args) -> int:
@@ -247,22 +244,7 @@ def _cmd_verify(args) -> int:
         specialize=spec,
         force_symbolic=args.force_symbolic,
     )
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(f"mode: {report.mode}")
-        print(f"topes: {report.tope_count}")
-        print(f"formula: {factored_str(report.formula)}")
-        if report.mode == "symbolic":
-            print(f"determinant: {poly_str(report.determinant)}")
-        else:
-            print(f"prime: {report.prime}")
-            print(f"degree bound: {report.degree_bound}")
-            for idx, rec in enumerate(report.evals):
-                status = "match" if rec.match else "MISMATCH"
-                print(f"eval {idx}: det={rec.det_residue} formula={rec.formula_residue} {status}")
-        print(f"agreement: {'true' if report.agreement else 'false'}")
-    return 0 if report.agreement else 1
+    return _print_report(report, args.format, report.agreement)
 
 
 def _cmd_from_arrangement(args) -> int:
@@ -368,9 +350,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _ReportedFailure as exc:
-        for line in exc.lines:
-            print(line)
-        return 1
+        return _print_report(exc.args[0], "text", ok=False)
     except (InputError, FiberError, SizeGuardError, ExactDivisionError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -129,17 +129,6 @@ def _check_size_guard(topes: int, force: bool):
         )
 
 
-def _require_valid_fiber(f: FiberView):
-    if f.base.verified:
-        found = loops(f.base)
-        if found:
-            raise FiberError(f"the covector set has loops at indices {sorted(found)}")
-        return
-    problems = validate_fiber(f)
-    if problems:
-        raise FiberError("; ".join(problems))
-
-
 def distance(v: SignVector, w: SignVector, free_indices, nvars: int | None = None) -> IntPolynomial:
     """Aguiar-Mahajan distance monomial between two topes of one fiber."""
     if not v.is_tope or not w.is_tope:
@@ -321,7 +310,14 @@ class VarchenkoMatrix:
 
 def _valid_topes(f: FiberView) -> tuple[SignVector, ...]:
     """A valid fiber's topes; a fiber without any has neither a matrix nor a closed form."""
-    _require_valid_fiber(f)
+    if f.base.verified:
+        found = loops(f.base)
+        if found:
+            raise FiberError(f"the covector set has loops at indices {sorted(found)}")
+    else:
+        problems = validate_fiber(f)
+        if problems:
+            raise FiberError("; ".join(problems))
     if not f.topes:
         raise FiberError("the fiber has no topes; the distance matrix is empty")
     return f.topes
@@ -746,6 +742,18 @@ class VerificationReport:
     prime: int | None = None
     degree_bound: int | None = None
     evals: tuple[EvalRecord, ...] = ()
+
+    def lines(self) -> list[str]:
+        out = [f"mode: {self.mode}", f"topes: {self.tope_count}", f"formula: {factored_str(self.formula)}"]
+        if self.mode == "symbolic":
+            out.append(f"determinant: {poly_str(self.determinant)}")
+        else:
+            out += [f"prime: {self.prime}", f"degree bound: {self.degree_bound}"]
+            for idx, rec in enumerate(self.evals):
+                status = "match" if rec.match else "MISMATCH"
+                out.append(f"eval {idx}: det={rec.det_residue} formula={rec.formula_residue} {status}")
+        out.append(f"agreement: {'true' if self.agreement else 'false'}")
+        return out
 
     def to_json(self) -> dict:
         doc = {

@@ -60,14 +60,6 @@ class WiringReport:
     problems: tuple[str, ...]
     parallel_pairs: tuple[tuple[int, int], ...]
 
-    def lines(self) -> list[str]:
-        out = [f"wiring diagram: {'VALID' if self.ok else 'INVALID'}"]
-        out.extend(f"  problem: {p}" for p in self.problems)
-        if self.parallel_pairs:
-            pairs = ", ".join(f"({a},{b})" for a, b in self.parallel_pairs)
-            out.append(f"  parallel wire pairs: {pairs}")
-        return out
-
 
 def validate(wd: WiringDiagram) -> WiringReport:
     """Check block bounds and the at-most-one-crossing rule per wire pair."""

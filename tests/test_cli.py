@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -390,6 +391,39 @@ class TestLimits:
             "---0--0+0 o 0--0---0- = ---0---+- missing\n"
         )
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["from-wiring", "{cross}"], "wires 1 and 2 cross 2 times"),
+            (["from-arrangement", "{empty}"], "cannot enumerate covectors of an empty arrangement"),
+            (["from-wiring", "{ok}", "-o", "{missing}/x.cov"], "cannot write {missing}/x.cov: No such file or directory"),
+            (["det", "{one}", "--specialize", '{{"a1p": 0'],
+             "bad JSON specialization map: Expecting ',' delimiter: line 1 column 10 (char 9)"),
+            (["det", "{one}", "--specialize", "a1p"], "bad specialization entry 'a1p' (expected var=value)"),
+            (["det", "{one}", "--specialize", "a1p=a"],
+             "a specialization using the collapsed symbol 'a' must cover every variable"),
+            (["topes", "{anchor}"], "{anchor}: anchor is not a fiber member"),
+            (["topes", "{elim}", "--fiber", "1", "--anchor", "0-"], "fiber anchor is not a member of the covector set"),
+        ],
+        ids=["crossing-twice", "empty-arrangement", "unwritable", "bad-json-map", "bad-entry", "partial-collapse",
+             "anchor-not-member", "flag-anchor-not-member"],
+    )
+    def test_input_errors_exit_two(self, capsys, tmp_path, args, message):
+        inputs = {
+            "cross": ("cross.json", '{"wires": 3, "events": [[0,1],[0,1]]}'),
+            "empty": ("empty.json", '{"dim": 2, "hyperplanes": []}'),
+            "ok": ("ok.json", non_pappus().dumps()),
+            "one": ("one.cov", "n=1\n-\n0\n+\n"),
+            "anchor": ("anchor.cov", "n=2\nI=1,2\nu=++\n00\n+0\n"),
+            "elim": ("elim.cov", "n=2\n+-\n-+\n"),
+        }
+        paths = {"missing": tmp_path / "no-such-dir"}
+        for key, (name, text) in inputs.items():
+            paths[key] = tmp_path / name
+            paths[key].write_text(text)
+        argv = [arg.format(**paths) for arg in args]
+        assert run(capsys, *argv) == (2, "", f"error: {message.format(**paths)}\n")
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -464,6 +498,57 @@ def test_fiber_closure_gap_golden(capsys, fmt, name):
     code, out, _ = run(capsys, *args, "--format", fmt)
     assert code == 1
     assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize(
+    "command, source, code",
+    [
+        ("faces", "non_pappus", 0),
+        ("check", "non_pappus", 0),
+        # -0 o 0- = -- is missing
+        ("check", "composition_gap", 1),
+        # no zero vector, and nothing eliminates index 1 between -+ and +-
+        ("check", "elimination_gap", 1),
+    ],
+)
+def test_report_golden(capsys, nonpappus_cov, command, source, code, fmt):
+    path = nonpappus_cov if source == "non_pappus" else str(GOLDEN / f"{source}_set.cov")
+    result = run(capsys, command, path, "--format", "text" if fmt == "txt" else "json")
+    assert result == (code, (GOLDEN / f"{command}_{source}.{fmt}").read_text(), "")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["topes"], ["faces", "--format", "json"], ["det"], ["formula"], ["verify", "--format", "json"]],
+    ids=["topes", "faces", "det", "formula", "verify"],
+)
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["composition_gap_set.cov"], "check_composition_gap.txt"),
+        (["closure_gap_set.cov", "--fiber", "1,2,3", "--anchor", "++++"], "check_closure_gap.txt"),
+    ],
+    ids=["axioms", "fiber"],
+)
+def test_failing_input_prints_the_check_report(capsys, command, args, name):
+    # the text report whatever --format says, and exit 1
+    path, *flags = args
+    result = run(capsys, command[0], str(GOLDEN / path), *flags, *command[1:])
+    assert result == (1, (GOLDEN / name).read_text(), "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_disagreement_exits_one_with_the_report(capsys, monkeypatch, one_line_cov, fmt):
+    # no input disagrees, so the verdict is replaced by a disagreeing one
+    real = omdet.cli.verify
+    monkeypatch.setattr(omdet.cli, "verify", lambda *a, **kw: dataclasses.replace(real(*a, **kw), agreement=False))
+    code, out, err = run(capsys, "verify", one_line_cov, "--mode", "randomized", "--format", fmt)
+    assert (code, err) == (1, "")
+    if fmt == "text":
+        assert out.splitlines()[-1] == "agreement: false"
+    else:
+        assert json.loads(out)["agreement"] is False
 
 
 @pytest.mark.parametrize("flag", ["--anchor", "--anch"])
@@ -541,3 +626,4 @@ def test_public_namespace_is_pinned():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.split() == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 54
+

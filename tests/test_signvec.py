@@ -382,6 +382,15 @@ class TestFibers:
         with pytest.raises(ValueError):
             topal_fiber(s, [1], sv("+0"))  # zero at the fixed index 2
 
+    def test_validate_fiber_reports_every_problem(self):
+        # a FiberView built directly, so that topal_fiber's own checks do not stop it first
+        raw = CovectorSet.of([sv("++"), sv("+-"), sv("-+")])
+        assert validate_fiber(FiberView(raw, frozenset({2}), sv("0+"), raw.members)) == (
+            "anchor is not a fiber member",
+            "anchor is zero at fixed indices [1]",
+            "member -+ disagrees with the anchor on a fixed index",
+        )
+
     def test_boundary_max_examples(self):
         # the oracle's boundary maxima, which the multiplicity tests count
         f1 = whole_fiber(one_line())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from functools import cache
@@ -21,8 +22,20 @@ from omdet.polyring import (
     var_index,
 )
 from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors
-from omdet.signvec import FiberError, FiberView, SignVector, compose, fiber_of, leq, parse_cov, topal_fiber, topes
+from omdet.signvec import (
+    FiberError,
+    FiberView,
+    SignVector,
+    check_covector_axioms,
+    compose,
+    fiber_of,
+    leq,
+    parse_cov,
+    topal_fiber,
+    topes,
+)
 from omdet.varchenko import (
+    EvalRecord,
     SizeGuardError,
     _eliminate,
     _lane_check,
@@ -121,6 +134,16 @@ class TestMatrix:
         f = topal_fiber(s, [], t)
         m = build_matrix(f)
         assert m.size == 1 and m.entries[0][0] == P.one(4)
+
+    def test_loops_of_a_verified_set_come_first(self):
+        # a verified set is not re-checked as a fiber; its loop is named before its missing topes
+        s = parse_cov("n=2\n00\n0+\n0-\n")
+        assert check_covector_axioms(s).ok and s.verified
+        f = topal_fiber(s, [1, 2], sv("00"))
+        for build in (build_matrix, face_multiplicities, product_formula):
+            with pytest.raises(FiberError) as exc:
+                build(f)
+            assert str(exc.value) == "the covector set has loops at indices [1]"
 
     def test_coord_lines_distinct_values(self):
         m = build_matrix(whole_fiber(coord_lines()))
@@ -460,6 +483,21 @@ class TestVerify:
         )
         prime, records = randomized_compare(m.entries, tampered, seed=0, evals=5)
         assert not all(r.match for r in records)
+
+    def test_report_lines_show_a_mismatch(self):
+        report = verify(whole_fiber(one_line()), mode="randomized", seed=0, evals=1)
+        rec = report.evals[0]
+        bad = dataclasses.replace(report, agreement=False, evals=(rec, EvalRecord(rec.assignment, 1, 2)))
+        assert bad.lines() == [
+            "mode: randomized",
+            "topes: 2",
+            "formula: (1 - a1p*a1m)",
+            f"prime: {report.prime}",
+            f"degree bound: {report.degree_bound}",
+            f"eval 0: det={rec.det_residue} formula={rec.formula_residue} match",
+            "eval 1: det=1 formula=2 MISMATCH",
+            "agreement: false",
+        ]
 
     def test_report_json_schema(self):
         f = whole_fiber(coord_lines())
