@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from typing import NamedTuple
@@ -348,9 +349,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_anchor(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
-    except _ReportedFailure as exc:
-        return _print_report(exc.args[0], "text", ok=False)
+        try:
+            status = args.func(args)
+        except _ReportedFailure as exc:
+            status = _print_report(exc.args[0], "text", ok=False)
+        sys.stdout.flush()  # so that a closed stdout shows here, not in the flush at exit
+        return status
+    except BrokenPipeError:
+        # what is still buffered goes to the null device when the interpreter flushes at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the output was written", file=sys.stderr)
+        return 2
     except (InputError, FiberError, SizeGuardError, ExactDivisionError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

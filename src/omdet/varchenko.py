@@ -28,7 +28,13 @@ minors, a_ij = det M[{1..k, i}, {1..k, j}], so a variable swap sigma with
 sigma(M) = M^T gives sigma(a_ij) = a_ji.  The distance matrix has one:
 d(w, v) is d(v, w) with a_i^+ and a_i^- exchanged (the identity under all=a).
 So only the upper triangle is eliminated, unless a zero pivot turns up; the
-elimination then restarts on every entry, with row swaps.
+elimination then restarts on every entry, with row swaps.  Either way a row
+whose multiplier is zero is skipped, which is common: the distance is
+multiplicative along shortest galleries, so many minors vanish.  An entry
+is the leading minor d_k times a Schur-complement entry that a zero
+multiplier leaves unchanged, so skipped steps s..k-1 only scale the row by
+d_k / d_s; its next update divides by d_s instead of d_k, and the pivot row,
+the last entry and a mirrored multiplier are rescaled when they are read.
 
 A binomial multiset is one integer with a 16-bit lane per candidate, laid out
 like a packed monomial key: multisets add as integers, and their common part
@@ -479,28 +485,47 @@ def _entry_mirror(key, candidates):
 
 def _factored_pass(start: list, nvars: int, candidates, guard: int, mirror=None):
     """(last pivot, sign) of eliminating a copy of the factored entries ``start``; with a mirror, only
-    the upper triangle, with column k read as the mirror of row k, and None at a zero pivot."""
+    the upper triangle, with column k read as the mirror of row k, and None at a zero pivot.
+
+    A row whose multiplier is zero is left as it is, its entries those of step at[i]: the current
+    ones are d[k] / d[at[i]] times them, d[k] being the leading k-minor.  Its next update divides
+    by d[at[i]] instead of d[k]; the pivot row, the last entry and a mirrored multiplier are
+    rescaled, by an update with a zero cofactor, when they are read.
+    """
     a = [list(row) for row in start]
-    m, sign, prev = len(a), 1, ({0: 1}, 0)
+    m, sign, zero = len(a), 1, ({}, 0)
+    d, at = [({0: 1}, 0)], [0] * m
+
+    def rescale(x, s: int, k: int):  # d[k] * x / d[s]: an entry of step s at step k
+        return x if s == k else _update(nvars, d[k], x, zero, zero, d[s], candidates, guard)
+
     for k in range(m - 1):
         if not a[k][k][0]:
             if mirror:
                 return None
             for r in range(k + 1, m):
                 if a[r][k][0]:
-                    a[k], a[r] = a[r], a[k]
+                    a[k], a[r], at[k], at[r] = a[r], a[k], at[r], at[k]
                     sign = -sign
                     break
             else:
-                return ({}, 0), 1
-        pivot, row_k = a[k][k], a[k]
+                return zero, 1
+        row_k = a[k]
+        if at[k] < k:
+            row_k[k:] = [rescale(x, at[k], k) for x in row_k[k:]]
+        pivot = row_k[k]
+        d.append(pivot)
         for i in range(k + 1, m):
-            row_i = a[i]
-            aik = mirror(row_k[i]) if mirror else row_i[k]
+            row_i, s = a[i], at[i]
+            aik = row_k[i] if mirror else row_i[k]
+            if not aik[0]:
+                continue
+            if mirror:
+                aik = rescale(mirror(aik), k, s)
             for j in range(i if mirror else k + 1, m):
-                row_i[j] = _update(nvars, pivot, row_i[j], aik, row_k[j], prev, candidates, guard)
-        prev = pivot
-    return a[m - 1][m - 1], sign
+                row_i[j] = _update(nvars, pivot, row_i[j], aik, row_k[j], d[s], candidates, guard)
+            at[i] = k + 1
+    return rescale(a[m - 1][m - 1], at[m - 1], m - 1), sign
 
 
 def factored_bareiss(rows: list[list[IntPolynomial]], nvars: int, bases=()) -> FactoredPoly:
@@ -515,7 +540,10 @@ def factored_bareiss(rows: list[list[IntPolynomial]], nvars: int, bases=()) -> F
     When ``_mirror`` finds sigma with sigma(M) = M^T, only the upper triangle
     is eliminated, the lower one being its mirror; a zero pivot then restarts
     the elimination from the input, on every entry and with row swaps.  The
-    candidates are closed under sigma, so that it permutes the lanes.
+    candidates are closed under sigma, so that it permutes the lanes.  Rows
+    whose multiplier is zero, common since the distance is multiplicative
+    along shortest galleries, are left at the step they were last updated
+    at and caught up by their next update (``_factored_pass``).
     """
     key = _mirror(rows, nvars)
     bcs = {bc for bc in map(_binomial, bases) if bc}

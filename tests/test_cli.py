@@ -567,6 +567,28 @@ def _fresh_process(args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.mark.parametrize("large", [False, True], ids=["flushed-at-the-end", "written-while-printing"])
+def test_closed_stdout_exits_two(tmp_path, nonpappus_cov, large):
+    # 256 bytes stay in the buffer until main flushes; the 18-wire reversal's 12,404 bytes overflow it
+    if large:
+        w = 18
+        wiring = tmp_path / "fr18.json"
+        wiring.write_text(json.dumps({"wires": w, "events": [[k, k + 1] for i in range(w) for k in range(w - 1 - i)]}))
+        args = ["from-wiring", str(wiring)]
+    else:
+        args = ["faces", nonpappus_cov, "--format", "json"]
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    env = dict(os.environ, PYTHONPATH=str(Path(omdet.cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as on a plain pipe
+    try:
+        proc = subprocess.run([sys.executable, "-m", "omdet.cli", *args], stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: standard output was closed before the output was written\n"
+
+
 def test_repeated_main_calls_match_fresh_processes(capsys, nonpappus_cov):
     omdet.cli._build_parser.cache_clear()
     calls = [

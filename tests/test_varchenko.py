@@ -1216,6 +1216,67 @@ class TestMirroredBareiss:
                     assert x == permutation_determinant([[rows[r][c] for c in keep_c] for r in keep_r], 6)
 
 
+class TestStaleRows:
+    """A row whose multiplier is zero is skipped and rescaled when it is read, at the pass's edges.
+
+    Each matrix plants one such read on random entries: a skipped row becomes
+    the pivot row (row 1 is zero in column 0); a skipped row is swapped in at
+    a zero pivot on the full loop, in place of a row updated at step 0 (rows
+    0 and 1 agree in columns 0 and 1, row 2 is zero in column 0); or the last
+    row ends skipped (it is row 0 in every column but the last, so step 0
+    leaves it zero there).  Each rescales an entry by an update with zero
+    cofactors.
+    """
+
+    @settings(derandomize=True, max_examples=90, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(3, 5),
+        kind=st.sampled_from(["identity", "swap", "none"]),
+        read=st.sampled_from(["pivot row", "swapped in", "last entry"]),
+        bases=st.sampled_from([(), ("1 - a1p*a1m",), ("1 - a1p*a1m", "1 - a1p")]),
+    )
+    def test_planted_zero_multipliers(self, seed, m, kind, read, bases):
+        rng = random.Random(seed)
+        sigma = {"identity": lambda p: p, "swap": swap_sides, "none": None}[kind]
+        a = [[None] * m for _ in range(m)]
+
+        def put(r, c, text_or_poly):
+            a[r][c] = parse_poly(text_or_poly, 2) if isinstance(text_or_poly, str) else text_or_poly
+            if sigma:
+                a[c][r] = sigma(a[r][c])
+
+        fixed = ("1", "1 - a1p*a1m")  # nonzero and fixed by the swap, for the diagonal
+        for r in range(m):
+            for c in range(r if sigma else 0, m):
+                put(r, c, rng.choice(fixed + ("0",) if r == c else ("0", "1", "a1p", "a1m", "1 - a1p*a1m")))
+        put(0, 0, rng.choice(fixed))
+        if read == "pivot row":
+            put(1, 0, "0")
+            put(1, 1, rng.choice(fixed))
+        elif read == "swapped in":
+            for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                put(r, c, "1 - a1p*a1m")
+            put(2, 0, "0")
+            put(2, 1, rng.choice(("1", "a1p", "a1m", "1 - a1p*a1m")))
+        else:
+            for j in range(m - 1):
+                put(m - 1, j, a[0][j])
+            assume(all(permutation_determinant([r[:k] for r in a[:k]], 2) != 0 for k in range(2, m)))
+        if sigma:
+            assert _mirror(a, 2) is not None
+        else:
+            assume(_mirror(a, 2) is None)
+        calls = []
+        update = omdet.varchenko._update
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(omdet.varchenko, "_update", lambda *args: calls.append(args) or update(*args))
+            det = factored_bareiss(a, 2, [parse_poly(b, 2) for b in bases]).expand()
+        assert det == permutation_determinant(a, 2) == fused_bareiss(a, 2)
+        # the multiplier is never zero in an elimination update, so a zero one marks a rescale
+        assert any(not args[3][0] for args in calls)
+
+
 def _counted_updates(monkeypatch) -> list:
     calls = []
     update = omdet.varchenko._update
@@ -1223,8 +1284,29 @@ def _counted_updates(monkeypatch) -> list:
     return calls
 
 
+def _telescoped_updates(rows, nvars: int, steps: int, mirrored: bool) -> int:
+    """The updates of a pass's first ``steps`` steps with no row swap, read off the minors.
+
+    Row i is updated at step t only when its multiplier, the minor on rows
+    0..t-1, i and columns 0..t, is nonzero.  A row last updated before step t
+    is rescaled when it becomes the pivot row (m - t entries), and a mirrored
+    pass also rescales its multiplier (one more update).  A complete pass
+    (m - 1 steps) rescales a stale last entry too.
+    """
+    m = len(rows)
+    at, count = [0] * m, 0
+    for t in range(steps):
+        count += (m - t) * (at[t] < t)
+        for i in range(t + 1, m):
+            if permutation_determinant([[rows[r][c] for c in range(t + 1)] for r in [*range(t), i]], nvars) != 0:
+                count += m - i + (at[i] < t) if mirrored else m - t - 1
+                at[i] = t + 1
+    return count + (steps == m - 1 and at[m - 1] < m - 1)
+
+
 class TestMirroredUpdateCount:
-    """A mirrored pass updates (m-1)m(m+1)/6 entries, the full loop (m-1)m(2m-1)/6."""
+    """Rows whose multiplier is zero are skipped, so a pass makes fewer updates than the eager
+    loops, whose counts are (m-1)m(m+1)/6 for the mirrored pass and (m-1)m(2m-1)/6 for the full one."""
 
     @pytest.mark.parametrize(
         "fiber, values",
@@ -1235,19 +1317,28 @@ class TestMirroredUpdateCount:
         ],
     )
     def test_mirrored(self, monkeypatch, fiber, values):
+        expected = {"three lines": 34, "non-Pappus": 3906}[fiber]
         f = whole_fiber(concurrent_lines()) if fiber == "three lines" else faces(non_pappus())
         spec = None if values is None else Specialization.collapse_all(2 * f.n)
         calls = _counted_updates(monkeypatch)
         determinant(f, spec, force=True)
         m = len(f.topes)
-        assert len(calls) == (m - 1) * m * (m + 1) // 6
+        assert len(calls) == expected <= (m - 1) * m * (m + 1) // 6
+        if m <= 6:
+            rows = [[e if spec is None else spec.apply_poly(e) for e in row] for row in build_matrix(f).entries]
+            nvars = 2 * f.n if spec is None else 1
+            assert expected == _telescoped_updates(rows, nvars, m - 1, True)
 
     def test_one_sided_map_runs_the_full_loop(self, monkeypatch):
         f = whole_fiber(concurrent_lines())
+        spec = Specialization.of(6, {0: 0, 3: -3})
         calls = _counted_updates(monkeypatch)
-        determinant(f, Specialization.of(6, {0: 0, 3: -3}))
+        determinant(f, spec)
         m = len(f.topes)
-        assert len(calls) == (m - 1) * m * (2 * m - 1) // 6
+        assert len(calls) == 22 <= (m - 1) * m * (2 * m - 1) // 6
+        rows = [[spec.apply_poly(e) for e in row] for row in build_matrix(f).entries]
+        assert _mirror(rows, 6) is None
+        assert len(calls) == _telescoped_updates(rows, 6, m - 1, False)
 
     def test_zero_pivot_restarts_on_the_full_loop(self, monkeypatch):
         f = whole_fiber(concurrent_lines())
@@ -1262,7 +1353,8 @@ class TestMirroredUpdateCount:
         calls.clear()
         monkeypatch.setattr(omdet.varchenko, "_mirror", lambda *args: None)
         assert determinant(f, spec) == 0
-        assert mirrored == sum((m - 1 - s) * (m - s) // 2 for s in range(k)) + len(calls)
+        assert mirrored == _telescoped_updates(rows, 6, k, True) + len(calls)
+        assert (mirrored, len(calls)) == (70, 43)
 
 
 # lane values at both ends of the range, and anywhere in it
