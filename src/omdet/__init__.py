@@ -46,7 +46,6 @@ from .varchenko import (
     VerificationReport,
     build_matrix,
     determinant,
-    distance,
     face_multiplicities,
     product_formula,
     verify,

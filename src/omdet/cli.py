@@ -39,9 +39,9 @@ from .signvec import (
     FiberError,
     FiberView,
     SignVector,
+    _loop_free,
     as_int,
     check_covector_axioms,
-    loops,
     parse_cov,
     format_cov,
     topal_fiber,
@@ -137,7 +137,7 @@ def _check(obj) -> _CheckReport:
 
 
 class _ReportedFailure(Exception):
-    """An input that fails check; main prints check's text report and exits 1."""
+    """An input that fails check; main prints check's report in the command's --format and exits 1."""
 
 
 def _print_report(report, fmt: str, ok: bool = True) -> int:
@@ -153,9 +153,7 @@ def _as_fiber(obj) -> FiberView:
         raise _ReportedFailure(report)
     if isinstance(obj, FiberView):
         return obj
-    found = loops(obj)
-    if found:
-        raise InputError(f"covector set has loops at indices {sorted(found)}")
+    _loop_free(obj)
     return topal_fiber(obj, range(1, obj.n + 1), obj.members[0])
 
 
@@ -346,14 +344,16 @@ def _join_anchor(argv):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_join_anchor(sys.argv[1:] if argv is None else argv))
     try:
         try:
-            status = args.func(args)
-        except _ReportedFailure as exc:
-            status = _print_report(exc.args[0], "text", ok=False)
-        sys.stdout.flush()  # so that a closed stdout shows here, not in the flush at exit
+            # --help prints and raises SystemExit
+            args = _build_parser().parse_args(_join_anchor(sys.argv[1:] if argv is None else argv))
+            try:
+                status = args.func(args)
+            except _ReportedFailure as exc:
+                status = _print_report(exc.args[0], args.format, ok=False)
+        finally:
+            sys.stdout.flush()  # so that a closed stdout shows here, not in the flush at exit
         return status
     except BrokenPipeError:
         # what is still buffered goes to the null device when the interpreter flushes at exit

@@ -243,6 +243,13 @@ def loops(s: CovectorSet) -> frozenset[int]:
     return _mask_to_indices(mask)
 
 
+def _loop_free(s: CovectorSet):
+    """The loops error, the one wording of it, when s has loops."""
+    found = loops(s)
+    if found:
+        raise FiberError(f"the covector set has loops at indices {sorted(found)}")
+
+
 def topes(s) -> tuple[SignVector, ...]:
     """Members with no zero index, in canonical order.
 

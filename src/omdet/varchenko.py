@@ -41,26 +41,23 @@ like a packed monomial key: multisets add as integers, and their common part
 is a SWAR lane-wise minimum (``_lane_min``).  With the swap mirror the
 candidates are closed under sigma, which permutes the lanes.
 
-``determinant(f, specialize)`` is the one symbolic entry point, used by
-``verify`` and the command line alike: the size guard on the tope count,
-then the matrix, the specialization, the candidates (the binomials of
-``product_formula(f, specialize)``, the one closed form, or the distinct
-1 - b_v of the non-tope members where the multiplicities are not well
-defined) and the elimination.  The face multiplicities behind both are
-computed once per fiber and cached on it.
-
-The randomized check compares both sides at random points modulo a random
-prime without building the polynomial entries, which only the symbolic path
-needs: the matrix keeps the topes' sign masks on the free set, which fix
-every entry.  The free indices are split into the fewest balanced chunks
-whose two subset tables are no larger than the matrix, and each tope's
-masks are coded on every chunk once per matrix.  Per evaluation each
-variable's image is evaluated once and tabulated over every subset of each
-chunk, so an entry's residue is one lookup per chunk and sign; the
-variables to draw and the degree bound come from the same masks.
-``VarchenkoMatrix.residues`` writes each row's residues straight into a
-packed row, the last product unreduced, and ``verify`` eliminates those
-rows as they are.
+``build_matrix(f, specialize)`` is the one place where a map reaches the
+matrix.  The matrix keeps the topes' sign masks on the free set, which fix
+every entry, and each source variable's image under the map, and it is read
+three ways: the polynomial ``entries``, which only the symbolic path builds,
+and two integer readings that share one row walker (``_rows``), ``support``
+(the variables to draw and the degree bound) and ``residues`` (one
+evaluation's packed rows).  The free indices are split into the fewest
+balanced chunks whose two subset tables are no larger than the matrix, and
+each tope's masks are coded on every chunk once per matrix; per reading
+each image is tabulated over every subset of each chunk, so an entry is one
+lookup per chunk and sign.  A symbolic ``verify`` checks the size guard,
+builds its one matrix and its one closed form (``product_formula``, whose
+face multiplicities are cached on the fiber) and eliminates the entries
+with the formula's binomials as candidates.  ``determinant`` does the same
+without the report, and takes the distinct 1 - b_v of the non-tope members
+as candidates where the multiplicities are not well defined.  The
+randomized check eliminates the residues' rows as they are.
 
 The modular elimination works on packed rows: each row is one integer with
 a lane of w bits per column, the column to eliminate in the top lane, so a
@@ -107,9 +104,8 @@ from .signvec import (
     FiberError,
     FiberView,
     SignVector,
+    _loop_free,
     _mask_to_indices,
-    _separation_mask,
-    loops,
     multiplicity,
     validate_fiber,
     weight_exponents,
@@ -135,35 +131,11 @@ def _check_size_guard(topes: int, force: bool):
         )
 
 
-def distance(v: SignVector, w: SignVector, free_indices, nvars: int | None = None) -> IntPolynomial:
-    """Aguiar-Mahajan distance monomial between two topes of one fiber."""
-    if not v.is_tope or not w.is_tope:
-        raise ValueError("distance is defined between topes only")
-    if v.n != w.n:
-        raise ValueError(f"length mismatch: {v.n} vs {w.n}")
-    if nvars is None:
-        nvars = 2 * v.n
-    sep = _separation_mask(v, w)
-    exps = {}
-    for i in free_indices:
-        bit = 1 << (i - 1)
-        if sep & bit:
-            # exponent sign comes from the first argument
-            flat = 2 * (i - 1) + (0 if v.plus & bit else 1)
-            exps[flat] = 1
-    return IntPolynomial.monomial(nvars, exps)
-
-
 def weight_monomial(u: SignVector, nvars: int | None = None) -> IntPolynomial:
     """b_u: the product a_i^+ a_i^- over the zero indices of a non-tope."""
     if nvars is None:
         nvars = 2 * u.n
     return IntPolynomial.monomial(nvars, {var: 1 for var in weight_exponents(u)})
-
-
-def _images(specialize: Specialization | None, nvars: int) -> tuple:
-    """Each source variable's image (c, t), c*x_t or the constant c when t is None."""
-    return tuple((1, v) for v in range(nvars)) if specialize is None else specialize.images
 
 
 def _subset_products(values, modulus: int) -> list[int]:
@@ -185,32 +157,32 @@ def _subset_terms(images, nvars: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class VarchenkoMatrix:
-    """Square matrix of pairwise tope distances over the canonical order.
+    """Square matrix of pairwise tope distances over the canonical order, under a variable map.
 
     ``plus[r]`` and ``minus[r]`` are tope r's sign masks on the free set
     (bit i-1 for index i), and they fix every entry: (r, c) is the product
     of a_i^+ over plus[r] & minus[c] and of a_i^- over minus[r] & plus[c].
-    The polynomial ``entries`` are built on first use only.
+    ``images`` and ``nvars`` are the map's, as in ``Specialization`` (the
+    identity when there is none).  The matrix is read three ways: the
+    polynomial ``entries``, built on first use, and two integer readings,
+    ``support`` and ``residues``, that share one row walker (``_rows``).
     """
 
     fiber: FiberView
     tope_order: tuple[SignVector, ...]
     plus: tuple[int, ...]
     minus: tuple[int, ...]
+    images: tuple
+    nvars: int
 
     @property
     def size(self) -> int:
         return len(self.tope_order)
 
-    @property
-    def nvars(self) -> int:
-        return 2 * self.fiber.n
-
-    def polynomials(self, specialize: Specialization | None = None) -> tuple[tuple[IntPolynomial, ...], ...]:
-        """The entries under the optional specialization, in its target universe: the monomial twin of
-        ``residues``, over tables of (coefficient, packed key) products, whose keys add."""
-        nvars = self.nvars if specialize is None else specialize.nvars
-        tables = self._tables(_images(specialize, self.nvars), lambda images: _subset_terms(images, nvars))
+    @cached_property
+    def entries(self) -> tuple[tuple[IntPolynomial, ...], ...]:
+        """The polynomial entries, over tables of (coefficient, packed key) products, whose keys add."""
+        tables = self._tables(self.images, lambda images: _subset_terms(images, self.nvars))
         rows = []
         for r in range(self.size):
             row = [(1, 0)] * self.size
@@ -218,41 +190,42 @@ class VarchenkoMatrix:
                 pk, mk = codes[r]
                 lookups = [(p_k[pk & mc], m_k[mk & pc]) for pc, mc in codes]
                 row = [(a * x * y, k + kx + ky) for (a, k), ((x, kx), (y, ky)) in zip(row, lookups)]
-            rows.append(tuple(IntPolynomial(nvars, {k: a}) for a, k in row))
+            rows.append(tuple(IntPolynomial(self.nvars, {k: a}) for a, k in row))
         return tuple(rows)
 
-    entries = cached_property(polynomials)  # with no map, built on first use
-
-    def entry(self, r: int, c: int) -> IntPolynomial:
-        return self.entries[r][c]
-
-    def support(self, specialize: Specialization | None = None) -> tuple[list[int], int]:
+    def support(self) -> tuple[list[int], int]:
         """(sorted variables of the nonzero entries, sum of the rows' largest entry degrees).
 
-        Both are taken under the optional specialization, in its target
-        universe.  A source variable sent to 0 makes every entry it divides
-        zero, and a zero entry uses no variable and has degree 0.  Evaluated as in
-        ``residues``, with every variable image at 2 and every other nonzero at 1, an entry is 2^degree or 0.
+        A source variable sent to 0 makes every entry it divides zero, and a
+        zero entry uses no variable and has degree 0.  With every variable
+        image at 2 and every other nonzero at 1, an entry is 2^degree or 0,
+        below the modulus 2^(2n+1), which it never reaches.
         """
-        images = _images(specialize, self.nvars)
-        x = [0 if c == 0 else 1 if t is None else 2 for c, t in images]
-        tables = self._tables(x, lambda values: _subset_products(values, 2 << self.nvars))  # nothing reduced
+        x = [0 if c == 0 else 1 if t is None else 2 for c, t in self.images]
         sides = (self.plus, self.minus)
         every = [reduce(or_, masks) for masks in sides]
         used_p = used_m = degree = 0
-        for r in range(self.size):
-            row = [1] * self.size
-            for p_k, m_k, codes in tables:
-                pk, mk = codes[r]
-                row = [v * p_k[pk & mc] * m_k[mk & pc] for v, (pc, mc) in zip(row, codes)]
+        for r, row in enumerate(self._rows(x, 2 << len(x))):
             degree += max(row).bit_length() - 1  # the diagonal entry is 1
             # entry (r, c) uses a_i^+ over plus[r] & minus[c] and a_i^- over minus[r] & plus[c]
             cols_p, cols_m = every if all(row) else [reduce(or_, compress(masks, row), 0) for masks in sides]
             used_p |= self.plus[r] & cols_m
             used_m |= self.minus[r] & cols_p
-        used = {images[2 * i - 2][1] for i in _mask_to_indices(used_p)}
-        used.update(images[2 * i - 1][1] for i in _mask_to_indices(used_m))
+        used = {self.images[2 * i - 2][1] for i in _mask_to_indices(used_p)}
+        used.update(self.images[2 * i - 1][1] for i in _mask_to_indices(used_m))
         return sorted(used - {None}), degree
+
+    def residues(self, assignment, prime: int) -> list[int]:
+        """Packed rows of the entry residues at {target variable: residue}.
+
+        Row r is one integer whose lane c (``_lane_bytes(prime, size)``
+        bytes, lane 0 highest) holds a value below prime^2 congruent to
+        entry (r, c): the rows that ``_eliminate`` takes.  Variables that no
+        nonzero entry uses may be left out of the assignment.
+        """
+        x = [(c * assignment.get(t, 0) if t is not None else c) % prime for c, t in self.images]
+        width = _lane_bytes(prime, self.size)
+        return [_pack(row, width) for row in self._rows(x, prime)]
 
     @cached_property
     def _chunks(self) -> tuple[tuple[list[int], list[tuple[int, int]]], ...]:
@@ -284,24 +257,17 @@ class VarchenkoMatrix:
             for idx, codes in self._chunks
         ]
 
-    def residues(self, assignment, prime: int, specialize: Specialization | None = None) -> list[int]:
-        """Packed rows of the entry residues at {variable: residue}, under the optional specialization.
+    def _rows(self, values, modulus: int):
+        """Each row's entries at the source variables' values, one list per row.
 
-        Row r is one integer whose lane c (``_lane_bytes(prime, size)``
-        bytes, lane 0 highest) holds a value below prime^2 congruent to
-        entry (r, c): the rows that ``_eliminate`` takes.  Each source
-        variable's image is evaluated once.  For each chunk k of the free
-        indices (``_chunks``), P_k and M_k hold the products mod prime of
-        every subset of that chunk's a_i^+ and a_i^- images, so entry (r, c)
-        is the product over k of P_k[plus_k[r] & minus_k[c]] * M_k[minus_k[r] & plus_k[c]]
-        on the tope codes, and the last factor is left unreduced.  Variables
-        that no nonzero entry uses may be left out of the assignment.
+        For each chunk k of the free indices (``_chunks``), P_k and M_k hold
+        the products mod modulus of every subset of that chunk's a_i^+ and
+        a_i^- values, so entry (r, c) is the product over k of
+        P_k[plus_k[r] & minus_k[c]] * M_k[minus_k[r] & plus_k[c]] on the tope
+        codes.  Each chunk's product is reduced before the next multiplies
+        it, and the last is left unreduced: every entry is below modulus^2.
         """
-        images = _images(specialize, self.nvars)
-        x = [(c * assignment.get(t, 0) if t is not None else c) % prime for c, t in images]
-        tables = self._tables(x, lambda values: _subset_products(values, prime))
-        width = _lane_bytes(prime, self.size)
-        rows = []
+        tables = self._tables(values, lambda chunk: _subset_products(chunk, modulus))
         for r in range(self.size):
             row = None
             for p_k, m_k, codes in tables:
@@ -309,17 +275,14 @@ class VarchenkoMatrix:
                 if row is None:
                     row = [p_k[pk & mc] * m_k[mk & pc] for pc, mc in codes]
                 else:
-                    row = [a % prime * p_k[pk & mc] % prime * m_k[mk & pc] for a, (pc, mc) in zip(row, codes)]
-            rows.append(_pack(row or [1] * self.size, width))
-        return rows
+                    row = [a % modulus * p_k[pk & mc] % modulus * m_k[mk & pc] for a, (pc, mc) in zip(row, codes)]
+            yield row or [1] * self.size
 
 
 def _valid_topes(f: FiberView) -> tuple[SignVector, ...]:
     """A valid fiber's topes; a fiber without any has neither a matrix nor a closed form."""
     if f.base.verified:
-        found = loops(f.base)
-        if found:
-            raise FiberError(f"the covector set has loops at indices {sorted(found)}")
+        _loop_free(f.base)
     else:
         problems = validate_fiber(f)
         if problems:
@@ -329,11 +292,14 @@ def _valid_topes(f: FiberView) -> tuple[SignVector, ...]:
     return f.topes
 
 
-def build_matrix(f: FiberView) -> VarchenkoMatrix:
-    """Distance matrix of a fiber; deterministic in the canonical tope order."""
+def build_matrix(f: FiberView, specialize: Specialization | None = None) -> VarchenkoMatrix:
+    """Distance matrix of a fiber under the optional map; deterministic in the canonical tope order."""
     ts = _valid_topes(f)
     free = f.free_mask
-    return VarchenkoMatrix(f, ts, tuple(t.plus & free for t in ts), tuple(t.minus & free for t in ts))
+    plus, minus = tuple(t.plus & free for t in ts), tuple(t.minus & free for t in ts)
+    if specialize is None:
+        return VarchenkoMatrix(f, ts, plus, minus, tuple((1, v) for v in range(2 * f.n)), 2 * f.n)
+    return VarchenkoMatrix(f, ts, plus, minus, specialize.images, specialize.nvars)
 
 
 def _binomial(base: IntPolynomial):
@@ -576,7 +542,6 @@ def face_multiplicities(f: FiberView) -> tuple:
 
 def product_formula(f: FiberView, specialize: Specialization | None = None) -> FactoredPoly:
     """The determinant's closed form prod (1 - b_v)^(beta_v), beta_v > 0, optionally specialized."""
-    _valid_topes(f)
     one = IntPolynomial.one(2 * f.n)
     formula = FactoredPoly(2 * f.n, [(one - weight, beta) for _, weight, beta in face_multiplicities(f) if beta])
     return formula if specialize is None else specialize.apply_factored(formula)
@@ -598,7 +563,7 @@ def determinant(
     members, specialized.
     """
     _check_size_guard(len(f.topes), force)
-    rows = build_matrix(f).polynomials(specialize)
+    matrix = build_matrix(f, specialize)
     try:
         bases = [base for base, _ in product_formula(f, specialize).factors]
     except FiberError:
@@ -606,8 +571,7 @@ def determinant(
         bases = {one - weight_monomial(u) for u in f.members if not u.is_tope}
         if specialize is not None:
             bases = {specialize.apply_poly(base) for base in bases}
-    nvars = 2 * f.n if specialize is None else specialize.nvars
-    return bareiss_determinant([list(r) for r in rows], nvars, bases)
+    return bareiss_determinant(matrix.entries, matrix.nvars, bases)
 
 
 # modular evaluation
@@ -883,23 +847,24 @@ def verify(
     size = len(f.topes)
     if mode == "auto":
         mode = "symbolic" if size <= SYMBOLIC_LIMIT else "randomized"
-    # the guard's and the matrix's errors are reported before the multiplicities'
+    # the guard's errors come first, then the matrix's, the multiplicities' and only then the elimination
     if mode == "symbolic":
-        det = determinant(f, specialize, force=force_symbolic)
-    else:
-        matrix = build_matrix(f)
+        _check_size_guard(size, force_symbolic)
+    matrix = build_matrix(f, specialize)
     faces = face_multiplicities(f)
     if specialize is not None:
         faces = tuple((u, specialize.apply_poly(w), beta) for u, w, beta in faces)
     formula = product_formula(f, specialize)
+    bases = [base for base, _ in formula.factors]
 
     if mode == "symbolic":
+        det = bareiss_determinant(matrix.entries, matrix.nvars, bases)
         return VerificationReport("symbolic", size, faces, formula, det == formula.expand(), det)
-    used, row_degree = matrix.support(specialize)
-    var_order = sorted(set(used).union(used_variables([base for base, _ in formula.factors])))
+    used, row_degree = matrix.support()
+    var_order = sorted(set(used).union(used_variables(bases)))
 
     def det_residue(assignment, prime):
-        return _eliminate(matrix.residues(assignment, prime, specialize), prime)
+        return _eliminate(matrix.residues(assignment, prime), prime)
 
     prime, records = _compare(var_order, det_residue, formula, seed, evals)
     return VerificationReport(

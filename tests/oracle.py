@@ -17,7 +17,8 @@ substitution homomorphism built from polynomial products and powers, the
 elimination oracle is the fused Bareiss kernel that expands every
 intermediate entry (it also lists each step's minors), the side-swap
 oracle is that substitution exchanging each a_i^+ with a_i^-, the
-degree-bound oracle reads the row maxima off the polynomial entries
+entry oracle builds each distance monomial from the separation set of two
+topes, the degree-bound oracle reads the row maxima off the polynomial entries
 rather than the tope masks, the support oracle reads them and the used
 variables off the masks one interpreted step per tope pair, and the
 modular determinant oracle eliminates on lists of residues, one
@@ -50,8 +51,19 @@ from omdet.polyring import (
 )
 from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors, sign_feasible
 from omdet.signvec import CovectorSet, FiberError, SignVector, compose, leq, separation, topal_fiber, topes
-from omdet.varchenko import distance
 from omdet.wiring import WiringDiagram
+
+
+def distance(v: SignVector, w: SignVector, free_indices, nvars: int | None = None) -> IntPolynomial:
+    """Aguiar-Mahajan distance monomial between two topes of one fiber, one separated free index at a time.
+
+    The exponent sign comes from the first argument: a_i^+ where v is positive.
+    """
+    if not v.is_tope or not w.is_tope:
+        raise ValueError("distance is defined between topes only")
+    sep = separation(v, w)
+    exps = {2 * (i - 1) + (0 if v.sign(i) > 0 else 1): 1 for i in free_indices if i in sep}
+    return IntPolynomial.monomial(2 * v.n if nvars is None else nvars, exps)
 
 
 def permutation_determinant(entries, nvars: int) -> IntPolynomial:

@@ -47,7 +47,6 @@ from omdet.varchenko import (
     build_matrix,
     determinant,
     det_mod,
-    distance,
     draw_prime,
     face_multiplicities,
     factored_bareiss,
@@ -69,6 +68,7 @@ from oracle import (
     corpus_fibers,
     corpus_sets,
     degree_bound,
+    distance,
     fused_bareiss,
     mask_support,
     one_line,
@@ -155,9 +155,9 @@ class TestMatrix:
         m = build_matrix(f)
         one = P.one(m.nvars)
         for r in range(m.size):
-            assert m.entry(r, r) == one
+            assert m.entries[r][r] == one
             for c in range(m.size):
-                prod = m.entry(r, c) * m.entry(c, r)
+                prod = m.entries[r][c] * m.entries[c][r]
                 sep = [
                     i
                     for i in sorted(f.free)
@@ -213,7 +213,7 @@ class TestDeterminant:
         for _ in range(5):
             order = list(range(m.size))
             rng.shuffle(order)
-            rows = [[m.entry(r, c) for c in order] for r in order]
+            rows = [[m.entries[r][c] for c in order] for r in order]
             assert bareiss_determinant(rows, m.nvars) == base
 
     def test_size_guard(self, monkeypatch):
@@ -445,6 +445,14 @@ class TestDetModPacked:
         assert _eliminate(pack_rows(lanes, prime), prime) == row_det_mod(rows, prime)
 
 
+def _spy(monkeypatch, name):
+    """The calls of omdet.varchenko.<name>, which still runs, as a list of their positional arguments."""
+    calls = []
+    real = getattr(omdet.varchenko, name)
+    monkeypatch.setattr(omdet.varchenko, name, lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    return calls
+
+
 class TestVerify:
     def test_symbolic_one_line(self):
         report = verify(whole_fiber(one_line()), mode="symbolic")
@@ -464,6 +472,15 @@ class TestVerify:
             verify(f, mode="symbolic")
         report = verify(f, mode="symbolic", force_symbolic=True)
         assert report.agreement
+
+    def test_symbolic_verify_makes_one_of_each(self, monkeypatch):
+        # one matrix, one closed form and one elimination per symbolic verdict, with or without a map
+        f = whole_fiber(concurrent_lines())
+        for spec in (None, Specialization.collapse_all(2 * f.n)):
+            spies = [_spy(monkeypatch, name) for name in ("build_matrix", "product_formula", "bareiss_determinant")]
+            assert verify(f, mode="symbolic", specialize=spec).agreement
+            assert [len(calls) for calls in spies] == [1, 1, 1]
+            monkeypatch.undo()
 
     def test_randomized_reproducible(self):
         f = whole_fiber(coord_lines())
@@ -749,8 +766,9 @@ class TestMaskEvaluation:
         at = {v: rng.randrange(prime) for v in range(formula.nvars)}
         residues = residues_mod(flat, at, prime)
         expected = [residues[r * m.size : (r + 1) * m.size] for r in range(m.size)]
-        assert unpack_rows(m.residues(at, prime, spec), prime, m.size) == expected
-        used, rows = m.support(spec)
+        mapped = build_matrix(f, spec)
+        assert unpack_rows(mapped.residues(at, prime), prime, m.size) == expected
+        used, rows = mapped.support()
         assert used == used_variables(flat)
         assert rows == degree_bound(entries, FactoredPoly(formula.nvars))
         seed = data.draw(st.integers(0, 99))
@@ -790,7 +808,7 @@ class TestMaskEvaluation:
             at = {v: rng.randrange(prime) for v in range(2 * f.n if spec is None else spec.nvars)}
             residues = residues_mod([e for row in entries for e in row], at, prime)
             expected = [residues[r * m.size : (r + 1) * m.size] for r in range(m.size)]
-            assert unpack_rows(m.residues(at, prime, spec), prime, m.size) == expected, spec
+            assert unpack_rows(build_matrix(f, spec).residues(at, prime), prime, m.size) == expected, spec
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(data=st.data())
@@ -808,7 +826,7 @@ class TestMaskEvaluation:
         one_zero = st.integers(0, m.nvars - 1).map(lambda v: Specialization.of(m.nvars, {v: 0}))
         maps = (_mask_specializations(m.nvars, f.free), _zero_hyperplane_maps(m.nvars, f.free), one_zero)
         spec = data.draw(st.one_of(*maps))
-        assert m.support(spec) == mask_support(m, spec)
+        assert build_matrix(f, spec).support() == mask_support(m, spec)
 
     def test_randomized_verify_builds_no_entries(self, monkeypatch):
         f = faces(non_pappus())
@@ -817,7 +835,6 @@ class TestMaskEvaluation:
         def no_entries(*args):
             raise AssertionError("a polynomial matrix entry was built")
 
-        monkeypatch.setattr(omdet.varchenko, "distance", no_entries)
         monkeypatch.setattr(IntPolynomial, "monomial", no_entries)
         for spec in (None, Specialization.of(2 * f.n, {0: 0, 3: -3}), Specialization.collapse_all(2 * f.n)):
             assert verify(f, mode="randomized", evals=2, specialize=spec).agreement
@@ -877,20 +894,21 @@ class TestMaskPolynomials:
             values = {var_index(v): int(x) for v, x in (item.split("=") for item in kind.split(","))}
             assume(max(values) < m.nvars)
             spec = Specialization.of(m.nvars, values)
-        assert m.polynomials(spec) == _distance_rows(m, spec)
+        assert build_matrix(f, spec).entries == _distance_rows(m, spec)
         assert m.entries == _distance_rows(m, None)
 
     @pytest.mark.parametrize("name", ["affine", "fiber-subset", "wide", "wires-8", "wires-17", "wires-64"])
     def test_over_free_chunks(self, name):
         m = build_matrix(_chunked_fibers()[name])
         for spec in (None, Specialization.collapse_all(m.nvars), Specialization.of(m.nvars, {0: 0, 1: 0, 3: -3})):
-            assert m.polynomials(spec) == _distance_rows(m, spec), spec
+            assert build_matrix(m.fiber, spec).entries == _distance_rows(m, spec), spec
 
-    def test_determinant_builds_no_distance(self, monkeypatch):
+    def test_determinant_builds_no_distance(self):
+        # the distance oracle is not in the package; determinant eliminates the mask-built entries
+        assert not hasattr(omdet.varchenko, "distance")
         f = whole_fiber(concurrent_lines())
-        expected = determinant(f)
-        monkeypatch.setattr(omdet.varchenko, "distance", None)
-        assert determinant(f) == expected
+        m = build_matrix(f)
+        assert determinant(f) == permutation_determinant(_distance_rows(m, None), m.nvars)
 
 
 def _seeded_fibers(count=32, max_topes=10):
@@ -980,6 +998,16 @@ class TestFactoredBareissOracle:
             assert factored_bareiss([list(r) for r in m.entries], m.nvars, _bases(pf)) == pf, name
 
 
+def _index_dependent_fiber():
+    """A seeded 5-wire fiber with the segment -0--- removed: still closed,
+    but the multiplicity of 00--- depends on the index."""
+    members = (
+        "----- -+--- -+--0 -+--+ -+-0+ -+-++ -+0++ -++++ 0---- 00--- 0+--- 0+--0 0+--+ 0+00+ 0++++ +---- +0--- "
+        "++--- ++--0 ++--+ ++0-- ++0-0 ++0-+ +++-- +++-0 +++-+ +++0- +++00 +++0+ ++++- ++++0 +++++"
+    ).split()
+    return fiber_of([sv(x) for x in members], anchor=sv("-----"))
+
+
 class TestFactoredBareissEdges:
     def test_all_ones_map_gives_zero(self):
         f = whole_fiber(concurrent_lines())
@@ -1015,7 +1043,7 @@ class TestFactoredBareissEdges:
             m = build_matrix(f)
             order = list(range(m.size))
             rng.shuffle(order)
-            yield [[m.entry(r, c) for c in order] for r in order], m.nvars, product_formula(f)
+            yield [[m.entries[r][c] for c in order] for r in order], m.nvars, product_formula(f)
 
     def test_permuted_tope_order(self, monkeypatch):
         monkeypatch.setattr(omdet.varchenko, "_expanded_quotient", _no_fallback)
@@ -1052,19 +1080,11 @@ class TestFactoredBareissEdges:
         assert det == parse_poly("-2*a^2 - 2*a^4 + 2*a^6 + 2*a^8", 1)
 
     def test_ill_defined_multiplicity_takes_the_members_bases(self, monkeypatch):
-        # a seeded 5-wire fiber with the segment -0--- removed: still closed,
-        # but the multiplicity of 00--- depends on the index; with no formula
-        # the candidates are the distinct 1 - b_v of the non-tope members
-        members = (
-            "----- -+--- -+--0 -+--+ -+-0+ -+-++ -+0++ -++++ 0---- 00--- 0+--- 0+--0 0+--+ 0+00+ 0++++ +---- +0--- "
-            "++--- ++--0 ++--+ ++0-- ++0-0 ++0-+ +++-- +++-0 +++-+ +++0- +++00 +++0+ ++++- ++++0 +++++"
-        ).split()
-        f = fiber_of([sv(x) for x in members], anchor=sv("-----"))
+        # with no formula the candidates are the distinct 1 - b_v of the non-tope members
+        f = _index_dependent_fiber()
         with pytest.raises(FiberError, match="depends on the index choice"):
             face_multiplicities(f)
-        calls = []
-        kernel = omdet.varchenko.bareiss_determinant
-        monkeypatch.setattr(omdet.varchenko, "bareiss_determinant", lambda *args: calls.append(args) or kernel(*args))
+        calls = _spy(monkeypatch, "bareiss_determinant")
         m = build_matrix(f)
         one = P.one(m.nvars)
         weights = {one - weight_monomial(u) for u in f.members if not u.is_tope}
@@ -1080,6 +1100,12 @@ class TestFactoredBareissEdges:
                 at = {v: rng.randrange(prime) for v in range(nvars)}
                 values = [[residue_oracle(e, at, prime) for e in row] for row in rows]
                 assert residue_oracle(det, at, prime) == row_det_mod(values, prime)
+
+    def test_ill_defined_multiplicity_fails_verify_before_the_elimination(self, monkeypatch):
+        calls = _spy(monkeypatch, "bareiss_determinant")
+        with pytest.raises(FiberError, match="depends on the index choice"):
+            verify(_index_dependent_fiber(), mode="symbolic")
+        assert calls == []
 
     def test_ill_defined_multiplicity_keeps_the_determinant(self):
         # closed under composition, so the determinant exists, but the
@@ -1402,7 +1428,7 @@ class TestPackedMultisets:
         f = faces(non_pappus())
         m = build_matrix(f)
         spec = Specialization.collapse_all(m.nvars)
-        rows = [list(row) for row in m.polynomials(spec)]
+        rows = [list(row) for row in build_matrix(f, spec).entries]
         result = factored_bareiss(rows, 1, _bases(product_formula(f, spec)))
         assert str(result) == (
             "(1 - a^2)^55 * (1 + 8*a^2 + 36*a^4 + 112*a^6 + 266*a^8 + 504*a^10 + 784*a^12 + 1016*a^14 + 1107*a^16"
