@@ -41,8 +41,25 @@ like a packed monomial key: multisets add as integers, and their common part
 is a SWAR lane-wise minimum (``_lane_min``).  With the swap mirror the
 candidates are closed under sigma, which permutes the lanes.
 
+Under a one-variable map, an elimination whose D*K stays within
+``_KRONECKER_BITS`` (D the sum of the rows' largest entry degrees, the
+crossover measured on the full reversals) keeps each leftover L as the
+exact integer L(2^K) and each candidate as 1 - c*2^(K deg b).  Evaluation
+at 2^K is a ring map Z[a] -> Z, so the same pass and updates run on
+CPython's big integers: a product, the subtraction, and exact and trial
+division by divmod, the latter only when the candidates' gcd divides the
+leftover.  K is the bit length of the Hadamard bound
+prod_r sqrt(sum_c ||e_rc||_1^2) plus 2, and at least 64; the determinant's
+coefficients are below 2^(K-2), so ``bareiss_determinant`` reads them off
+the balanced base-2^K digits of its value.  ``factored_bareiss`` reads the
+leftover off the same digits and keeps it when
+||L||_1 * prod (1 + |c|)^e < 2^(K-1), which makes the product the
+determinant; otherwise it runs again on term dicts.  Multivariate
+eliminations and larger univariate ones keep term dicts.
+
 ``build_matrix(f, specialize)`` is the one place where a map reaches the
-matrix.  The matrix keeps the topes' sign masks on the free set, which fix
+matrix, and it first checks that the map's source is the fiber's 2n
+variables.  The matrix keeps the topes' sign masks on the free set, which fix
 every entry, and each source variable's image under the map, and it is read
 three ways: the polynomial ``entries``, which only the symbolic path builds,
 and two integer readings that share one row walker (``_rows``), ``support``
@@ -77,6 +94,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, repeat
+from math import gcd, isqrt, prod
 from operator import or_
 
 from .polyring import (
@@ -293,7 +311,14 @@ def _valid_topes(f: FiberView) -> tuple[SignVector, ...]:
 
 
 def build_matrix(f: FiberView, specialize: Specialization | None = None) -> VarchenkoMatrix:
-    """Distance matrix of a fiber under the optional map; deterministic in the canonical tope order."""
+    """Distance matrix of a fiber under the optional map; deterministic in the canonical tope order.
+
+    The map's source must be the fiber's 2n variables, which is checked first.
+    """
+    if specialize is not None and len(specialize.images) != 2 * f.n:
+        raise ValueError(
+            f"the map is on {len(specialize.images)} variables, but the fiber has {2 * f.n} (2 per hyperplane)"
+        )
     ts = _valid_topes(f)
     free = f.free_mask
     plus, minus = tuple(t.plus & free for t in ts), tuple(t.minus & free for t in ts)
@@ -325,49 +350,125 @@ def _lane_min(x: int, y: int, guard: int) -> int:
     return x ^ ((x ^ y) & (t - (t >> (LANE_BITS - 1))))
 
 
-def _times_binomials(terms: dict, fac: int, candidates) -> dict:
-    """terms times the binomials of fac; zero coefficients are left in."""
-    for j, e in _lanes(len(candidates), fac):
-        b, c = candidates[j]
-        for _ in range(e):
-            out = dict(terms)
-            for k, v in terms.items():
-                out[k + b] = out.get(k + b, 0) - c * v
-            terms = out
-    return terms
+class _TermDicts:
+    """Leftovers as term dicts over ``nvars`` variables, candidates as (b, c) for 1 - c*x^b."""
+
+    __slots__ = ("nvars", "key_guard")
+    zero, one = {}, {0: 1}  # never mutated
+
+    def __init__(self, nvars: int):
+        self.nvars, self.key_guard = nvars, _guard_mask(nvars)
+
+    def product(self, x: dict, y: dict) -> dict:
+        if len(x) == 1 == len(y):
+            ((k1, c1),), ((k2, c2),) = x.items(), y.items()
+            return {k1 + k2: c1 * c2}
+        out: dict[int, int] = {}
+        _accumulate_product(out, x, y)
+        return out
+
+    def times_binomials(self, terms: dict, fac: int, candidates) -> dict:
+        """terms times the binomials of fac; zero coefficients are left in."""
+        for j, e in _lanes(len(candidates), fac):
+            b, c = candidates[j]
+            for _ in range(e):
+                out = dict(terms)
+                for k, v in terms.items():
+                    out[k + b] = out.get(k + b, 0) - c * v
+                terms = out
+        return terms
+
+    def difference(self, x, y) -> dict:
+        """x - y, None standing for 0 and x updated in place, with zero coefficients stripped and
+        exponents checked."""
+        if x is None:
+            x = {}
+        if y:
+            for k, v in y.items():
+                x[k] = x.get(k, 0) - v
+        return _strip_and_check(self.nvars, x)
+
+    def divide_out(self, terms: dict, fac: int, lo: dict, candidates) -> dict:
+        """terms / (lo times the binomials of fac), exact or ExactDivisionError."""
+        for j, e in _lanes(len(candidates), fac) if fac else ():
+            for _ in range(e):
+                terms = divide_binomial(self.nvars, terms, *candidates[j])
+        return terms if lo == {0: 1} else _divide_exact(self.nvars, dict(terms), lo)
+
+    def refactor(self, terms: dict, fac: int, candidates, guard: int) -> tuple[dict, int]:
+        """(leftover, fac plus every candidate binomial that divides terms), by trial division.
+
+        A binomial with c = 1 vanishes where every variable is 1, so it is
+        tried only while the coefficients sum to zero, and only when its
+        monomial divides the leading one.
+        """
+        if not terms:
+            return terms, 0
+        found, n = 0, len(candidates)
+        at_ones = sum(terms.values())
+        for j, (b, c) in enumerate(candidates):
+            while c != 1 or at_ones == 0:
+                top = max(terms) - b
+                if top < 0 or top & self.key_guard:
+                    break
+                try:
+                    terms = divide_binomial(self.nvars, terms, b, c)
+                except ExactDivisionError:
+                    break
+                found += 1 << LANE_BITS * (n - 1 - j)
+                at_ones = sum(terms.values())
+        return terms, _lane_check(fac + found, guard)
 
 
-def _divide_out(nvars: int, terms: dict, fac: int, lo: dict, candidates) -> dict:
-    """terms / (lo times the binomials of fac), exact or ExactDivisionError."""
-    for j, e in _lanes(len(candidates), fac) if fac else ():
-        for _ in range(e):
-            terms = divide_binomial(nvars, terms, *candidates[j])
-    return terms if lo == {0: 1} else _divide_exact(nvars, dict(terms), lo)
+class _Integers:
+    """Leftovers as the integers L(2^K), candidates as the integers 1 - c*2^(K deg b).
 
-
-def _refactor(nvars: int, terms: dict, fac: int, candidates, guard: int) -> tuple[dict, int]:
-    """(leftover, fac plus every candidate binomial that divides terms), by trial division.
-
-    A binomial with c = 1 vanishes where every variable is 1, so it is tried
-    only while the coefficients sum to zero.
+    Evaluation at 2^K is a ring map, and every (telescoped) Bareiss quotient
+    is a minor's value, so each division is exact; ``gcd`` is the candidates'.
     """
-    if not terms:
-        return terms, 0
-    found, n = 0, len(candidates)
-    at_ones = sum(terms.values())
-    for j, (b, c) in enumerate(candidates):
-        while c != 1 or at_ones == 0:
-            try:
-                terms = divide_binomial(nvars, terms, b, c)
-            except ExactDivisionError:
-                break
-            found += 1 << LANE_BITS * (n - 1 - j)
-            at_ones = sum(terms.values())
-    return terms, _lane_check(fac + found, guard)
+
+    __slots__ = ("gcd",)
+    zero, one = 0, 1
+
+    def __init__(self, gcd: int):
+        self.gcd = gcd
+
+    def product(self, x: int, y: int) -> int:
+        return x * y
+
+    def times_binomials(self, x: int, fac: int, candidates) -> int:
+        for j, e in _lanes(len(candidates), fac):
+            x *= candidates[j] ** e
+        return x
+
+    def difference(self, x, y) -> int:
+        """x - y, None standing for 0."""
+        return (x or 0) - (y or 0)
+
+    def divide_out(self, x: int, fac: int, lo: int, candidates) -> int:
+        quotient, remainder = divmod(x, self.times_binomials(lo, fac, candidates) if fac else lo)
+        if remainder:
+            raise ExactDivisionError("nonzero remainder after dividing by the leftover and binomials")
+        return quotient
+
+    def refactor(self, x: int, fac: int, candidates, guard: int) -> tuple[int, int]:
+        """(leftover, fac plus every candidate that divides x), by trial division, tried only if the
+        candidates' gcd divides x."""
+        if not x:
+            return x, 0
+        if x % self.gcd:
+            return x, fac
+        found, n = 0, len(candidates)
+        for j, candidate in enumerate(candidates):
+            quotient, remainder = divmod(x, candidate)
+            while not remainder:
+                x, found = quotient, found + (1 << LANE_BITS * (n - 1 - j))
+                quotient, remainder = divmod(x, candidate)
+        return x, _lane_check(fac + found, guard)
 
 
-def _update(nvars: int, p, q, r, s, prev, candidates, guard: int):
-    """(p*q - r*s) / prev on factored entries (leftover terms, binomial multiset).
+def _update(ring, p, q, r, s, prev, candidates, guard: int):
+    """(p*q - r*s) / prev on factored entries (leftover, binomial multiset), in ``ring``'s leftovers.
 
     Binomials shared by both products are kept out of the expansion (a zero
     product shares all of the other's); those that prev also carries cancel
@@ -376,26 +477,29 @@ def _update(nvars: int, p, q, r, s, prev, candidates, guard: int):
     (pt, pf), (qt, qf), (rt, rf), (st, sf), (lo, lf) = p, q, r, s, prev
     f1, f2 = pf + qf, rf + sf
     _lane_check(f1 | f2, guard)
+    pq = rs = None
     if pt and qt:
         g = _lane_min(f1, f2, guard) if rt and st else f1
-        acc = _times_binomials(_product(pt, qt), f1 - g, candidates) if f1 != g else _product(pt, qt)
+        pq = ring.product(pt, qt)
+        if f1 != g:
+            pq = ring.times_binomials(pq, f1 - g, candidates)
     else:
-        g, acc = f2, {}
+        g = f2
     if rt and st:
-        rs = _times_binomials(_product(rt, st), f2 - g, candidates) if f2 != g else _product(rt, st)
-        for k, v in rs.items():
-            acc[k] = acc.get(k, 0) - v
-    num = _strip_and_check(nvars, acc)
+        rs = ring.product(rt, st)
+        if f2 != g:
+            rs = ring.times_binomials(rs, f2 - g, candidates)
+    num = ring.difference(pq, rs)
     h = _lane_min(g, lf, guard) if lf else 0
     kept, rest = g - h, lf - h
     try:
-        quotient = _divide_out(nvars, num, rest, lo, candidates)
+        quotient = ring.divide_out(num, rest, lo, candidates)
     except ExactDivisionError:
-        quotient, kept = _expanded_quotient(nvars, num, kept, rest, lo, candidates), 0
-    return _refactor(nvars, quotient, kept, candidates, guard)
+        quotient, kept = _expanded_quotient(ring, num, kept, rest, lo, candidates), 0
+    return ring.refactor(quotient, kept, candidates, guard)
 
 
-def _expanded_quotient(nvars: int, num: dict, kept: int, rest: int, lo: dict, candidates) -> dict:
+def _expanded_quotient(ring, num, kept: int, rest: int, lo, candidates):
     """num times the kept binomials, over lo times the rest: nothing is kept aside.
 
     The first division fails only when a kept binomial shares a factor with
@@ -403,17 +507,8 @@ def _expanded_quotient(nvars: int, num: dict, kept: int, rest: int, lo: dict, ca
     divides 1 - a^6, and 1 - 4x^2 factors): without one, distinct binomials
     1 - b_v are irreducible and coprime, and no leftover has one as a factor.
     """
-    expanded = _strip_and_check(nvars, _times_binomials(num, kept, candidates))
-    return _divide_out(nvars, expanded, rest, lo, candidates)
-
-
-def _product(x: dict, y: dict) -> dict:
-    if len(x) == 1 == len(y):
-        ((k1, c1),), ((k2, c2),) = x.items(), y.items()
-        return {k1 + k2: c1 * c2}
-    out: dict[int, int] = {}
-    _accumulate_product(out, x, y)
-    return out
+    expanded = ring.difference(ring.times_binomials(num, kept, candidates), None)
+    return ring.divide_out(expanded, rest, lo, candidates)
 
 
 def _same(x):
@@ -449,7 +544,7 @@ def _entry_mirror(key, candidates):
     )
 
 
-def _factored_pass(start: list, nvars: int, candidates, guard: int, mirror=None):
+def _factored_pass(start: list, ring, candidates, guard: int, mirror=None):
     """(last pivot, sign) of eliminating a copy of the factored entries ``start``; with a mirror, only
     the upper triangle, with column k read as the mirror of row k, and None at a zero pivot.
 
@@ -459,11 +554,12 @@ def _factored_pass(start: list, nvars: int, candidates, guard: int, mirror=None)
     rescaled, by an update with a zero cofactor, when they are read.
     """
     a = [list(row) for row in start]
-    m, sign, zero = len(a), 1, ({}, 0)
-    d, at = [({0: 1}, 0)], [0] * m
+    m, sign = len(a), 1
+    zero = (ring.zero, 0)
+    d, at = [(ring.one, 0)], [0] * m
 
     def rescale(x, s: int, k: int):  # d[k] * x / d[s]: an entry of step s at step k
-        return x if s == k else _update(nvars, d[k], x, zero, zero, d[s], candidates, guard)
+        return x if s == k else _update(ring, d[k], x, zero, zero, d[s], candidates, guard)
 
     for k in range(m - 1):
         if not a[k][k][0]:
@@ -489,9 +585,78 @@ def _factored_pass(start: list, nvars: int, candidates, guard: int, mirror=None)
             if mirror:
                 aik = rescale(mirror(aik), k, s)
             for j in range(i if mirror else k + 1, m):
-                row_i[j] = _update(nvars, pivot, row_i[j], aik, row_k[j], d[s], candidates, guard)
+                row_i[j] = _update(ring, pivot, row_i[j], aik, row_k[j], d[s], candidates, guard)
             at[i] = k + 1
     return rescale(a[m - 1][m - 1], at[m - 1], m - 1), sign
+
+
+# A univariate elimination keeps its leftovers as the integers L(2^K) while D*K is at most this
+# many bits, D the sum of the rows' largest entry degrees and K the width of ``_kronecker_width``;
+# past it, term dicts are faster.  ``bareiss_determinant`` on the full reversals under all=a,
+# integers against term dicts on a 2-core host, medians of 9 alternating pairs (5 at 14 wires):
+# 8 wires (D*K = 26.6k) 1.59x faster, 10 wires (83.5k) 1.08x, 11 wires (137k) 0.92x,
+# 12 wires (214k) 0.63x, 14 wires (479k) 0.38x.
+_KRONECKER_BITS = 100_000
+_MIN_WIDTH = 64  # keeps an integer trial division that succeeds where the polynomial one fails out of practice
+
+
+def _kronecker_width(rows: list[list[IntPolynomial]], nvars: int) -> int | None:
+    """K when the elimination keeps its leftovers as integers L(2^K); None for several variables
+    or past ``_KRONECKER_BITS``.
+
+    K is the bit length of the Hadamard bound prod_r sqrt(sum_c ||e_rc||_1^2),
+    plus 2, and at least ``_MIN_WIDTH``.  The bound is at least max |det(z)|
+    on |z| = 1, which bounds every coefficient of the determinant, so the
+    balanced base-2^K digits of its value are its coefficients.
+    """
+    if nvars != 1:
+        return None
+    norms, degree = 1, 0
+    for row in rows:
+        terms = [e._terms for e in row]
+        norms *= sum(sum(map(abs, t.values())) ** 2 for t in terms)
+        degree += max([max(t) for t in terms if t], default=0) >> LANE_BITS
+    width = max(_MIN_WIDTH, (isqrt(norms) + 1).bit_length() + 2)
+    return width if degree * width <= _KRONECKER_BITS else None
+
+
+def _digits(x: int, width: int) -> dict:
+    """The univariate term dict of L with L(2^width) = x and every coefficient in [-2^(width-1), 2^(width-1))."""
+    terms, half, mask, e = {}, 1 << (width - 1), (1 << width) - 1, 0
+    while x:
+        digit = ((x + half) & mask) - half
+        if digit:
+            terms[pack_monomial(1, {0: e})] = digit
+        x, e = (x - digit) >> width, e + 1
+    return terms
+
+
+def _value_at(terms: dict, width: int) -> int:
+    """A univariate term dict's value at x = 2^width."""
+    x = 0
+    for k, c in terms.items():
+        x += c << width * (k >> LANE_BITS)
+    return x
+
+
+def _eliminated(rows: list[list[IntPolynomial]], nvars: int, bases, width: int | None = None):
+    """(leftover, [((b, c), e)]) of the factored elimination, the determinant being the leftover
+    (sign included) times prod (1 - c*x^b)^e: a term dict L, or with a width K the integer L(2^K)."""
+    key = _mirror(rows, nvars)
+    bcs = {bc for bc in map(_binomial, bases) if bc}
+    pairs = sorted(bcs if key is None else bcs | {(key(b), c) for b, c in bcs})
+    guard = _guard_mask(len(pairs))
+    if width is None:
+        ring, candidates, start = _TermDicts(nvars), pairs, [[e._terms for e in row] for row in rows]
+    else:
+        candidates = [_value_at({0: 1, b: -c}, width) for b, c in pairs]
+        ring = _Integers(gcd(*candidates) or 1)
+        start = [[_value_at(e._terms, width) for e in row] for row in rows]
+    start = [[ring.refactor(x, 0, candidates, guard) for x in row] for row in start]
+    result = key and _factored_pass(start, ring, candidates, guard, _entry_mirror(key, pairs))
+    (lo, fac), sign = result or _factored_pass(start, ring, candidates, guard)
+    lo = sign * lo if width else {k: sign * v for k, v in lo.items()}
+    return lo, [(pairs[j], e) for j, e in _lanes(len(pairs), fac)]
 
 
 def factored_bareiss(rows: list[list[IntPolynomial]], nvars: int, bases=()) -> FactoredPoly:
@@ -510,22 +675,36 @@ def factored_bareiss(rows: list[list[IntPolynomial]], nvars: int, bases=()) -> F
     whose multiplier is zero, common since the distance is multiplicative
     along shortest galleries, are left at the step they were last updated
     at and caught up by their next update (``_factored_pass``).
+
+    A univariate elimination within ``_KRONECKER_BITS`` runs on the integers
+    L(2^K) and reads L off the balanced base-2^K digits.  It is kept when
+    ||L||_1 * prod (1 + |c|)^e < 2^(K-1): with the product's coefficients
+    that small and the determinant's below 2^(K-2), equal values at 2^K make
+    them equal.  Otherwise the elimination runs again on term dicts.
     """
-    key = _mirror(rows, nvars)
-    bcs = {bc for bc in map(_binomial, bases) if bc}
-    candidates = sorted(bcs if key is None else bcs | {(key(b), c) for b, c in bcs})
-    guard = _guard_mask(len(candidates))
-    start = [[_refactor(nvars, e._terms, 0, candidates, guard) for e in row] for row in rows]
-    result = key and _factored_pass(start, nvars, candidates, guard, _entry_mirror(key, candidates))
-    (lo, fac), sign = result or _factored_pass(start, nvars, candidates, guard)
-    binomials = [(candidates[j], e) for j, e in _lanes(len(candidates), fac)]
+    width = _kronecker_width(rows, nvars)
+    if width is not None:
+        x, binomials = _eliminated(rows, nvars, bases, width)
+        lo = _digits(x, width)
+        bound = sum(map(abs, lo.values())) * prod((1 + abs(c)) ** e for (_, c), e in binomials)
+        if bound < 1 << (width - 1):
+            return _factored(nvars, lo, binomials)
+    return _factored(nvars, *_eliminated(rows, nvars, bases))
+
+
+def _factored(nvars: int, lo: dict, binomials) -> FactoredPoly:
     factors = [(IntPolynomial(nvars, {0: 1, b: -c}), e) for (b, c), e in binomials]
-    return FactoredPoly(nvars, factors + [(IntPolynomial(nvars, lo) * sign, 1)])
+    return FactoredPoly(nvars, factors + [(IntPolynomial(nvars, lo), 1)])
 
 
 def bareiss_determinant(rows: list[list[IntPolynomial]], nvars: int, bases=()) -> IntPolynomial:
-    """Exact determinant by factored fraction-free elimination, expanded."""
-    return factored_bareiss(rows, nvars, bases).expand()
+    """Exact determinant by factored fraction-free elimination: on integers L(2^K), the balanced
+    base-2^K digits of its value, else the factored result expanded."""
+    width = _kronecker_width(rows, nvars)
+    if width is None:
+        return _factored(nvars, *_eliminated(rows, nvars, bases)).expand()
+    x, binomials = _eliminated(rows, nvars, bases, width)
+    return IntPolynomial(1, _digits(x * prod(_value_at({0: 1, b: -c}, width) ** e for (b, c), e in binomials), width))
 
 
 def face_multiplicities(f: FiberView) -> tuple:

@@ -35,9 +35,11 @@ from omdet.signvec import (
     topes,
 )
 from omdet.varchenko import (
+    _KRONECKER_BITS,
     EvalRecord,
     SizeGuardError,
     _eliminate,
+    _kronecker_width,
     _lane_check,
     _lane_min,
     _lane_reducer,
@@ -144,6 +146,18 @@ class TestMatrix:
             with pytest.raises(FiberError) as exc:
                 build(f)
             assert str(exc.value) == "the covector set has loops at indices [1]"
+
+    def test_map_on_other_variables_is_rejected(self, monkeypatch):
+        # three concurrent lines have 6 variables; both maps fail before any reading of the matrix
+        f = whole_fiber(concurrent_lines())
+        calls = _spy(monkeypatch, "_valid_topes")
+        for size in (2, 10):
+            spec = Specialization.collapse_all(size)
+            message = f"the map is on {size} variables, but the fiber has 6"
+            for run in (build_matrix, determinant, lambda f, spec: verify(f, mode="symbolic", specialize=spec)):
+                with pytest.raises(ValueError, match=message):
+                    run(f, spec)
+        assert calls == []
 
     def test_coord_lines_distinct_values(self):
         m = build_matrix(whole_fiber(coord_lines()))
@@ -1439,3 +1453,113 @@ class TestPackedMultisets:
         m = build_matrix(whole_fiber(concurrent_lines()))
         result = factored_bareiss([list(row) for row in m.entries], m.nvars, _bases(product_formula(m.fiber)))
         assert str(result) == "(1 - a1p*a1m)^2 * (1 - a2p*a2m)^2 * (1 - a3p*a3m)^2 * (1 - a1p*a1m*a2p*a2m*a3p*a3m)"
+
+
+def _full_reversal_all_a(wires: int):
+    """(rows, formula) of the full reversal of ``wires`` wires under all=a."""
+    f = faces(WiringDiagram(wires, [(k, k + 1) for i in range(wires) for k in range(wires - 1 - i)]))
+    spec = Specialization.collapse_all(2 * f.n)
+    return [list(row) for row in build_matrix(f, spec).entries], product_formula(f, spec)
+
+
+def _on_term_dicts(rows, nvars: int, bases) -> FactoredPoly:
+    """factored_bareiss with every leftover a term dict."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(omdet.varchenko, "_kronecker_width", lambda rows, nvars: None)
+        return factored_bareiss(rows, nvars, bases)
+
+
+def _sylvester(order: int) -> list[list[int]]:
+    rows = [[1]]
+    while len(rows) < order:
+        rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
+    return rows
+
+
+class TestKroneckerLeftovers:
+    """Univariate eliminations on the integers L(2^K) against the expanding oracles and term dicts."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        entries=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 6),
+                    st.one_of(st.integers(-3, 3), st.sampled_from([-(2**70) - 1, 2**64, 2**90 + 3])),
+                ),
+                max_size=3,
+            ),
+            min_size=25,
+            max_size=25,
+        ),
+        zero_pivot=st.booleans(),
+        bases=st.sampled_from([(), ("1 - a",), ("1 - a^2", "1 + a", "1 - 3*a^2"), ("1 - a^4", "1 - a^6", "2 - a")]),
+    )
+    def test_random_matrices(self, m, entries, zero_pivot, bases):
+        # multi-term entries, constants 0, negative and large, no mirror as a rule, and a zero
+        # first pivot now and then, which forces a row swap
+        rows = [[P(1, {}) for _ in range(m)] for _ in range(m)]
+        for r in range(m):
+            for c in range(m):
+                for degree, coefficient in entries[r * 5 + c]:
+                    rows[r][c] = rows[r][c] + P.monomial(1, {0: degree}, coefficient)
+        if zero_pivot:
+            rows[0][0] = P.zero(1)
+        candidates = [parse_poly(b, 1) for b in bases]
+        assert _kronecker_width(rows, 1) is not None
+        expected = fused_bareiss(rows, 1)
+        if m <= 4:
+            assert expected == permutation_determinant(rows, 1)
+        assert bareiss_determinant(rows, 1, candidates) == expected
+        factored = factored_bareiss(rows, 1, candidates)
+        assert factored.expand() == expected
+        assert factored == _on_term_dicts(rows, 1, candidates)
+
+    @pytest.mark.parametrize("power", ["none", "r + c", "r * c mod 5"])
+    def test_sylvester_reaches_the_hadamard_bound(self, monkeypatch, power):
+        # det = 4096 = 8^(8/2) is the Hadamard bound itself, so it pins the decode width
+        # when the width is not raised to _MIN_WIDTH
+        monkeypatch.setattr(omdet.varchenko, "_MIN_WIDTH", 0)
+        exponent = {"none": lambda r, c: 0, "r + c": lambda r, c: r + c, "r * c mod 5": lambda r, c: r * c % 5}[power]
+        signs = _sylvester(8)
+        rows = [[P.monomial(1, {0: exponent(r, c)}, x) for c, x in enumerate(row)] for r, row in enumerate(signs)]
+        assert _kronecker_width(rows, 1) == 15
+        passes = _spy(monkeypatch, "_eliminated")
+        expected = fused_bareiss(rows, 1)
+        assert max(map(abs, expected._terms.values())) <= 4096
+        if power != "r * c mod 5":
+            assert expected == P.monomial(1, {0: 2 * sum(range(8)) if power == "r + c" else 0}, 4096)
+        assert bareiss_determinant(rows, 1) == expected
+        assert factored_bareiss(rows, 1).expand() == expected
+        assert [call[3:] for call in passes] == [(15,), (15,)]  # certified: no rerun on term dicts
+
+    @pytest.mark.parametrize("wires, side", [(8, "integers"), (11, "term dicts")])
+    def test_full_reversal_either_side_of_the_rule(self, monkeypatch, wires, side):
+        rows, formula = _full_reversal_all_a(wires)
+        width = _kronecker_width(rows, 1)
+        assert (width is not None) == (side == "integers")
+        dicts = _on_term_dicts(rows, 1, _bases(formula))
+        monkeypatch.setattr(omdet.varchenko, "_KRONECKER_BITS", 10**9)
+        passes = _spy(monkeypatch, "_eliminated")
+        integers = factored_bareiss(rows, 1, _bases(formula))
+        assert passes[0][3] is not None and len(passes) == 1
+        assert integers == dicts
+        assert str(integers) == f"(1 - a^2)^{wires * wires}"
+
+    def test_uncertified_leftover_reruns_on_term_dicts(self, monkeypatch):
+        # at K = 16 the 64 binomials (1 - a^2) alone exceed the certificate's 2^(K-1)
+        rows, formula = _full_reversal_all_a(8)
+        monkeypatch.setattr(omdet.varchenko, "_kronecker_width", lambda rows, nvars: 16)
+        passes = _spy(monkeypatch, "_eliminated")
+        result = factored_bareiss(rows, 1, _bases(formula))
+        assert [call[3:] for call in passes] == [(16,), ()]
+        assert result == _on_term_dicts(rows, 1, _bases(formula)) == formula
+
+    def test_selection(self):
+        rows, _ = _full_reversal_all_a(10)
+        width = _kronecker_width(rows, 1)
+        degree = sum(max(e.total_degree() for e in row) for row in rows)
+        assert width == 165 and degree * width <= _KRONECKER_BITS
+        m = build_matrix(whole_fiber(concurrent_lines()))
+        assert _kronecker_width([list(row) for row in m.entries], m.nvars) is None
