@@ -1462,13 +1462,6 @@ def _full_reversal_all_a(wires: int):
     return [list(row) for row in build_matrix(f, spec).entries], product_formula(f, spec)
 
 
-def _on_term_dicts(rows, nvars: int, bases) -> FactoredPoly:
-    """factored_bareiss with every leftover a term dict."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(omdet.varchenko, "_kronecker_width", lambda rows, nvars: None)
-        return factored_bareiss(rows, nvars, bases)
-
-
 def _sylvester(order: int) -> list[list[int]]:
     rows = [[1]]
     while len(rows) < order:
@@ -1477,7 +1470,7 @@ def _sylvester(order: int) -> list[list[int]]:
 
 
 class TestKroneckerLeftovers:
-    """Univariate eliminations on the integers L(2^K) against the expanding oracles and term dicts."""
+    """Univariate determinants on the integers L(2^K) against the expanding oracles and term dicts."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
@@ -1512,15 +1505,11 @@ class TestKroneckerLeftovers:
         if m <= 4:
             assert expected == permutation_determinant(rows, 1)
         assert bareiss_determinant(rows, 1, candidates) == expected
-        factored = factored_bareiss(rows, 1, candidates)
-        assert factored.expand() == expected
-        assert factored == _on_term_dicts(rows, 1, candidates)
+        assert factored_bareiss(rows, 1, candidates).expand() == expected
 
     @pytest.mark.parametrize("power", ["none", "r + c", "r * c mod 5"])
     def test_sylvester_reaches_the_hadamard_bound(self, monkeypatch, power):
         # det = 4096 = 8^(8/2) is the Hadamard bound itself, so it pins the decode width
-        # when the width is not raised to _MIN_WIDTH
-        monkeypatch.setattr(omdet.varchenko, "_MIN_WIDTH", 0)
         exponent = {"none": lambda r, c: 0, "r + c": lambda r, c: r + c, "r * c mod 5": lambda r, c: r * c % 5}[power]
         signs = _sylvester(8)
         rows = [[P.monomial(1, {0: exponent(r, c)}, x) for c, x in enumerate(row)] for r, row in enumerate(signs)]
@@ -1531,30 +1520,18 @@ class TestKroneckerLeftovers:
         if power != "r * c mod 5":
             assert expected == P.monomial(1, {0: 2 * sum(range(8)) if power == "r + c" else 0}, 4096)
         assert bareiss_determinant(rows, 1) == expected
+        assert [call[3:] for call in passes] == [(15,)]
         assert factored_bareiss(rows, 1).expand() == expected
-        assert [call[3:] for call in passes] == [(15,), (15,)]  # certified: no rerun on term dicts
 
     @pytest.mark.parametrize("wires, side", [(8, "integers"), (11, "term dicts")])
     def test_full_reversal_either_side_of_the_rule(self, monkeypatch, wires, side):
         rows, formula = _full_reversal_all_a(wires)
         width = _kronecker_width(rows, 1)
         assert (width is not None) == (side == "integers")
-        dicts = _on_term_dicts(rows, 1, _bases(formula))
-        monkeypatch.setattr(omdet.varchenko, "_KRONECKER_BITS", 10**9)
         passes = _spy(monkeypatch, "_eliminated")
-        integers = factored_bareiss(rows, 1, _bases(formula))
-        assert passes[0][3] is not None and len(passes) == 1
-        assert integers == dicts
-        assert str(integers) == f"(1 - a^2)^{wires * wires}"
-
-    def test_uncertified_leftover_reruns_on_term_dicts(self, monkeypatch):
-        # at K = 16 the 64 binomials (1 - a^2) alone exceed the certificate's 2^(K-1)
-        rows, formula = _full_reversal_all_a(8)
-        monkeypatch.setattr(omdet.varchenko, "_kronecker_width", lambda rows, nvars: 16)
-        passes = _spy(monkeypatch, "_eliminated")
-        result = factored_bareiss(rows, 1, _bases(formula))
-        assert [call[3:] for call in passes] == [(16,), ()]
-        assert result == _on_term_dicts(rows, 1, _bases(formula)) == formula
+        assert bareiss_determinant(rows, 1, _bases(formula)) == formula.expand()
+        assert [call[3:] for call in passes] == [(width,) if width else ()]
+        assert str(factored_bareiss(rows, 1, _bases(formula))) == f"(1 - a^2)^{wires * wires}"
 
     def test_selection(self):
         rows, _ = _full_reversal_all_a(10)
