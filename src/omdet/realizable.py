@@ -23,7 +23,8 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .signvec import (
-    CovectorSet, FiberView, SignVector, as_int, check_covector_axioms, composition_closure, loops, topal_fiber
+    CovectorSet, FiberView, SignVector, _json_field, _json_int, _json_kind, _json_list, check_covector_axioms,
+    composition_closure, loops, topal_fiber
 )
 
 
@@ -32,6 +33,16 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, (bool, float)):
         raise ValueError(f"expected an integer or a p/q string, got {value!r}")
     return Fraction(value)
+
+
+def _coordinate(value, name: str) -> Fraction:
+    """_as_fraction(value) of the field name, else a ValueError naming it and the rule."""
+    try:
+        return _as_fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{name}: zero denominator in {_json_kind(value)}") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected an integer or a p/q string, got {_json_kind(value)}") from None
 
 
 @dataclass(frozen=True)
@@ -85,14 +96,16 @@ class RationalArrangement:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> RationalArrangement:
-        hyperplanes = doc["hyperplanes"]
-        return cls.of(
-            [h["normal"] for h in hyperplanes],
-            [h.get("offset", 0) for h in hyperplanes],
-            affine=bool(doc.get("affine", False)),
-            dim=as_int(doc["dim"]) if "dim" in doc else None,
-        )
+    def from_json(cls, doc) -> RationalArrangement:
+        """The arrangement of a JSON document; a malformed one raises ValueError naming the field and the rule."""
+        normals, offsets = [], []
+        for k, h in enumerate(_json_field(doc, "hyperplanes", _json_list)):
+            where = f"hyperplanes[{k}]"
+            normal = _json_field(h, "normal", _json_list, where)
+            normals.append([_coordinate(c, f"{where}.normal[{j}]") for j, c in enumerate(normal)])
+            offsets.append(_coordinate(h.get("offset", 0), f"{where}.offset"))
+        dim = _json_field(doc, "dim", _json_int) if "dim" in doc else None
+        return cls.of(normals, offsets, affine=bool(doc.get("affine", False)), dim=dim)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2) + "\n"

@@ -24,6 +24,7 @@ structurally instead.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 MAX_GROUND_SET = 64
@@ -38,6 +39,39 @@ def as_int(value) -> int:
     if isinstance(value, (bool, float)):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _json_kind(value) -> str:
+    """A JSON value as a message names it: a container by its kind, a list with its length, a scalar as JSON."""
+    if isinstance(value, dict):
+        return "an object"
+    return f"a list of {len(value)}" if isinstance(value, list) else json.dumps(value)
+
+
+def _json_int(value, name: str) -> int:
+    """as_int(value) of the field name, else a ValueError naming it."""
+    try:
+        return as_int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected an integer, got {_json_kind(value)}") from None
+
+
+def _json_list(value, name: str) -> list:
+    """The list value of the field name, else a ValueError naming it."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name}: expected a list, got {_json_kind(value)}")
+    return value
+
+
+def _json_field(doc, key: str, read, where: str = ""):
+    """read(doc[key], name), name being the field's path where.key; a doc that is not a JSON object or lacks
+    the key raises ValueError naming where or the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where + ': ' if where else ''}expected a JSON object, got {_json_kind(doc)}")
+    name = f"{where}.{key}" if where else key
+    if key not in doc:
+        raise ValueError(f"{name}: required field missing")
+    return read(doc[key], name)
 
 
 class FiberError(ValueError):

@@ -60,20 +60,31 @@ as do multivariate eliminations and larger univariate ones.
 matrix, and it first checks that the map's source is the fiber's 2n
 variables.  The matrix keeps the topes' sign masks on the free set, which fix
 every entry, and each source variable's image under the map, and it is read
-three ways: the polynomial ``entries``, which only the symbolic path builds,
-and two integer readings that share one row walker (``_rows``), ``support``
+four ways: the polynomial ``entries``, which only the symbolic path builds,
+two integer readings that share one row walker (``_rows``), ``support``
 (the variables to draw and the degree bound) and ``residues`` (one
-evaluation's packed rows).  The free indices are split into the fewest
-balanced chunks whose two subset tables are no larger than the matrix, and
-each tope's masks are coded on every chunk once per matrix; per reading
-each image is tabulated over every subset of each chunk, so an entry is one
-lookup per chunk and sign.  A symbolic ``verify`` checks the size guard,
+evaluation's packed rows), and ``det_residue`` (one evaluation's
+determinant).  The free indices are split into the fewest balanced chunks
+whose two subset tables are no larger than the matrix, and each tope's
+masks are coded on every chunk once per matrix; per reading each image is
+tabulated over every subset of each chunk, so an entry is one lookup per
+chunk and sign.  A symbolic ``verify`` checks the size guard,
 builds its one matrix and its one closed form (``product_formula``, whose
 face multiplicities are cached on the fiber) and eliminates the entries
 with the formula's binomials as candidates.  ``determinant`` does the same
 without the report, and takes the distinct 1 - b_v of the non-tope members
-as candidates where the multiplicities are not well defined.  The
-randomized check eliminates the residues' rows as they are.
+as candidates where the multiplicities are not well defined.
+
+The randomized check eliminates the matrix's symmetric core.  With u_i,
+v_i the values of a_i^+, a_i^-, w_i = u_i v_i and P_r tope r's plus mask on
+the free set, where every tope is full, entry (r, c) is
+U(P_r - P_c) V(P_c - P_r) = U(P_r) V(P_c) / W(P_r & P_c), so
+M = D_U G D_V and det M = prod w_i^(n_i) det G, n_i counting the topes + at
+i and G_rc = W(P_r & P_c)^-1 symmetric.  Only the k separating indices,
+where the topes take both signs, count: any other one cancels as
+w_i^m w_i^-m or never appears.  Each row of G is one lookup per entry in a
+table of the 2^k subsets.  When some separating w_i is 0 mod p, or when
+2^k > m^2, the entry residues are eliminated instead.
 
 The modular elimination works on packed rows: each row is one integer with
 a lane of w bits per column, the column to eliminate in the top lane, so a
@@ -94,7 +105,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress, repeat
 from math import gcd, isqrt, prod
-from operator import or_
+from operator import and_, itemgetter, or_
 
 from .polyring import (
     LANE_BITS,
@@ -180,9 +191,12 @@ class VarchenkoMatrix:
     (bit i-1 for index i), and they fix every entry: (r, c) is the product
     of a_i^+ over plus[r] & minus[c] and of a_i^- over minus[r] & plus[c].
     ``images`` and ``nvars`` are the map's, as in ``Specialization`` (the
-    identity when there is none).  The matrix is read three ways: the
-    polynomial ``entries``, built on first use, and two integer readings,
-    ``support`` and ``residues``, that share one row walker (``_rows``).
+    identity when there is none).  The matrix is read four ways: the
+    polynomial ``entries``, built on first use, two integer readings,
+    ``support`` and ``residues``, that share one row walker (``_rows``), and
+    ``det_residue``, through the symmetric core G of M = D_U G D_V (module
+    docstring), which falls back to ``residues`` at a zero w_i or past
+    2^k > size^2.
     """
 
     fiber: FiberView
@@ -240,9 +254,53 @@ class VarchenkoMatrix:
         entry (r, c): the rows that ``_eliminate`` takes.  Variables that no
         nonzero entry uses may be left out of the assignment.
         """
-        x = [(c * assignment.get(t, 0) if t is not None else c) % prime for c, t in self.images]
         width = _lane_bytes(prime, self.size)
-        return [_pack(row, width) for row in self._rows(x, prime)]
+        return [_pack(row, width) for row in self._rows(self._values(assignment, prime), prime)]
+
+    def det_residue(self, assignment, prime: int) -> int:
+        """The determinant mod prime at {target variable: residue}: prod w_i^(n_i) det G (module docstring).
+
+        W(s)^-1 is W of the complement of s over W of every separating
+        index, so the table of inverses is the table of W reversed, times one
+        inverse, and each row of G is packed from it in one join.  At a zero
+        w_i, or without a core, the entry residues are eliminated instead.
+        """
+        core, x = self._core, self._values(assignment, prime)
+        if core is not None:
+            separating, counts, getters = core
+            w = [x[2 * i - 2] * x[2 * i - 1] % prime for i in separating]
+            table = _subset_products(w, prime)
+            if table[-1]:
+                inverse, width = pow(table[-1], -1, prime), _lane_bytes(prime, self.size)
+                lanes = [(y * inverse % prime).to_bytes(width, "big") for y in reversed(table)]
+                rows = [int.from_bytes(b"".join(row(lanes)), "big") for row in getters]
+                return _eliminate(rows, prime) * prod(map(pow, w, counts, repeat(prime))) % prime
+        return _eliminate(self.residues(assignment, prime), prime)
+
+    def _values(self, assignment, prime: int) -> list[int]:
+        """Each source variable's image mod prime at {target variable: residue}, unlisted ones at 0."""
+        return [(c * assignment.get(t, 0) if t is not None else c) % prime for c, t in self.images]
+
+    @cached_property
+    def _core(self):
+        """(separating free indices, how many topes are + at each, one getter per row of G's table
+        indices), or None when the table of 2^k subsets, k separating indices, exceeds size^2 entries.
+
+        An index where every tope is + cancels from G and the scale alike, and
+        one where none is never appears.  Bit j of a code stands for the j-th
+        separating index, and entry (r, c) reads the table at code_r & code_c.
+        """
+        every, some = reduce(and_, self.plus), reduce(or_, self.plus)
+        separating = sorted(_mask_to_indices(some & ~every))
+        if 1 << len(separating) > self.size**2:
+            return None
+        bits = [1 << (i - 1) for i in separating]
+        codes = [sum(1 << j for j, b in enumerate(bits) if p & b) for p in self.plus]
+        counts = [sum(1 for p in self.plus if p & b) for b in bits]
+        if self.size == 1:  # itemgetter of one index returns the item, not a 1-tuple
+            return separating, counts, [lambda lanes: lanes[:1]]
+        ids = list(range(1 << len(separating)))  # one int object per table index, shared by every row
+        return separating, counts, [itemgetter(*[ids[code & c] for c in codes]) for code in codes]
 
     @cached_property
     def _chunks(self) -> tuple[tuple[list[int], list[tuple[int, int]]], ...]:
@@ -1026,10 +1084,7 @@ def verify(
     used, row_degree = matrix.support()
     var_order = sorted(set(used).union(used_variables(bases)))
 
-    def det_residue(assignment, prime):
-        return _eliminate(matrix.residues(assignment, prime), prime)
-
-    prime, records = _compare(var_order, det_residue, formula, seed, evals)
+    prime, records = _compare(var_order, matrix.det_residue, formula, seed, evals)
     return VerificationReport(
         "randomized",
         size,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .signvec import FiberView, SignVector, as_int, fiber_of
+from .signvec import FiberView, SignVector, _json_field, _json_int, _json_kind, _json_list, as_int, fiber_of
 from .varchenko import face_multiplicities
 
 
@@ -43,8 +43,15 @@ class WiringDiagram:
         return {"wires": self.wires, "events": [list(e) for e in self.events]}
 
     @classmethod
-    def from_json(cls, doc: dict) -> WiringDiagram:
-        return cls.of(as_int(doc["wires"]), doc["events"])
+    def from_json(cls, doc) -> WiringDiagram:
+        """The diagram of a JSON document; a malformed one raises ValueError naming the field and the rule."""
+        wires = _json_field(doc, "wires", _json_int)
+        events = []
+        for k, event in enumerate(_json_field(doc, "events", _json_list)):
+            if not isinstance(event, list) or len(event) != 2:
+                raise ValueError(f"events[{k}]: expected a [lo, hi] pair, got {_json_kind(event)}")
+            events.append(tuple(_json_int(x, f"events[{k}][{j}]") for j, x in enumerate(event)))
+        return cls(wires, tuple(events))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json()) + "\n"

@@ -350,6 +350,24 @@ class TestLimits:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("from-arrangement", '{"dim": 2, "hyperplanes": [{"normal": ["1/0", 2]}]}',
+             'hyperplanes[0].normal[0]: zero denominator in "1/0"'),
+            ("from-arrangement", "[1]", "expected a JSON object, got a list of 1"),
+            ("from-wiring", "[3]", "expected a JSON object, got a list of 1"),
+            ("from-wiring", '{"wires": 3, "events": [[0, 1, 2]]}', "events[0]: expected a [lo, hi] pair, got a list of 3"),
+            ("from-wiring", '{"wires": 3}', "events: required field missing"),
+        ],
+        ids=["zero-denominator", "arrangement-list", "wiring-list", "three-element-event", "missing-events"],
+    )
+    def test_malformed_json_names_the_field(self, capsys, tmp_path, command, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
     def test_from_wiring_at_cap(self, capsys, tmp_path):
         path = tmp_path / "wide.json"
         path.write_text('{"wires": 64, "events": [[0, 1]]}')

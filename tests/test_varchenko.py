@@ -38,6 +38,7 @@ from omdet.varchenko import (
     _KRONECKER_BITS,
     EvalRecord,
     SizeGuardError,
+    VarchenkoMatrix,
     _eliminate,
     _kronecker_width,
     _lane_check,
@@ -875,6 +876,135 @@ def _zero_hyperplane_maps(nvars, free):
         return Specialization.of(nvars, values)
 
     return st.tuples(st.sampled_from(planes), st.lists(rest, min_size=nvars, max_size=nvars)).map(build)
+
+
+def _residue_calls(monkeypatch, fail: bool = False) -> list:
+    """The calls of VarchenkoMatrix.residues, which still runs unless fail, when it raises."""
+    calls = []
+    real = VarchenkoMatrix.residues
+
+    def spy(self, *args):
+        calls.append(args)
+        if fail:
+            raise AssertionError("the symmetric core fell back to the entry residues")
+        return real(self, *args)
+
+    monkeypatch.setattr(VarchenkoMatrix, "residues", spy)
+    return calls
+
+
+def _entry_det(m, at, prime: int) -> int:
+    """det mod prime of the entry residues, by the packed elimination and by the row oracle."""
+    rows = m.residues(at, prime)
+    entries = unpack_rows(rows, prime, m.size)
+    det = _eliminate(rows, prime)
+    assert det == row_det_mod(entries, prime)
+    return det
+
+
+def _all_plus_index_fiber():
+    """concurrent_lines() with a fourth index, + on every member and free: no tope separates it."""
+    s = concurrent_lines()
+    lines = ["n=4", "I=1,2,3,4", f"u={topes(s)[0]}+", *(f"{m}+" for m in s.members)]
+    return parse_cov("\n".join(lines) + "\n")
+
+
+class TestSymmetricCore:
+    """det_residue through the symmetric core against the elimination of the entry residues."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_entry_residues(self, data):
+        source = data.draw(st.sampled_from(["corpus", "wiring", "wide", "chunked"]))
+        if source == "corpus":
+            f = _corpus()[data.draw(st.sampled_from(sorted(_corpus())))]
+        elif source == "wiring":
+            f = faces(random_wiring(random.Random(data.draw(st.integers(0, 2**32)))))
+        elif source == "chunked":
+            f = _chunked_fibers()[data.draw(st.sampled_from(sorted(_chunked_fibers())))]
+        else:
+            f = _wide_fiber()
+        m = build_matrix(f, data.draw(_mask_specializations(2 * f.n, f.free)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        prime = draw_prime(rng)
+        at = {v: rng.randrange(prime) for v in range(m.nvars)}
+        at.update(dict.fromkeys(data.draw(st.sets(st.integers(0, m.nvars - 1), max_size=2)), 0))
+        assert m.det_residue(at, prime) == _entry_det(m, at, prime)
+
+    def _check(self, monkeypatch, m, at, prime: int, fallback: bool):
+        expected = _entry_det(m, at, prime)
+        with monkeypatch.context() as patch:
+            calls = _residue_calls(patch, fail=not fallback)
+            assert m.det_residue(at, prime) == expected
+        assert len(calls) == fallback
+
+    def test_zero_image(self, monkeypatch):
+        f = whole_fiber(concurrent_lines())
+        m = build_matrix(f, Specialization.of(6, {0: 0}))
+        prime = draw_prime(random.Random(1))
+        self._check(monkeypatch, m, {v: 2 + v for v in range(6)}, prime, fallback=True)
+
+    def test_drawn_zero(self, monkeypatch):
+        m = build_matrix(faces(non_pappus()))
+        prime = draw_prime(random.Random(2))
+        at = {v: 3 + v for v in range(m.nvars)}
+        self._check(monkeypatch, m, at | {5: 0}, prime, fallback=True)
+        self._check(monkeypatch, m, at, prime, fallback=False)
+
+    def test_index_every_tope_agrees_on_is_dropped(self, monkeypatch):
+        f = _all_plus_index_fiber()
+        m = build_matrix(f)
+        assert m._core[0] == [1, 2, 3]
+        prime = draw_prime(random.Random(3))
+        at = {v: 5 + v for v in range(8)}
+        # a4p and a4m appear in no entry: a zero there needs no fallback
+        for values in (at, at | {6: 0}, at | {6: 0, 7: 0}):
+            self._check(monkeypatch, m, values, prime, fallback=False)
+
+    @pytest.mark.parametrize("name", ["wires-17", "wires-64"])
+    def test_past_the_one_table_bound(self, monkeypatch, name):
+        m = build_matrix(_chunked_fibers()[name])
+        assert m._core is None
+        rng = random.Random(name)
+        prime = draw_prime(rng)
+        self._check(monkeypatch, m, {v: rng.randrange(prime) for v in range(m.nvars)}, prime, fallback=True)
+
+    def test_one_tope_fiber(self, monkeypatch):
+        s = coord_lines()
+        m = build_matrix(topal_fiber(s, [], topes(s)[0]))
+        assert m.size == 1 and m._core[0] == []
+        self._check(monkeypatch, m, {}, draw_prime(random.Random(4)), fallback=False)
+
+    def test_verify_never_falls_back(self, monkeypatch):
+        # six pairwise non-proportional planes in R^3, seeded
+        rng, normals = random.Random(25), []
+        while len(normals) < 6:
+            v = [rng.randint(-4, 4) for _ in range(3)]
+            if any(v) and all(any(v[a] * w[b] != v[b] * w[a] for a, b in ((0, 1), (0, 2), (1, 2))) for w in normals):
+                normals.append(v)
+        fibers = [faces(non_pappus()), arrangement_fiber(RationalArrangement.of(normals))]
+        _residue_calls(monkeypatch, fail=True)
+        for f in fibers:
+            report = verify(f, mode="randomized", seed=7, evals=3)
+            assert report.agreement
+            formula = product_formula(f)
+            assert (report.prime, report.evals) == randomized_compare(build_matrix(f).entries, formula, seed=7, evals=3)
+
+    def test_distance_matrix_factors_through_the_core(self):
+        sympy = pytest.importorskip("sympy")
+        m = build_matrix(whole_fiber(concurrent_lines()))
+        u = {i: sympy.Symbol(f"a{i}p") for i in m.fiber.free}
+        v = {i: sympy.Symbol(f"a{i}m") for i in m.fiber.free}
+        plus = [{i for i in m.fiber.free if t.sign(i) > 0} for t in m.tope_order]
+        entries = sympy.Matrix([[sympy.sympify(poly_str(e).replace("^", "**")) for e in row] for row in m.entries])
+        d_u = sympy.diag(*[sympy.Mul(*[u[i] for i in p]) for p in plus])
+        d_v = sympy.diag(*[sympy.Mul(*[v[i] for i in p]) for p in plus])
+        g = sympy.Matrix(m.size, m.size, lambda r, c: 1 / sympy.Mul(*[u[i] * v[i] for i in plus[r] & plus[c]]))
+        assert g == g.T
+        assert (d_u * g * d_v - entries).applyfunc(sympy.cancel) == sympy.zeros(m.size)
+        # so det = det(D_U) det(D_V) det(G), and det(D_U) det(D_V) is the scale prod w_i^(n_i)
+        scale = sympy.Mul(*[(u[i] * v[i]) ** sum(i in p for p in plus) for i in m.fiber.free])
+        assert d_u.det() * d_v.det() == scale
 
 
 def _distance_rows(m, spec):
