@@ -68,12 +68,14 @@ determinant).  The free indices are split into the fewest balanced chunks
 whose two subset tables are no larger than the matrix, and each tope's
 masks are coded on every chunk once per matrix; per reading each image is
 tabulated over every subset of each chunk, so an entry is one lookup per
-chunk and sign.  A symbolic ``verify`` checks the size guard,
-builds its one matrix and its one closed form (``product_formula``, whose
-face multiplicities are cached on the fiber) and eliminates the entries
-with the formula's binomials as candidates.  ``determinant`` does the same
-without the report, and takes the distinct 1 - b_v of the non-tope members
-as candidates where the multiplicities are not well defined.
+chunk and sign.  A face weight depends only on the face's zero set, its
+flat: ``face_multiplicities`` (cached on the fiber) builds one weight per
+flat, and ``product_formula`` one base per flat.  A symbolic ``verify``
+checks the size guard, builds its one matrix and its one closed form and
+eliminates the entries with the formula's binomials as candidates.
+``determinant`` does the same without the report, and takes the distinct
+1 - b_v of the non-tope members as candidates where the multiplicities are
+not well defined.
 
 The randomized check eliminates the matrix's symmetric core.  With u_i,
 v_i the values of a_i^+, a_i^-, w_i = u_i v_i and P_r tope r's plus mask on
@@ -84,7 +86,8 @@ i and G_rc = W(P_r & P_c)^-1 symmetric.  Only the k separating indices,
 where the topes take both signs, count: any other one cancels as
 w_i^m w_i^-m or never appears.  Each row of G is one lookup per entry in a
 table of the 2^k subsets.  When some separating w_i is 0 mod p, or when
-2^k > m^2, the entry residues are eliminated instead.
+2^k > m^2, the entry residues are eliminated instead.  The formula's residue
+is prod (1 - prod_{i in Z} w_i)^beta_Z over the flats Z, from the same values.
 
 The modular elimination works on packed rows: each row is one integer with
 a lane of w bits per column, the column to eliminate in the top lane, so a
@@ -125,6 +128,7 @@ from .polyring import (
     pack_monomial,
     poly_str,
     residues_mod,
+    unpack_monomial,
     used_variables,
     var_label,
 )
@@ -750,21 +754,37 @@ def bareiss_determinant(rows: list[list[IntPolynomial]], nvars: int, bases=()) -
 
 
 def face_multiplicities(f: FiberView) -> tuple:
-    """(covector, weight, multiplicity) for every non-tope member of a fiber with topes, cached on the fiber."""
+    """(covector, weight, multiplicity) for every non-tope member of a fiber with topes, cached on the fiber;
+    a weight depends only on the zero set, so the faces on one flat share one weight object."""
     cached = f._cache.get("faces")
     if cached is not None:
         return cached
     _valid_topes(f)
-    nvars = 2 * f.n
-    faces = tuple((u, weight_monomial(u, nvars), multiplicity(f, u)) for u in f.members if not u.is_tope)
-    f._cache["faces"] = faces
+    nvars, weights, faces = 2 * f.n, {}, []
+    for u in f.members:
+        mask = u.zero_mask
+        if mask:  # not a tope
+            if mask not in weights:
+                weights[mask] = weight_monomial(u, nvars)
+            faces.append((u, weights[mask], multiplicity(f, u)))
+    f._cache["faces"] = faces = tuple(faces)
     return faces
 
 
+def _flat_betas(f: FiberView) -> dict:
+    """{b_Z: the summed beta of the faces on flat Z} over the flats whose sum is positive."""
+    betas: dict[IntPolynomial, int] = {}
+    for _, weight, beta in face_multiplicities(f):
+        if beta:
+            betas[weight] = betas.get(weight, 0) + beta
+    return betas
+
+
 def product_formula(f: FiberView, specialize: Specialization | None = None) -> FactoredPoly:
-    """The determinant's closed form prod (1 - b_v)^(beta_v), beta_v > 0, optionally specialized."""
+    """The determinant's closed form prod (1 - b_v)^(beta_v), beta_v > 0, optionally specialized; the betas of the
+    faces on one flat, which share b_v, are summed first, so each flat gives one base."""
     one = IntPolynomial.one(2 * f.n)
-    formula = FactoredPoly(2 * f.n, [(one - weight, beta) for _, weight, beta in face_multiplicities(f) if beta])
+    formula = FactoredPoly(2 * f.n, [(one - weight, beta) for weight, beta in _flat_betas(f).items()])
     return formula if specialize is None else specialize.apply_factored(formula)
 
 
@@ -789,7 +809,8 @@ def determinant(
         bases = [base for base, _ in product_formula(f, specialize).factors]
     except FiberError:
         one = IntPolynomial.one(2 * f.n)
-        bases = {one - weight_monomial(u) for u in f.members if not u.is_tope}
+        flats = {u.zero_mask: u for u in f.members if not u.is_tope}
+        bases = {one - weight_monomial(u) for u in flats.values()}
         if specialize is not None:
             bases = {specialize.apply_poly(base) for base in bases}
     return bareiss_determinant(matrix.entries, matrix.nvars, bases)
@@ -969,13 +990,14 @@ class VerificationReport:
         return out
 
     def to_json(self) -> dict:
+        weights = {w: poly_str(w) for w in {w for _, w, _ in self.faces}}  # one string per distinct weight
         doc = {
             "mode": self.mode,
             "topes": self.tope_count,
             "faces": [
                 {
                     "covector": str(u),
-                    "weight": poly_str(w),
+                    "weight": weights[w],
                     "beta": beta,
                 }
                 for u, w, beta in self.faces
@@ -1003,23 +1025,41 @@ class VerificationReport:
         return doc
 
 
-def _compare(var_order, det_residue, formula: FactoredPoly, seed: int, evals: int):
-    """(prime, records): det_residue(assignment, prime) against the formula at random points.
+def _flat_residues(matrix: VarchenkoMatrix, betas: dict):
+    """(target variables, residue(assignment, prime)) of prod (1 - b_Z)^beta_Z over the flats {b_Z: beta_Z} under the
+    matrix's map: the image of the monomial b_Z uses its source variables' targets unless an image coefficient is 0,
+    and its residue is the product of their values ``matrix._values(assignment, prime)``."""
+    flats = [(list(unpack_monomial(b.nvars, key)), beta) for b, beta in betas.items() for key in b._terms]
+    images = matrix.images
+    targets = {images[v][1] for vs, _ in flats if all(images[v][0] for v in vs) for v in vs}
+    # b_Z has a_i^+ and a_i^- for each i in Z, so a getter of its variables always returns a tuple
+    getters = [(itemgetter(*vs), beta) for vs, beta in flats]
+
+    def residue(assignment, prime: int) -> int:
+        x = matrix._values(assignment, prime)
+        return prod(pow(1 - prod(get(x)), beta, prime) for get, beta in getters) % prime
+
+    return targets - {None}, residue
+
+
+def _compare(var_order, det_residue, formula_residue, nvars: int, seed: int, evals: int):
+    """(prime, records): det_residue(assignment, prime) against formula_residue(assignment, prime) at random points.
 
     Deterministic for a fixed seed: one 61-bit prime, then ``evals``
     assignments of var_order's variables in order, evaluated one after
-    another.
+    another.  The records name the variables in a universe of nvars.
     """
     if evals < 1:
         raise ValueError("at least one evaluation is required")
     rng = random.Random(seed)
     prime = draw_prime(rng)
+    labels = [var_label(v, nvars) for v in var_order]
     records = []
     for _ in range(evals):
         assignment = {v: rng.randrange(prime) for v in var_order}
-        readable = {var_label(v, formula.nvars): assignment[v] for v in var_order}
+        readable = dict(zip(labels, assignment.values()))
         det_r = det_residue(assignment, prime)
-        records.append(EvalRecord(readable, det_r, formula.eval_mod(assignment, prime)))
+        records.append(EvalRecord(readable, det_r, formula_residue(assignment, prime)))
     return prime, tuple(records)
 
 
@@ -1044,7 +1084,7 @@ def randomized_compare(
         return det_mod([residues[r * m : (r + 1) * m] for r in range(m)], prime)
 
     var_order = used_variables(flat + [base for base, _ in formula.factors])
-    return _compare(var_order, det_residue, formula, seed, evals)
+    return _compare(var_order, det_residue, formula.eval_mod, formula.nvars, seed, evals)
 
 
 def verify(
@@ -1074,17 +1114,18 @@ def verify(
     matrix = build_matrix(f, specialize)
     faces = face_multiplicities(f)
     if specialize is not None:
-        faces = tuple((u, specialize.apply_poly(w), beta) for u, w, beta in faces)
+        images = {w: specialize.apply_poly(w) for w in {w for _, w, _ in faces}}  # one per flat
+        faces = tuple((u, images[w], beta) for u, w, beta in faces)
     formula = product_formula(f, specialize)
-    bases = [base for base, _ in formula.factors]
 
     if mode == "symbolic":
-        det = bareiss_determinant(matrix.entries, matrix.nvars, bases)
+        det = bareiss_determinant(matrix.entries, matrix.nvars, [base for base, _ in formula.factors])
         return VerificationReport("symbolic", size, faces, formula, det == formula.expand(), det)
     used, row_degree = matrix.support()
-    var_order = sorted(set(used).union(used_variables(bases)))
+    targets, formula_residue = _flat_residues(matrix, _flat_betas(f))
+    var_order = sorted(targets.union(used))
 
-    prime, records = _compare(var_order, matrix.det_residue, formula, seed, evals)
+    prime, records = _compare(var_order, matrix.det_residue, formula_residue, matrix.nvars, seed, evals)
     return VerificationReport(
         "randomized",
         size,

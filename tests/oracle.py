@@ -20,9 +20,10 @@ oracle is that substitution exchanging each a_i^+ with a_i^-, the
 entry oracle builds each distance monomial from the separation set of two
 topes, the degree-bound oracle reads the row maxima off the polynomial entries
 rather than the tope masks, the support oracle reads them and the used
-variables off the masks one interpreted step per tope pair, and the
+variables off the masks one interpreted step per tope pair, the
 modular determinant oracle eliminates on lists of residues, one
-interpreted step per entry.
+interpreted step per entry, and the closed-form oracle builds one base
+per face from that face's own weight monomial.
 
 The polynomial helpers the tests need but the package does not (the text
 parser, exact division and the constant term) live here as well, and so
@@ -50,7 +51,18 @@ from omdet.polyring import (
     var_label,
 )
 from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors, sign_feasible
-from omdet.signvec import CovectorSet, FiberError, SignVector, compose, leq, separation, topal_fiber, topes
+from omdet.signvec import (
+    CovectorSet,
+    FiberError,
+    SignVector,
+    compose,
+    leq,
+    multiplicity,
+    separation,
+    topal_fiber,
+    topes,
+    weight_exponents,
+)
 from omdet.wiring import WiringDiagram
 
 
@@ -673,6 +685,18 @@ def residue_oracle(p: IntPolynomial, assignment, prime: int) -> int:
             term *= pow(assignment[v], e, prime)
         total += term
     return total % prime
+
+
+def per_face_formula(f) -> FactoredPoly:
+    """prod (1 - b_u)^beta_u with one base per non-tope member u, each b_u its own monomial; FactoredPoly merges
+    the equal bases of the faces on one flat."""
+    nvars = 2 * f.n
+    factors = []
+    for u in f.members:
+        if not u.is_tope:
+            weight = IntPolynomial.monomial(nvars, dict.fromkeys(weight_exponents(u), 1))
+            factors.append((IntPolynomial.one(nvars) - weight, multiplicity(f, u)))
+    return FactoredPoly(nvars, factors)
 
 
 def degree_bound(entries, formula: FactoredPoly) -> int:

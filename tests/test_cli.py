@@ -1,11 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import omdet.cli
 import omdet.varchenko
@@ -15,7 +20,7 @@ from omdet.realizable import RationalArrangement
 from omdet.signvec import format_cov, parse_cov
 from omdet.wiring import faces, non_pappus
 
-from oracle import concurrent_lines, coord_lines
+from oracle import concurrent_lines, coord_lines, corpus_fibers, corpus_sets, random_wiring
 
 
 @pytest.fixture()
@@ -681,3 +686,130 @@ def test_public_namespace_is_pinned():
     assert proc.stdout.split() == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 53
 
+
+# Mutated inputs: every command, run in process, ends with a verdict or one plain error line.
+
+GOLDEN = Path(__file__).parent / "golden"
+_FLIP = str.maketrans("+-", "-+")
+_ODD_LINES = ["n=64", "n=0", "n=-1", "n=x", "I=1,99", "I=", "u=+-", "u=", "++++++++", "+-x", "#", "", "000", "{"]
+_ODD_VALUES = ["x", 1.5, True, None, [], {}, 10**30, -(10**30), -5, 0, "1/0", "9" * 40]
+# every value parses as its option's type, so argparse never answers with its usage text
+_ODD_SPECIALIZE = [
+    "a1p=0", "all=a", "a1p=a", "a1p=1,a1m=1", "a1p=2,a1m=2", "a9p=1", "a1p=", "=", "a1p=1/0", "a1p=" + "9" * 30,
+    '{"a1p": 1.5}', "{", '{"a1p": 2, "a1p": 3}', "a1p=1,,a2m=-3", "x=1", "a0p=1", " ",
+]
+_ODD_FIBER = [
+    ("1", "+"), ("1,2", "----"), ("0", "+-"), ("99", "++"), ("1,1", "+0"), ("a", "+"), ("", ""), ("1,2,3", "+-0"),
+]
+_ODD_EVALS = ["1", "2", "0", "-1", "-" + "9" * 20]
+_ODD_SEEDS = ["0", "-1", "7", str(2**80)]
+
+
+@cache
+def _mutation_sources():
+    """(.cov texts, wiring documents, arrangement documents), all small."""
+    covs = [format_cov(s) for s in corpus_sets().values()] + [format_cov(f) for f in corpus_fibers().values()]
+    covs += [p.read_text() for p in sorted(GOLDEN.glob("*.cov"))] + [format_cov(faces(non_pappus()))]
+    wirings = [non_pappus().to_json()] + [random_wiring(random.Random(k), 5).to_json() for k in range(4)]
+    arrangements = [
+        RationalArrangement.of([[1, 0], [0, 1], [1, -1]]).to_json(),
+        RationalArrangement.of([[1, 0], [0, 1], [1, 1]], [0, 1, 2], affine=True).to_json(),
+        RationalArrangement.of([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]).to_json(),
+    ]
+    return covs, wirings, arrangements
+
+
+def _mutated_lines(lines: list, data) -> list:
+    """lines with one line deleted, duplicated, sign-flipped or replaced, or all of them reversed."""
+    op = data.draw(st.sampled_from(["delete", "duplicate", "reverse", "flip", "replace"]))
+    if not lines:
+        return [data.draw(st.sampled_from(_ODD_LINES))]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if op == "delete":
+        return lines[:i] + lines[i + 1 :]
+    if op == "duplicate":
+        return lines[: i + 1] + lines[i:]
+    if op == "reverse":
+        return lines[::-1]
+    odd = lines[i].translate(_FLIP) if op == "flip" else data.draw(st.sampled_from(_ODD_LINES))
+    return lines[:i] + [odd] + lines[i + 1 :]
+
+
+def _spots(node):
+    """(container, key) for every value inside a JSON document."""
+    keys = list(node) if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        yield node, key
+        yield from _spots(node[key])
+
+
+def _mutated_json(doc, data) -> str:
+    """The document's text with one value deleted or replaced by a wrong-typed, huge, negative or "1/0" one,
+    or with its lines mutated."""
+    doc = json.loads(json.dumps(doc))
+    if data.draw(st.booleans()):
+        return "\n".join(_mutated_lines(json.dumps(doc, indent=2).splitlines(), data)) + "\n"
+    container, key = data.draw(st.sampled_from(list(_spots(doc))))
+    if data.draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = data.draw(st.sampled_from(_ODD_VALUES))
+    return json.dumps(doc) + "\n"
+
+
+def _cov_command(data, path: str, odd: bool) -> list:
+    """A command on the .cov file at path, with odd flag values when odd, else plain ones."""
+
+    def pick(odd_values, plain_values):
+        return data.draw(st.sampled_from(odd_values if odd else plain_values))
+
+    command = data.draw(st.sampled_from(["check", "topes", "faces", "det", "formula", "verify", "verify"]))
+    argv = [command, path, "--format", data.draw(st.sampled_from(["text", "json"]))]
+    flags = pick(["none", "both", "fiber", "anchor"], ["none"])
+    fiber, anchor = data.draw(st.sampled_from(_ODD_FIBER))
+    argv += ["--fiber", fiber] if flags in ("both", "fiber") else []
+    argv += ["--anchor", anchor] if flags in ("both", "anchor") else []
+    if command in ("det", "formula", "verify") and data.draw(st.booleans()):
+        argv += ["--specialize", pick(_ODD_SPECIALIZE, ["a1p=0", "all=a", "a1p=2,a1m=2"])]
+    if command == "verify":
+        argv += ["--mode", data.draw(st.sampled_from(["auto", "symbolic", "randomized"]))]
+        argv += ["--evals", pick(_ODD_EVALS, ["1", "2"]), "--seed", pick(_ODD_SEEDS, ["0", "7"])]
+    return argv
+
+
+def _run_in_process(argv) -> tuple[int, str]:
+    """(exit status, stderr) of one main call; an exception escaping main fails the test with its traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    stderr = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in stderr, (argv, stderr)
+    if code == 2:
+        assert stderr.startswith("error:") and stderr.count("\n") == 1 and stderr.endswith("\n"), (argv, stderr)
+    return code, out.getvalue()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_inputs_end_in_a_verdict_or_one_error_line(tmp_path_factory, data):
+    workdir = tmp_path_factory.getbasetemp() / "mutated"
+    workdir.mkdir(exist_ok=True)
+    covs, wirings, arrangements = _mutation_sources()
+    kind = data.draw(st.sampled_from(["cov", "cov", "wiring", "arrangement"]))
+    if kind == "cov":
+        path = workdir / "input.cov"
+        text = data.draw(st.sampled_from(covs))
+        odd_flags = data.draw(st.booleans())  # either the file or the flags are odd, so neither hides the other
+        if not odd_flags:
+            for _ in range(data.draw(st.integers(1, 2))):
+                text = "\n".join(_mutated_lines(text.splitlines(), data)) + "\n"
+        path.write_text(text)
+        _run_in_process(_cov_command(data, str(path), odd_flags))
+        return
+    path = workdir / "input.json"
+    path.write_text(_mutated_json(data.draw(st.sampled_from(wirings if kind == "wiring" else arrangements)), data))
+    code, out = _run_in_process(["from-wiring" if kind == "wiring" else "from-arrangement", str(path)])
+    if code == 0:
+        (workdir / "generated.cov").write_text(out)
+        _run_in_process(["verify", str(workdir / "generated.cov"), "--mode", "randomized", "--evals", "1"])

@@ -20,6 +20,7 @@ from omdet.polyring import (
     residues_mod,
     used_variables,
     var_index,
+    var_label,
 )
 from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors
 from omdet.signvec import (
@@ -40,6 +41,8 @@ from omdet.varchenko import (
     SizeGuardError,
     VarchenkoMatrix,
     _eliminate,
+    _flat_betas,
+    _flat_residues,
     _kronecker_width,
     _lane_check,
     _lane_min,
@@ -78,6 +81,7 @@ from oracle import (
     pack_rows,
     parallel_affine,
     parse_poly,
+    per_face_formula,
     permutation_determinant,
     random_central_arrangement,
     random_wiring,
@@ -909,6 +913,16 @@ def _all_plus_index_fiber():
     return parse_cov("\n".join(lines) + "\n")
 
 
+def _seeded_planes(seed: int, count: int) -> FiberView:
+    """The fiber of count pairwise non-proportional planes in R^3, drawn from seed."""
+    rng, normals = random.Random(seed), []
+    while len(normals) < count:
+        v = [rng.randint(-4, 4) for _ in range(3)]
+        if any(v) and all(any(v[a] * w[b] != v[b] * w[a] for a, b in ((0, 1), (0, 2), (1, 2))) for w in normals):
+            normals.append(v)
+    return arrangement_fiber(RationalArrangement.of(normals))
+
+
 class TestSymmetricCore:
     """det_residue through the symmetric core against the elimination of the entry residues."""
 
@@ -976,13 +990,7 @@ class TestSymmetricCore:
         self._check(monkeypatch, m, {}, draw_prime(random.Random(4)), fallback=False)
 
     def test_verify_never_falls_back(self, monkeypatch):
-        # six pairwise non-proportional planes in R^3, seeded
-        rng, normals = random.Random(25), []
-        while len(normals) < 6:
-            v = [rng.randint(-4, 4) for _ in range(3)]
-            if any(v) and all(any(v[a] * w[b] != v[b] * w[a] for a, b in ((0, 1), (0, 2), (1, 2))) for w in normals):
-                normals.append(v)
-        fibers = [faces(non_pappus()), arrangement_fiber(RationalArrangement.of(normals))]
+        fibers = [faces(non_pappus()), _seeded_planes(25, 6)]
         _residue_calls(monkeypatch, fail=True)
         for f in fibers:
             report = verify(f, mode="randomized", seed=7, evals=3)
@@ -1005,6 +1013,72 @@ class TestSymmetricCore:
         # so det = det(D_U) det(D_V) det(G), and det(D_U) det(D_V) is the scale prod w_i^(n_i)
         scale = sympy.Mul(*[(u[i] * v[i]) ** sum(i in p for p in plus) for i in m.fiber.free])
         assert d_u.det() * d_v.det() == scale
+
+
+def _constant_pair_maps(nvars, free):
+    """Maps sending both sides of one free hyperplane to integers in -2..2: constant bases such as 1 - 4, and
+    the base 1 - 1 = 0 at an all-ones pair."""
+    planes = sorted(free) or [1]
+    return st.tuples(st.sampled_from(planes), st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda a: Specialization.of(nvars, {2 * a[0] - 2: a[1], 2 * a[0] - 1: a[2]})
+    )
+
+
+class TestFlats:
+    """One weight per flat, and the formula's residues from the map's values against the polynomial formula."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_flat_residues_match_the_formula(self, data):
+        source = data.draw(st.sampled_from(["corpus", "wiring", "arrangement"]))
+        if source == "corpus":
+            f = _corpus()[data.draw(st.sampled_from(sorted(_corpus())))]
+        else:
+            rng = random.Random(data.draw(st.integers(0, 2**32)))
+            f = faces(random_wiring(rng)) if source == "wiring" else arrangement_fiber(random_central_arrangement(rng))
+        nvars = 2 * f.n
+        maps = [build(nvars, f.free) for build in (_mask_specializations, _zero_hyperplane_maps, _constant_pair_maps)]
+        spec = data.draw(st.one_of(*maps))
+        m = build_matrix(f, spec)
+        formula = product_formula(f, spec)
+        bases = [base for base, _ in formula.factors]
+        targets, residue = _flat_residues(m, _flat_betas(f))
+        assert targets == set(used_variables(bases))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        prime = draw_prime(rng)
+        for _ in range(3):
+            # 0 and 1 make zero images and bases 1 - 1 at drawn points too
+            at = {v: rng.choice([0, 1, prime - 1, rng.randrange(prime), rng.randrange(prime)]) for v in range(m.nvars)}
+            assert residue(at, prime) == formula.eval_mod(at, prime)
+        # verify draws the variables of the nonzero entries and of the formula, in sorted order
+        report = verify(f, mode="randomized", seed=data.draw(st.integers(0, 99)), evals=1, specialize=spec)
+        order = sorted(set(m.support()[0]).union(used_variables(bases)))
+        assert list(report.evals[0].assignment) == [var_label(v, m.nvars) for v in order]
+
+    def test_faces_on_one_flat_share_one_weight(self):
+        fibers = dict(corpus_fibers(), non_pappus=faces(non_pappus()), planes=_seeded_planes(3, 5))
+        for name, f in fibers.items():
+            shared = {}
+            for u, weight, _ in face_multiplicities(f):
+                assert shared.setdefault(u.zero_mask, weight) is weight, name
+                assert weight == weight_monomial(u), name
+            assert len(set(map(id, shared.values()))) == len(shared), name
+            assert product_formula(f) == per_face_formula(f), name
+            for spec in (Specialization.collapse_all(2 * f.n), Specialization.of(2 * f.n, {0: 1, 1: 1})):
+                assert product_formula(f, spec) == spec.apply_factored(per_face_formula(f)), name
+
+    def test_randomized_verify_evaluates_no_polynomial(self, monkeypatch):
+        fibers = [faces(non_pappus()), _seeded_planes(11, 6)]
+
+        def no_evaluation(*args):
+            raise AssertionError("a polynomial was evaluated")
+
+        monkeypatch.setattr(FactoredPoly, "eval_mod", no_evaluation)
+        monkeypatch.setattr(omdet.polyring, "residues_mod", no_evaluation)
+        monkeypatch.setattr(omdet.varchenko, "residues_mod", no_evaluation)
+        for f in fibers:
+            for spec in (None, Specialization.of(2 * f.n, {0: 0, 3: -3}), Specialization.collapse_all(2 * f.n)):
+                assert verify(f, mode="randomized", seed=5, evals=3, specialize=spec).agreement
 
 
 def _distance_rows(m, spec):
