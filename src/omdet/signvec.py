@@ -170,15 +170,18 @@ class SignVector:
         return f"SignVector({self.to_string()!r})"
 
 
-def _mask_to_indices(mask: int) -> frozenset[int]:
+def _ascending(mask: int) -> list[int]:
+    """The indices of mask's bits (bit i-1 for index i), ascending."""
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
+
+
+def _mask_to_indices(mask: int) -> frozenset[int]:
+    return frozenset(_ascending(mask))
 
 
 def _indices_to_mask(indices, n: int) -> int:
@@ -702,7 +705,7 @@ def _bmax_sweep(f: FiberView):
         support = masks[0] | masks[1]
         if free & ~support:
             by_support.setdefault(support, {})[masks[0]] = masks
-    groups = [(s, sorted(_mask_to_indices(free & ~s)), below) for s, below in by_support.items()]
+    groups = [(s, _ascending(free & ~s), below) for s, below in by_support.items()]
     counts: dict[int, dict[tuple[int, int], int]] = {i: {} for i in f.free}
     invalid: dict[int, SignVector] = {}
     for t in f.topes:
@@ -753,12 +756,17 @@ def multiplicity(f: FiberView, u: SignVector) -> int:
         raise ValueError(f"{u} is not a fiber member")
     if u.is_tope:
         raise ValueError("multiplicity is defined for non-tope covectors only")
-    admissible = sorted(i for i in u.zero_set() if i in f.free)
+    return _multiplicity(f, u, _ascending(u.zero_mask & f.free_mask))
+
+
+def _multiplicity(f: FiberView, u: SignVector, admissible: list[int]) -> int:
+    """``multiplicity`` of a non-tope member u, at its zero indices in the free set, ascending."""
     if not admissible:
         raise FiberError(f"{u} has no zero index inside the free set")
-    values = []
+    counts, invalid = _bmax_sweep(f)
+    key, values = (u.plus, u.minus), []
     for i in admissible:
-        count = _bmax(f, i).get((u.plus, u.minus), 0)
+        count = (_bmax(f, i) if i in invalid else counts[i]).get(key, 0)
         if count % 2:
             raise FiberError(
                 f"odd boundary count {count} for {u} at index {i}; not a valid fiber"

@@ -86,8 +86,16 @@ i and G_rc = W(P_r & P_c)^-1 symmetric.  Only the k separating indices,
 where the topes take both signs, count: any other one cancels as
 w_i^m w_i^-m or never appears.  Each row of G is one lookup per entry in a
 table of the 2^k subsets.  When some separating w_i is 0 mod p, or when
-2^k > m^2, the entry residues are eliminated instead.  The formula's residue
-is prod (1 - prod_{i in Z} w_i)^beta_Z over the flats Z, from the same values.
+2^k > m^2, the entry residues are eliminated instead.  When the codes on the
+separating indices F are closed under complement, as a central
+arrangement's are, order the topes (T, -T), h = m/2: then n_i = h, and with
+A_rc = W(P_r & P_c)^-1, C_rc = W(P_r | P_c)^-1 over T and s^2 = W(F),
+det M = (prod_{r in T} W(P_r))^2 N(det(A + sC)) over R = F_p[s]/(s^2 - W(F)),
+N(x + sy) = x^2 - W(F) y^2 being the F_p-determinant of [[A, C], [W(F) C, A]].
+No square root is taken: ``_eliminate_norm`` eliminates h rows over R, and
+G is eliminated instead when a column holds only zero divisors.  The
+formula's residue is prod (1 - prod_{i in Z} w_i)^beta_Z over the flats Z,
+from the same values.
 
 The modular elimination works on packed rows: each row is one integer with
 a lane of w bits per column, the column to eliminate in the top lane, so a
@@ -136,9 +144,9 @@ from .signvec import (
     FiberError,
     FiberView,
     SignVector,
+    _ascending,
     _loop_free,
-    _mask_to_indices,
-    multiplicity,
+    _multiplicity,
     validate_fiber,
     weight_exponents,
 )
@@ -178,6 +186,11 @@ def _subset_products(values, modulus: int) -> list[int]:
     return table
 
 
+def _getter(indices: list[int]):
+    """itemgetter(*indices), returning a tuple for one index too."""
+    return itemgetter(*indices) if len(indices) > 1 else lambda items: (items[indices[0]],)
+
+
 def _subset_terms(images, nvars: int) -> list[tuple[int, int]]:
     """(coefficient, packed key) products over every subset of the images (c, t), by the subset's bitmask."""
     table = [(1, 0)]
@@ -199,8 +212,8 @@ class VarchenkoMatrix:
     polynomial ``entries``, built on first use, two integer readings,
     ``support`` and ``residues``, that share one row walker (``_rows``), and
     ``det_residue``, through the symmetric core G of M = D_U G D_V (module
-    docstring), which falls back to ``residues`` at a zero w_i or past
-    2^k > size^2.
+    docstring), or its half-size split when the topes pair up, which falls
+    back to ``residues`` at a zero w_i or past 2^k > size^2.
     """
 
     fiber: FiberView
@@ -246,8 +259,8 @@ class VarchenkoMatrix:
             cols_p, cols_m = every if all(row) else [reduce(or_, compress(masks, row), 0) for masks in sides]
             used_p |= self.plus[r] & cols_m
             used_m |= self.minus[r] & cols_p
-        used = {self.images[2 * i - 2][1] for i in _mask_to_indices(used_p)}
-        used.update(self.images[2 * i - 1][1] for i in _mask_to_indices(used_m))
+        used = {self.images[2 * i - 2][1] for i in _ascending(used_p)}
+        used.update(self.images[2 * i - 1][1] for i in _ascending(used_m))
         return sorted(used - {None}), degree
 
     def residues(self, assignment, prime: int) -> list[int]:
@@ -266,19 +279,28 @@ class VarchenkoMatrix:
 
         W(s)^-1 is W of the complement of s over W of every separating
         index, so the table of inverses is the table of W reversed, times one
-        inverse, and each row of G is packed from it in one join.  At a zero
-        w_i, or without a core, the entry residues are eliminated instead.
+        inverse, and each row of G is packed from it in one join; with a
+        half, so is each row of A and of C.  At a zero w_i, or without a
+        core, the entry residues are eliminated instead.
         """
         core, x = self._core, self._values(assignment, prime)
         if core is not None:
-            separating, counts, getters = core
+            separating, counts, getters, half = core
             w = [x[2 * i - 2] * x[2 * i - 1] % prime for i in separating]
             table = _subset_products(w, prime)
             if table[-1]:
                 inverse, width = pow(table[-1], -1, prime), _lane_bytes(prime, self.size)
                 lanes = [(y * inverse % prime).to_bytes(width, "big") for y in reversed(table)]
-                rows = [int.from_bytes(b"".join(row(lanes)), "big") for row in getters]
-                return _eliminate(rows, prime) * prod(map(pow, w, counts, repeat(prime))) % prime
+
+                def rows(row_getters):
+                    return [int.from_bytes(b"".join(row(lanes)), "big") for row in row_getters]
+
+                if half is not None:
+                    doubled, a_rows, c_rows = half
+                    norm = _eliminate_norm(rows(a_rows), rows(c_rows), table[-1], prime)
+                    if norm is not None:
+                        return norm * prod(map(pow, w, doubled, repeat(prime))) % prime
+                return _eliminate(rows(getters), prime) * prod(map(pow, w, counts, repeat(prime))) % prime
         return _eliminate(self.residues(assignment, prime), prime)
 
     def _values(self, assignment, prime: int) -> list[int]:
@@ -288,23 +310,30 @@ class VarchenkoMatrix:
     @cached_property
     def _core(self):
         """(separating free indices, how many topes are + at each, one getter per row of G's table
-        indices), or None when the table of 2^k subsets, k separating indices, exceeds size^2 entries.
+        indices, half), or None when the table of 2^k subsets, k separating indices, exceeds size^2 entries.
 
         An index where every tope is + cancels from G and the scale alike, and
         one where none is never appears.  Bit j of a code stands for the j-th
         separating index, and entry (r, c) reads the table at code_r & code_c.
+        ``half`` is None unless the codes are closed under complement, and
+        then (twice how many topes of T are + at each index, one getter per
+        row of A, one per row of C), T being the topes without bit k-1.
         """
         every, some = reduce(and_, self.plus), reduce(or_, self.plus)
-        separating = sorted(_mask_to_indices(some & ~every))
+        separating = _ascending(some & ~every)
         if 1 << len(separating) > self.size**2:
             return None
         bits = [1 << (i - 1) for i in separating]
         codes = [sum(1 << j for j, b in enumerate(bits) if p & b) for p in self.plus]
         counts = [sum(1 for p in self.plus if p & b) for b in bits]
-        if self.size == 1:  # itemgetter of one index returns the item, not a 1-tuple
-            return separating, counts, [lambda lanes: lanes[:1]]
         ids = list(range(1 << len(separating)))  # one int object per table index, shared by every row
-        return separating, counts, [itemgetter(*[ids[code & c] for c in codes]) for code in codes]
+        getters = [_getter([ids[code & c] for c in codes]) for code in codes]
+        full, half = ids[-1], None
+        if full and sorted(codes) == sorted(c ^ full for c in codes):
+            t = [c for c in codes if c < c ^ full]
+            doubled = [2 * sum(c >> j & 1 for c in t) for j in range(len(bits))]
+            half = doubled, [_getter([ids[r & c] for c in t]) for r in t], [_getter([ids[r | c] for c in t]) for r in t]
+        return separating, counts, getters, half
 
     @cached_property
     def _chunks(self) -> tuple[tuple[list[int], list[tuple[int, int]]], ...]:
@@ -760,13 +789,13 @@ def face_multiplicities(f: FiberView) -> tuple:
     if cached is not None:
         return cached
     _valid_topes(f)
-    nvars, weights, faces = 2 * f.n, {}, []
+    nvars, free, weights, faces = 2 * f.n, f.free_mask, {}, []
     for u in f.members:
         mask = u.zero_mask
         if mask:  # not a tope
             if mask not in weights:
                 weights[mask] = weight_monomial(u, nvars)
-            faces.append((u, weights[mask], multiplicity(f, u)))
+            faces.append((u, weights[mask], _multiplicity(f, u, _ascending(mask & free))))
     f._cache["faces"] = faces = tuple(faces)
     return faces
 
@@ -819,10 +848,12 @@ def determinant(
 # modular evaluation
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; the fixed witness set is deterministic below 3.3e24."""
+    """Miller-Rabin after trial division by the 12 witnesses: deterministic below 2^64 on the 7 bases
+    of ``_MR_BASES_64``, each reduced mod n and skipped at 0, and on the 12 witnesses below 3.3e24."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -833,7 +864,10 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_BASES_64 if n < 1 << 64 else _MR_WITNESSES:
+        a %= n
+        if not a:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -943,6 +977,46 @@ def _eliminate(rows: list[int], prime: int) -> int:
         tail = reduce(a[k] & low)
         neg = prime - pow(pivot, -1, prime)
         a[k + 1 :] = [(row & low) + (row >> top) * neg % prime * tail for row in a[k + 1 :]]
+    return det
+
+
+def _eliminate_norm(xs: list[int], ys: list[int], w: int, prime: int) -> int | None:
+    """N(det(A + sC)) mod prime over R = F_p[s]/(s^2 - w), N(x + sy) = x^2 - w y^2, for the packed rows xs
+    of A and ys of C, which it consumes; 0 at a zero column, None at one of zero divisors with no unit.
+
+    Rows are packed as for ``_eliminate`` on m = 2h columns, h = len(xs).  A
+    step pivots on a top x + sy of nonzero norm n, a unit, and multiplies
+    the pivot row's tail, reduced, by (x - sy)/n into TX + s TY, reduced
+    again, as is w TY.  A row below, top (x, y), gains -x and -y mod p times
+    TX + s TY and s(TX + s TY): X += -x TX - y w TY, Y += -x TY - y TX.  Each
+    of fewer than h steps adds below 6p^2 to a lane, which stays below
+    (6h+1)p^2 = (3m+1)p^2, ``_eliminate``'s bound.  N is multiplicative and
+    N(-1) = 1, so the result is the product of the pivots' norms.
+    """
+    h = len(xs)
+    width = 8 * _lane_bytes(prime, 2 * h)
+    reduce = _lane_reducer(prime, 2 * h)
+    det = 1
+    for k in range(h):
+        top = (h - 1 - k) * width
+        for r in range(k, h):
+            x, y = (xs[r] >> top) % prime, (ys[r] >> top) % prime
+            norm = (x * x - w * y * y) % prime
+            if norm:
+                break
+        else:
+            return None if any((xs[r] >> top) % prime or (ys[r] >> top) % prime for r in range(k, h)) else 0
+        xs[k], xs[r], ys[k], ys[r] = xs[r], xs[k], ys[r], ys[k]
+        det = det * norm % prime
+        if top:
+            low, inverse = (1 << top) - 1, pow(norm, -1, prime)
+            c, d = x * inverse % prime, -y * inverse % prime
+            tail_x, tail_y = reduce(xs[k] & low), reduce(ys[k] & low)
+            tx, ty = reduce(c * tail_x + w * d % prime * tail_y), reduce(c * tail_y + d * tail_x)
+            tw = reduce(w * ty)
+            for i in range(k + 1, h):
+                nx, ny = -(xs[i] >> top) % prime, -(ys[i] >> top) % prime
+                xs[i], ys[i] = (xs[i] & low) + nx * tx + ny * tw, (ys[i] & low) + nx * ty + ny * tx
     return det
 
 

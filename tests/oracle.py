@@ -22,7 +22,9 @@ topes, the degree-bound oracle reads the row maxima off the polynomial entries
 rather than the tope masks, the support oracle reads them and the used
 variables off the masks one interpreted step per tope pair, the
 modular determinant oracle eliminates on lists of residues, one
-interpreted step per entry, and the closed-form oracle builds one base
+interpreted step per entry, and so does the norm oracle on the regular
+representation of a matrix over F_p[s]/(s^2 - w), the primality oracle is
+Miller-Rabin on the 12 prime witnesses up to 37, and the closed-form oracle builds one base
 per face from that face's own weight monomial.
 
 The polynomial helpers the tests need but the package does not (the text
@@ -822,6 +824,28 @@ def row_det_mod(rows: list[list[int]], prime: int) -> int:
                 for c in range(k, m):
                     row_r[c] = (row_r[c] - factor * row_k[c]) % prime
     return det
+
+
+def miller_rabin_12(n: int) -> bool:
+    """Miller-Rabin on the 12 prime witnesses up to 37, each also a trial divisor; deterministic below 3.3e24."""
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if any(n % a == 0 for a in witnesses):
+        return n in witnesses
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x not in (1, n - 1) and all(pow(x, 2**j, n) != n - 1 for j in range(1, s)):
+            return False
+    return True
+
+
+def norm_det_mod(a: list[list[int]], c: list[list[int]], w: int, prime: int) -> int:
+    """N(det(A + sC)) over F_p[s]/(s^2 - w): the field determinant of the regular representation [[A, C], [wC, A]]."""
+    return row_det_mod([ra + rc for ra, rc in zip(a, c)] + [[w * x for x in rc] + ra for ra, rc in zip(a, c)], prime)
 
 
 def _lane_bits(prime: int, m: int) -> int:

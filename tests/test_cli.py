@@ -654,7 +654,7 @@ def test_repeated_main_calls_match_fresh_processes(capsys, nonpappus_cov):
 def test_randomized_verify_of_a_bad_fiber(capsys, monkeypatch, tmp_path, text, message):
     path = tmp_path / "bad.cov"
     path.write_text(text)
-    monkeypatch.setattr(omdet.varchenko, "multiplicity", None)
+    monkeypatch.setattr(omdet.varchenko, "_multiplicity", None)
     assert run(capsys, "verify", str(path), "--mode", "randomized") == (2, "", f"error: {message.format(path=path)}\n")
 
 

@@ -41,13 +41,16 @@ from omdet.varchenko import (
     SizeGuardError,
     VarchenkoMatrix,
     _eliminate,
+    _eliminate_norm,
     _flat_betas,
     _flat_residues,
     _kronecker_width,
     _lane_check,
+    _lane_bytes,
     _lane_min,
     _lane_reducer,
     _mirror,
+    _pack,
     _update,
     bareiss_determinant,
     build_matrix,
@@ -77,6 +80,8 @@ from oracle import (
     distance,
     fused_bareiss,
     mask_support,
+    miller_rabin_12,
+    norm_det_mod,
     one_line,
     pack_rows,
     parallel_affine,
@@ -290,7 +295,7 @@ class TestProductFormula:
     def test_multiplicities_are_computed_once(self, monkeypatch):
         f = whole_fiber(concurrent_lines())
         faces = face_multiplicities(f)
-        monkeypatch.setattr(omdet.varchenko, "multiplicity", None)
+        monkeypatch.setattr(omdet.varchenko, "_multiplicity", None)
         assert face_multiplicities(f) is faces
         assert verify(f, mode="symbolic").agreement
 
@@ -321,6 +326,25 @@ class TestModularPieces:
             assert is_probable_prime(p), p
         for c in [1, 4, 9, 91, 561, 2**61]:
             assert not is_probable_prime(c), c
+
+    def test_miller_rabin_matches_the_12_witness_oracle(self):
+        # below 2^64 the 7 bases decide; 73 and 193 divide the base 28178, which they skip at 0
+        rng = random.Random(27)
+        drawn = [rng.randrange(1 << 60, 1 << 61) | 1 for _ in range(300)]
+        wide = [2**64 - 59, 2**64 + 13, 2**89 - 1, (2**61 - 1) ** 2, (2**31 - 1) * (2**61 - 1)]
+        for n in [*range(20_000), *drawn, *wide, 3825123056546413051]:
+            assert is_probable_prime(n) == miller_rabin_12(n), n
+        # a strong pseudoprime to the bases 2, 3, ..., 23
+        assert not is_probable_prime(3825123056546413051)
+        assert is_probable_prime(73) and is_probable_prime(193) and is_probable_prime(2**89 - 1)
+
+    def test_draw_prime_matches_the_12_witness_oracle(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            candidate = rng.randrange(1 << 60, 1 << 61) | 1
+            while not miller_rabin_12(candidate):
+                candidate += 2
+            assert draw_prime(random.Random(seed)) == candidate, seed
 
     def test_draw_prime_is_deterministic(self):
         assert draw_prime(random.Random(0)) == draw_prime(random.Random(0))
@@ -434,13 +458,7 @@ class TestDetModPacked:
         # value below 3p, and the bound is reached
         quotients = []
 
-        @settings(derandomize=True, max_examples=300, deadline=None)
-        @given(data=st.data())
-        def check(data):
-            prime = data.draw(st.sampled_from(DET_MOD_PRIMES))
-            m = data.draw(st.integers(1, 12))
-            a = 2 * prime.bit_length() + (3 * m + 1).bit_length()
-            lanes = data.draw(st.lists(st.integers(0, 2**a - 1), min_size=m, max_size=m))
+        def reduce_lanes(prime, m, lanes):
             w = _lane_bits(prime, m)
             packed = _lane_reducer(prime, m)(sum(x << (w * (m - 1 - c)) for c, x in enumerate(lanes)))
             assert 0 <= packed < 1 << (w * m)
@@ -449,7 +467,17 @@ class TestDetModPacked:
                 assert 0 <= r < 3 * prime and (x - r) % prime == 0
             quotients.append(max(r // prime for r in reduced))
 
+        @settings(derandomize=True, max_examples=300, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            prime = data.draw(st.sampled_from(DET_MOD_PRIMES))
+            m = data.draw(st.integers(1, 12))
+            a = 2 * prime.bit_length() + (3 * m + 1).bit_length()
+            reduce_lanes(prime, m, data.draw(st.lists(st.integers(0, 2**a - 1), min_size=m, max_size=m)))
+
         check()
+        # a fixed lane that reaches 2p, whatever the drawn examples are: 131007 < 2^17, m = 1 and p = 101
+        reduce_lanes(101, 1, [131007])
         assert max(quotients) == 2
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -861,7 +889,7 @@ class TestMaskEvaluation:
 
     def test_unclosed_fiber_fails_before_the_multiplicities(self, monkeypatch):
         f = FiberView(fiber_of([sv("0+")]).base, frozenset({1, 2}), sv("0+"), (sv("0+"), sv("+0")))
-        monkeypatch.setattr(omdet.varchenko, "multiplicity", None)
+        monkeypatch.setattr(omdet.varchenko, "_multiplicity", None)
         with pytest.raises(FiberError, match=r"^not closed under composition: 0\+ o \+0 = \+\+ missing$"):
             verify(f, mode="randomized")
 
@@ -1013,6 +1041,153 @@ class TestSymmetricCore:
         # so det = det(D_U) det(D_V) det(G), and det(D_U) det(D_V) is the scale prod w_i^(n_i)
         scale = sympy.Mul(*[(u[i] * v[i]) ** sum(i in p for p in plus) for i in m.fiber.free])
         assert d_u.det() * d_v.det() == scale
+
+    def test_negation_closed_core_splits_by_a_norm(self):
+        # det M = (prod_{r in T} W(P_r))^2 det(A + sC) det(A - sC) with s^2 = W(F), T one tope of each pair
+        sympy = pytest.importorskip("sympy")
+        m = build_matrix(whole_fiber(concurrent_lines()))
+        free = frozenset(m.fiber.free)
+        plus = [frozenset(i for i in free if t.sign(i) > 0) for t in m.tope_order]
+        assert sorted(map(sorted, plus)) == sorted(sorted(free - p) for p in plus)
+        half = [p for p in plus if max(free) not in p]
+        w = {i: sympy.Symbol(f"a{i}p") * sympy.Symbol(f"a{i}m") for i in free}
+
+        def weight(subset):
+            return sympy.Mul(*[w[i] for i in subset])
+
+        s = sympy.Symbol("s")
+        a = sympy.Matrix(len(half), len(half), lambda r, c: 1 / weight(half[r] & half[c]))
+        c = sympy.Matrix(len(half), len(half), lambda r, c: 1 / weight(half[r] | half[c]))
+        num, den = sympy.fraction(sympy.cancel((a + s * c).det() * (a - s * c).det()))
+        norm = sympy.rem(sympy.expand(num), s**2 - weight(free), s) / sympy.rem(sympy.expand(den), s**2 - weight(free), s)
+        assert not norm.has(s)
+        entries = sympy.Matrix([[sympy.sympify(poly_str(e).replace("^", "**")) for e in row] for row in m.entries])
+        scale = sympy.Mul(*[weight(p) for p in half]) ** 2
+        assert sympy.cancel(entries.det() - scale * norm) == 0
+
+
+def _norm_calls(monkeypatch, fail: bool = False) -> list:
+    """The results of _eliminate_norm, which still runs unless fail, when it raises."""
+    results = []
+
+    def spy(*args):
+        if fail:
+            raise AssertionError("a core took the half-size split")
+        results.append(_eliminate_norm(*args))
+        return results[-1]
+
+    monkeypatch.setattr(omdet.varchenko, "_eliminate_norm", spy)
+    return results
+
+
+@cache
+def _split_corpus() -> list[str]:
+    """The corpus fibers whose separating-index codes are closed under complement."""
+    return sorted(name for name, f in _corpus().items() if _half(build_matrix(f)) is not None)
+
+
+def _half(m):
+    """The matrix's half-size split, or None."""
+    return m._core and m._core[3]
+
+
+class TestNormSplit:
+    """Half-size cores over R = F_p[s]/(s^2 - W(F)) against the entry residues, and the elimination over R
+    against the field determinant of its regular representation."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_entry_residues(self, data):
+        if data.draw(st.booleans()):
+            f = _seeded_planes(data.draw(st.integers(0, 99)), data.draw(st.integers(3, 6)))
+        else:
+            f = _corpus()[data.draw(st.sampled_from(_split_corpus()))]
+        m = build_matrix(f, data.draw(_mask_specializations(2 * f.n, f.free)))
+        assert _half(m) is not None
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        prime = draw_prime(rng)
+        at = {v: rng.randrange(prime) for v in range(m.nvars)}
+        at.update(dict.fromkeys(data.draw(st.sets(st.integers(0, m.nvars - 1), max_size=1)), 0))
+        assert m.det_residue(at, prime) == _entry_det(m, at, prime)
+
+    def test_one_pair_fiber(self, monkeypatch):
+        # h = 1: A = C = [[1]], so det = N(1 + s) = 1 - w, and 0 through G when w = 1
+        m = build_matrix(whole_fiber(one_line()))
+        assert m.size == 2 and m._core[3][0] == [0]
+        prime = draw_prime(random.Random(5))
+        calls = _norm_calls(monkeypatch)
+        for at in ({0: 3, 1: 5}, {0: prime - 1, 1: prime - 1}):
+            assert m.det_residue(at, prime) == _entry_det(m, at, prime) == (1 - at[0] * at[1]) % prime
+        assert calls == [(1 - 15) % prime, None]
+
+    def test_zero_divisor_tops_fall_back_to_the_core(self, monkeypatch):
+        # every w_i = -1 on four planes: W(F) = 1, and every top (x, x) has norm 0
+        f = _seeded_planes(8, 4)
+        m = build_matrix(f, Specialization.of(2 * f.n, {v: 1 - 2 * (v % 2 == 0) for v in range(2 * f.n)}))
+        assert len(m._core[0]) == 4
+        prime = draw_prime(random.Random(6))
+        calls, expected = _norm_calls(monkeypatch), _entry_det(m, {}, prime)
+        with monkeypatch.context() as patch:
+            _residue_calls(patch, fail=True)
+            assert m.det_residue({}, prime) == expected
+        assert calls == [None]
+
+    def test_wiring_fibers_never_split(self, monkeypatch):
+        rng = random.Random(12)
+        fibers = [faces(non_pappus())] + [faces(random_wiring(rng)) for _ in range(12)]
+        _norm_calls(monkeypatch, fail=True)
+        for f in fibers:
+            assert _half(build_matrix(f)) is None
+            assert verify(f, mode="randomized", seed=1, evals=2).agreement
+
+    @pytest.mark.parametrize(
+        "a, c, w, expected",
+        [
+            # the first top is 0, so the pivot is searched for: N(det) = N(-1) = 1, w = 3 a non-square mod 7
+            ([[0, 1], [1, 0]], [[0, 0], [0, 0]], 3, 1),
+            # w = 1: the tops (1 + s)/2 and (1 - s)/2 are zero divisors, but R = F_7 x F_7 carries the
+            # identity and a swap, so N(det) = -1
+            ([[4, 4], [4, 4]], [[4, 3], [3, 4]], 1, None),
+            # sC with det C = -1: N(-s^2) = w^2
+            ([[0, 0], [0, 0]], [[0, 1], [1, 0]], 3, 2),
+            ([[0, 5], [0, 2]], [[0, 1], [0, 4]], 3, 0),
+        ],
+    )
+    def test_fixed_columns(self, a, c, w, expected):
+        prime, width = 7, _lane_bytes(7, 4)
+        result = _eliminate_norm([_pack(r, width) for r in a], [_pack(r, width) for r in c], w, prime)
+        assert result == expected
+        if expected is None:
+            assert norm_det_mod(a, c, w, prime) == 6
+        else:
+            assert norm_det_mod(a, c, w, prime) == expected
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_against_the_regular_representation(self, data):
+        prime = data.draw(st.sampled_from((5, 7, 101, draw_prime(random.Random(8)))))
+        h = data.draw(st.integers(1, 5))
+        residues = st.one_of(st.just(0), st.integers(0, prime - 1))
+        square = st.lists(st.lists(residues, min_size=h, max_size=h), min_size=h, max_size=h)
+        if data.draw(st.booleans()):
+            # w = r^2: R is F_p x F_p by s -> (r, -r), so draw the entries' two images, zeros often
+            r = data.draw(st.integers(1, prime - 1))
+            w, half = r * r % prime, pow(2, -1, prime)
+            images = [list(zip(*rows)) for rows in zip(data.draw(square), data.draw(square))]
+            a = [[(u + v) * half % prime for u, v in row] for row in images]
+            c = [[(u - v) * half * pow(r, -1, prime) % prime for u, v in row] for row in images]
+        else:
+            w, a, c = data.draw(st.integers(0, prime - 1)), data.draw(square), data.draw(square)
+        # lanes start anywhere below p^2
+        lifts = data.draw(st.lists(st.integers(0, prime - 1), min_size=2 * h * h, max_size=2 * h * h))
+        width = _lane_bytes(prime, 2 * h)
+        xs = [_pack([x + prime * lifts[r * h + j] for j, x in enumerate(row)], width) for r, row in enumerate(a)]
+        ys = [_pack([y + prime * lifts[(h + r) * h + j] for j, y in enumerate(row)], width) for r, row in enumerate(c)]
+        result = _eliminate_norm(xs, ys, w, prime)
+        if result is None:  # a zero divisor other than 0 needs a square w
+            assert pow(w, (prime - 1) // 2, prime) in (0, 1)
+        else:
+            assert result == norm_det_mod(a, c, w, prime)
 
 
 def _constant_pair_maps(nvars, free):
