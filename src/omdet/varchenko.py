@@ -63,8 +63,8 @@ every entry, and each source variable's image under the map, and it is read
 four ways: the polynomial ``entries``, which only the symbolic path builds,
 two integer readings that share one row walker (``_rows``), ``support``
 (the variables to draw and the degree bound) and ``residues`` (one
-evaluation's packed rows), and ``det_residue`` (one evaluation's
-determinant).  The free indices are split into the fewest balanced chunks
+evaluation's packed rows), and ``det_residues`` (a group of evaluations'
+determinants).  The free indices are split into the fewest balanced chunks
 whose two subset tables are no larger than the matrix, and each tope's
 masks are coded on every chunk once per matrix; per reading each image is
 tabulated over every subset of each chunk, so an entry is one lookup per
@@ -95,7 +95,10 @@ N(x + sy) = x^2 - W(F) y^2 being the F_p-determinant of [[A, C], [W(F) C, A]].
 No square root is taken: ``_eliminate_norm`` eliminates h rows over R, and
 G is eliminated instead when a column holds only zero divisors.  The
 formula's residue is prod (1 - prod_{i in Z} w_i)^beta_Z over the flats Z,
-from the same values.
+from the same values.  The evaluations are drawn and eliminated in
+consecutive groups whose packed rows stay within ``_GROUP_BYTES``, so that
+one group holds a few small matrices and a matrix near the tope cap goes
+alone; the residues do not depend on the grouping.
 
 The modular elimination works on packed rows: each row is one integer with
 a lane of w bits per column, the column to eliminate in the top lane, so a
@@ -104,9 +107,13 @@ interpreted step per entry.  Updates add a non-negative multiple of the
 pivot row instead of subtracting, and never reduce: a lane starts below p^2
 and stays below (3m+1)p^2, which w bits hold, so no lane carries into the
 next.  Only the pivot row is reduced, below 3p in every lane at once, by a
-Barrett reduction on the whole packed integer.  ``det_mod`` takes a list of
-integer rows and packs them for the same elimination.  The tests compare it
-against the row-list elimination (``tests/oracle.py``).
+Barrett reduction on the whole packed integer.  A group's matrices are
+eliminated in lockstep: each step picks every live matrix's pivot, inverts
+all the pivots (or norms) with one pow by Montgomery's trick (one inverse
+and three products per value), and updates the rows; a matrix leaves at a
+zero column.  ``det_mod`` takes a list of integer rows and packs them
+for the same elimination, as a group of one.  The tests compare it against
+the row-list elimination (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -191,6 +198,11 @@ def _getter(indices: list[int]):
     return itemgetter(*indices) if len(indices) > 1 else lambda items: (items[indices[0]],)
 
 
+def _packed_rows(getters, lanes: list[bytes]) -> list[int]:
+    """One packed row per getter, its lanes picked from lanes and joined."""
+    return [int.from_bytes(b"".join(row(lanes)), "big") for row in getters]
+
+
 def _subset_terms(images, nvars: int) -> list[tuple[int, int]]:
     """(coefficient, packed key) products over every subset of the images (c, t), by the subset's bitmask."""
     table = [(1, 0)]
@@ -211,7 +223,7 @@ class VarchenkoMatrix:
     identity when there is none).  The matrix is read four ways: the
     polynomial ``entries``, built on first use, two integer readings,
     ``support`` and ``residues``, that share one row walker (``_rows``), and
-    ``det_residue``, through the symmetric core G of M = D_U G D_V (module
+    ``det_residues``, through the symmetric core G of M = D_U G D_V (module
     docstring), or its half-size split when the topes pair up, which falls
     back to ``residues`` at a zero w_i or past 2^k > size^2.
     """
@@ -275,33 +287,62 @@ class VarchenkoMatrix:
         return [_pack(row, width) for row in self._rows(self._values(assignment, prime), prime)]
 
     def det_residue(self, assignment, prime: int) -> int:
-        """The determinant mod prime at {target variable: residue}: prod w_i^(n_i) det G (module docstring).
+        """The determinant mod prime at {target variable: residue}."""
+        return self.det_residues([assignment], prime)[0]
 
-        W(s)^-1 is W of the complement of s over W of every separating
-        index, so the table of inverses is the table of W reversed, times one
-        inverse, and each row of G is packed from it in one join; with a
-        half, so is each row of A and of C.  At a zero w_i, or without a
-        core, the entry residues are eliminated instead.
+    def det_residues(self, assignments, prime: int) -> list[int]:
+        """The determinant mod prime at each {target variable: residue}, the evaluations eliminated in lockstep.
+
+        Each is prod w_i^(n_i) det G, or with a half the scaled norm (module
+        docstring).  W(s)^-1 is W of the complement of s over W of every
+        separating index, so an evaluation's table of inverses is its table
+        of W reversed, times one inverse; the group's totals W(F) are
+        inverted in one batch (``_inverses``), and each row of G, or of A
+        and of C, is packed from the table in one join.  One table is held
+        at a time, and rebuilt for a fallback to G.  Every pair (A, C)
+        goes to one ``_eliminate_norm`` call; every G, with those whose norm
+        met a column of zero divisors, and every matrix of entry residues,
+        taken at a zero w_i or without a core, go to one ``_eliminate`` call.
+        Every evaluation's rows are held at once, so callers keep a group
+        within ``_GROUP_BYTES`` (``_group_size``).
         """
-        core, x = self._core, self._values(assignment, prime)
+        core, width, count = self._core, _lane_bytes(prime, self.size), len(assignments)
+        dets, scales = [None] * count, [1] * count
+        rows, pairs = {}, {}  # by evaluation: its rows for _eliminate, or its rows of A and of C
         if core is not None:
-            separating, counts, getters, half = core
-            w = [x[2 * i - 2] * x[2 * i - 1] % prime for i in separating]
-            table = _subset_products(w, prime)
-            if table[-1]:
-                inverse, width = pow(table[-1], -1, prime), _lane_bytes(prime, self.size)
-                lanes = [(y * inverse % prime).to_bytes(width, "big") for y in reversed(table)]
+            separating, counts, _, half = core
+            values = [self._values(assignment, prime) for assignment in assignments]
+            ws = [[x[2 * i - 2] * x[2 * i - 1] % prime for i in separating] for x in values]
+            totals = [prod(w) % prime for w in ws]
+            units = [j for j, total in enumerate(totals) if total]
+            inverses = dict(zip(units, _inverses([totals[j] for j in units], prime)))
 
-                def rows(row_getters):
-                    return [int.from_bytes(b"".join(row(lanes)), "big") for row in row_getters]
+            def lanes(j: int) -> list[bytes]:  # the table of inverses, built for one evaluation at a time
+                table = _subset_products(ws[j], prime)
+                return [(y * inverses[j] % prime).to_bytes(width, "big") for y in reversed(table)]
 
-                if half is not None:
-                    doubled, a_rows, c_rows = half
-                    norm = _eliminate_norm(rows(a_rows), rows(c_rows), table[-1], prime)
-                    if norm is not None:
-                        return norm * prod(map(pow, w, doubled, repeat(prime))) % prime
-                return _eliminate(rows(getters), prime) * prod(map(pow, w, counts, repeat(prime))) % prime
-        return _eliminate(self.residues(assignment, prime), prime)
+            def scale(j: int, exponents) -> int:
+                return prod(map(pow, ws[j], exponents, repeat(prime))) % prime
+
+            for j in units:
+                if half is None:
+                    rows[j], scales[j] = _packed_rows(self._core_getters, lanes(j)), scale(j, counts)
+                else:
+                    table = lanes(j)
+                    pairs[j] = _packed_rows(half[1], table), _packed_rows(half[2], table)
+            if pairs:
+                norms = _eliminate_norm(list(pairs.values()), [totals[j] for j in pairs], prime)
+                for j, norm in zip(pairs, norms):
+                    if norm is None:
+                        rows[j], scales[j] = _packed_rows(self._core_getters, lanes(j)), scale(j, counts)
+                    else:
+                        dets[j] = norm * scale(j, half[0]) % prime
+        for j, assignment in enumerate(assignments):
+            if dets[j] is None and j not in rows:
+                rows[j] = self.residues(assignment, prime)
+        for j, det in zip(rows, _eliminate(list(rows.values()), prime)):
+            dets[j] = det * scales[j] % prime
+        return dets
 
     def _values(self, assignment, prime: int) -> list[int]:
         """Each source variable's image mod prime at {target variable: residue}, unlisted ones at 0."""
@@ -309,15 +350,16 @@ class VarchenkoMatrix:
 
     @cached_property
     def _core(self):
-        """(separating free indices, how many topes are + at each, one getter per row of G's table
-        indices, half), or None when the table of 2^k subsets, k separating indices, exceeds size^2 entries.
+        """(separating free indices, how many topes are + at each, each tope's code, half), or None when
+        the table of 2^k subsets, k separating indices, exceeds size^2 entries.
 
         An index where every tope is + cancels from G and the scale alike, and
         one where none is never appears.  Bit j of a code stands for the j-th
-        separating index, and entry (r, c) reads the table at code_r & code_c.
-        ``half`` is None unless the codes are closed under complement, and
-        then (twice how many topes of T are + at each index, one getter per
-        row of A, one per row of C), T being the topes without bit k-1.
+        separating index, and entry (r, c) of G reads the table at
+        code_r & code_c (``_core_getters``).  ``half`` is None unless the
+        codes are closed under complement, and then (twice how many topes of
+        T are + at each index, one getter per row of A, one per row of C), T
+        being the topes without bit k-1.
         """
         every, some = reduce(and_, self.plus), reduce(or_, self.plus)
         separating = _ascending(some & ~every)
@@ -326,14 +368,21 @@ class VarchenkoMatrix:
         bits = [1 << (i - 1) for i in separating]
         codes = [sum(1 << j for j, b in enumerate(bits) if p & b) for p in self.plus]
         counts = [sum(1 for p in self.plus if p & b) for b in bits]
-        ids = list(range(1 << len(separating)))  # one int object per table index, shared by every row
-        getters = [_getter([ids[code & c] for c in codes]) for code in codes]
-        full, half = ids[-1], None
+        full, half = (1 << len(bits)) - 1, None
         if full and sorted(codes) == sorted(c ^ full for c in codes):
+            ids = list(range(full + 1))  # one int object per table index, shared by every row
             t = [c for c in codes if c < c ^ full]
             doubled = [2 * sum(c >> j & 1 for c in t) for j in range(len(bits))]
             half = doubled, [_getter([ids[r & c] for c in t]) for r in t], [_getter([ids[r | c] for c in t]) for r in t]
-        return separating, counts, getters, half
+        return separating, counts, codes, half
+
+    @cached_property
+    def _core_getters(self) -> list:
+        """One getter per row of G's table indices, built on first use: with a half, only an evaluation
+        whose norm meets a column of zero divisors reads them."""
+        codes = self._core[2]
+        ids = list(range(1 << len(self._core[0])))  # one int object per table index, shared by every row
+        return [_getter([ids[code & c] for c in codes]) for code in codes]
 
     @cached_property
     def _chunks(self) -> tuple[tuple[list[int], list[tuple[int, int]]], ...]:
@@ -940,8 +989,21 @@ def _lane_reducer(prime: int, m: int):
     return reduce
 
 
-def _eliminate(rows: list[int], prime: int) -> int:
-    """Determinant mod prime of an m x m matrix given as packed rows, which it consumes.
+def _inverses(values: list[int], prime: int) -> list[int]:
+    """The inverses mod prime of nonzero residues, by Montgomery's trick: one pow and three products per value."""
+    prefix, running = [], 1
+    for x in values:
+        prefix.append(running)
+        running = running * x % prime
+    inverse, out = pow(running, -1, prime), []
+    for x, before in zip(reversed(values), reversed(prefix)):
+        out.append(inverse * before % prime)
+        inverse = inverse * x % prime
+    return out[::-1]
+
+
+def _eliminate(matrices: list[list[int]], prime: int) -> list[int]:
+    """Determinants mod prime of m x m matrices given as packed rows, which it consumes, in lockstep.
 
     Each row is one integer with a lane of w bits per column, w = 8 *
     _lane_bytes(prime, m), the active submatrix's first column in the top
@@ -955,34 +1017,48 @@ def _eliminate(rows: list[int], prime: int) -> int:
     Invariant: each of fewer than m steps adds at most (p-1)(3p-1) < 3p^2
     to a lane, so every lane stays below p^2 + 3(m-1)p^2 < (3m+1)p^2 < 2^a,
     the bound the pivot row's reduction needs, and no carry crosses a lane.
+
+    Every step picks and swaps each live matrix's pivot, inverts all the
+    pivots with one pow (``_inverses``), then updates the rows; a matrix
+    leaves at a column of zeros, its determinant 0.  The last step needs no
+    inverse.  ``_compare`` keeps the matrices within ``_GROUP_BYTES``.
     """
-    m = len(rows)
+    dets = [1] * len(matrices)
+    m = len(matrices[0]) if matrices else 0
     w = 8 * _lane_bytes(prime, m)
     reduce = _lane_reducer(prime, m)
-    a = rows
-    det = 1
+    live = range(len(matrices))
     for k in range(m):
         top = (m - 1 - k) * w
-        for r in range(k, m):
-            if (a[r] >> top) % prime:
-                break
-        else:
-            return 0
-        if r != k:
+        stepping, pivots = [], []
+        for j in live:
+            a = matrices[j]
+            for r in range(k, m):
+                pivot = (a[r] >> top) % prime
+                if pivot:
+                    break
+            else:
+                dets[j] = 0
+                continue
             a[k], a[r] = a[r], a[k]
-            det = -det % prime
-        pivot = (a[k] >> top) % prime
-        det = det * pivot % prime
+            dets[j] = dets[j] * (pivot if r == k else prime - pivot) % prime
+            stepping.append(j)
+            pivots.append(pivot)
+        if not top:
+            break
         low = (1 << top) - 1
-        tail = reduce(a[k] & low)
-        neg = prime - pow(pivot, -1, prime)
-        a[k + 1 :] = [(row & low) + (row >> top) * neg % prime * tail for row in a[k + 1 :]]
-    return det
+        for j, inverse in zip(stepping, _inverses(pivots, prime)):
+            a = matrices[j]
+            tail, neg = reduce(a[k] & low), prime - inverse
+            a[k + 1 :] = [(row & low) + (row >> top) * neg % prime * tail for row in a[k + 1 :]]
+        live = stepping
+    return dets
 
 
-def _eliminate_norm(xs: list[int], ys: list[int], w: int, prime: int) -> int | None:
-    """N(det(A + sC)) mod prime over R = F_p[s]/(s^2 - w), N(x + sy) = x^2 - w y^2, for the packed rows xs
-    of A and ys of C, which it consumes; 0 at a zero column, None at one of zero divisors with no unit.
+def _eliminate_norm(pairs: list[tuple[list[int], list[int]]], ws: list[int], prime: int) -> list[int | None]:
+    """N(det(A + sC)) mod prime over R = F_p[s]/(s^2 - w), N(x + sy) = x^2 - w y^2, for each pair (xs, ys)
+    of the packed rows of A and of C, which it consumes, and its w in ws, in lockstep; 0 at a zero column,
+    None at one of zero divisors with no unit.
 
     Rows are packed as for ``_eliminate`` on m = 2h columns, h = len(xs).  A
     step pivots on a top x + sy of nonzero norm n, a unit, and multiplies
@@ -991,25 +1067,36 @@ def _eliminate_norm(xs: list[int], ys: list[int], w: int, prime: int) -> int | N
     TX + s TY and s(TX + s TY): X += -x TX - y w TY, Y += -x TY - y TX.  Each
     of fewer than h steps adds below 6p^2 to a lane, which stays below
     (6h+1)p^2 = (3m+1)p^2, ``_eliminate``'s bound.  N is multiplicative and
-    N(-1) = 1, so the result is the product of the pivots' norms.
+    N(-1) = 1, so the result is the product of the pivots' norms.  As in
+    ``_eliminate``, every step inverts all the live pairs' norms with one pow.
     """
-    h = len(xs)
+    dets: list = [1] * len(pairs)
+    h = len(pairs[0][0]) if pairs else 0
     width = 8 * _lane_bytes(prime, 2 * h)
     reduce = _lane_reducer(prime, 2 * h)
-    det = 1
+    live = range(len(pairs))
     for k in range(h):
         top = (h - 1 - k) * width
-        for r in range(k, h):
-            x, y = (xs[r] >> top) % prime, (ys[r] >> top) % prime
-            norm = (x * x - w * y * y) % prime
-            if norm:
-                break
-        else:
-            return None if any((xs[r] >> top) % prime or (ys[r] >> top) % prime for r in range(k, h)) else 0
-        xs[k], xs[r], ys[k], ys[r] = xs[r], xs[k], ys[r], ys[k]
-        det = det * norm % prime
-        if top:
-            low, inverse = (1 << top) - 1, pow(norm, -1, prime)
+        stepping, norms = [], []
+        for j in live:
+            (xs, ys), w = pairs[j], ws[j]
+            for r in range(k, h):
+                x, y = (xs[r] >> top) % prime, (ys[r] >> top) % prime
+                norm = (x * x - w * y * y) % prime
+                if norm:
+                    break
+            else:
+                dets[j] = None if any((xs[r] >> top) % prime or (ys[r] >> top) % prime for r in range(k, h)) else 0
+                continue
+            xs[k], xs[r], ys[k], ys[r] = xs[r], xs[k], ys[r], ys[k]
+            dets[j] = dets[j] * norm % prime
+            stepping.append((j, x, y))
+            norms.append(norm)
+        if not top:
+            break
+        low = (1 << top) - 1
+        for (j, x, y), inverse in zip(stepping, _inverses(norms, prime)):
+            (xs, ys), w = pairs[j], ws[j]
             c, d = x * inverse % prime, -y * inverse % prime
             tail_x, tail_y = reduce(xs[k] & low), reduce(ys[k] & low)
             tx, ty = reduce(c * tail_x + w * d % prime * tail_y), reduce(c * tail_y + d * tail_x)
@@ -1017,13 +1104,14 @@ def _eliminate_norm(xs: list[int], ys: list[int], w: int, prime: int) -> int | N
             for i in range(k + 1, h):
                 nx, ny = -(xs[i] >> top) % prime, -(ys[i] >> top) % prime
                 xs[i], ys[i] = (xs[i] & low) + nx * tx + ny * tw, (ys[i] & low) + nx * ty + ny * tx
-    return det
+        live = [j for j, _, _ in stepping]
+    return dets
 
 
 def det_mod(rows: list[list[int]], prime: int) -> int:
     """Determinant of an integer matrix in the prime field: its rows reduced, packed and eliminated."""
     width = _lane_bytes(prime, len(rows))
-    return _eliminate([_pack([x % prime for x in row], width) for row in rows], prime)
+    return _eliminate([[_pack([x % prime for x in row], width) for row in rows]], prime)[0]
 
 
 @dataclass(frozen=True)
@@ -1116,24 +1204,35 @@ def _flat_residues(matrix: VarchenkoMatrix, betas: dict):
     return targets - {None}, residue
 
 
-def _compare(var_order, det_residue, formula_residue, nvars: int, seed: int, evals: int):
-    """(prime, records): det_residue(assignment, prime) against formula_residue(assignment, prime) at random points.
+# One group of evaluations keeps its packed rows within this many bytes: at a 61-bit prime, 6 evaluations of
+# 134 topes, and one at a time from 242 topes on, as at the 2,081-tope cap.
+_GROUP_BYTES = 1 << 21
+
+
+def _group_size(prime: int, m: int) -> int:
+    """How many evaluations of an m x m matrix one group holds: m^2 lanes each within ``_GROUP_BYTES``, at least one."""
+    return max(1, _GROUP_BYTES // max(1, m * m * _lane_bytes(prime, m)))
+
+
+def _compare(var_order, det_residues, formula_residue, nvars: int, seed: int, evals: int, size: int):
+    """(prime, records): det_residues(assignments, prime) against formula_residue(assignment, prime) at random points.
 
     Deterministic for a fixed seed: one 61-bit prime, then ``evals``
-    assignments of var_order's variables in order, evaluated one after
-    another.  The records name the variables in a universe of nvars.
+    assignments of var_order's variables in order, drawn and evaluated in
+    consecutive groups of ``_group_size(prime, size)``.  The records name
+    the variables in a universe of nvars.
     """
     if evals < 1:
         raise ValueError("at least one evaluation is required")
     rng = random.Random(seed)
     prime = draw_prime(rng)
     labels = [var_label(v, nvars) for v in var_order]
-    records = []
-    for _ in range(evals):
-        assignment = {v: rng.randrange(prime) for v in var_order}
-        readable = dict(zip(labels, assignment.values()))
-        det_r = det_residue(assignment, prime)
-        records.append(EvalRecord(readable, det_r, formula_residue(assignment, prime)))
+    group, records = _group_size(prime, size), []
+    for start in range(0, evals, group):
+        assignments = [{v: rng.randrange(prime) for v in var_order} for _ in range(min(group, evals - start))]
+        for assignment, det_r in zip(assignments, det_residues(assignments, prime)):
+            readable = dict(zip(labels, assignment.values()))
+            records.append(EvalRecord(readable, det_r, formula_residue(assignment, prime)))
     return prime, tuple(records)
 
 
@@ -1153,12 +1252,16 @@ def randomized_compare(
     flat = [e for row in entries for e in row]
     m = len(entries)
 
-    def det_residue(assignment, prime):
-        residues = residues_mod(flat, assignment, prime)
-        return det_mod([residues[r * m : (r + 1) * m] for r in range(m)], prime)
+    def det_residues(assignments, prime):
+        width = _lane_bytes(prime, m)
+        matrices = []
+        for assignment in assignments:
+            residues = residues_mod(flat, assignment, prime)
+            matrices.append([_pack(residues[r * m : (r + 1) * m], width) for r in range(m)])
+        return _eliminate(matrices, prime)
 
     var_order = used_variables(flat + [base for base, _ in formula.factors])
-    return _compare(var_order, det_residue, formula.eval_mod, formula.nvars, seed, evals)
+    return _compare(var_order, det_residues, formula.eval_mod, formula.nvars, seed, evals, m)
 
 
 def verify(
@@ -1199,7 +1302,7 @@ def verify(
     targets, formula_residue = _flat_residues(matrix, _flat_betas(f))
     var_order = sorted(targets.union(used))
 
-    prime, records = _compare(var_order, matrix.det_residue, formula_residue, matrix.nvars, seed, evals)
+    prime, records = _compare(var_order, matrix.det_residues, formula_residue, matrix.nvars, seed, evals, matrix.size)
     return VerificationReport(
         "randomized",
         size,

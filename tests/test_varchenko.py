@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -451,7 +452,7 @@ class TestDetModPacked:
         rows = [[prime - 1 - min(r, c) for c in range(m)] for r in range(m)]
         assert det_mod(rows, prime) == row_det_mod(rows, prime) == (-1) ** m % prime
         lifted = [[x + prime * (prime - 1) for x in row] for row in rows]
-        assert _eliminate(pack_rows(lifted, prime), prime) == (-1) ** m % prime
+        assert _eliminate([pack_rows(lifted, prime)], prime) == [(-1) ** m % prime]
 
     def test_pivot_row_reduction(self):
         # the SWAR Barrett reduction takes every lane below 2^a to a congruent
@@ -489,7 +490,7 @@ class TestDetModPacked:
         rows = _square(data, prime, m)
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         lanes = [[x % prime + prime * rng.choice((prime - 1, rng.randrange(prime))) for x in row] for row in rows]
-        assert _eliminate(pack_rows(lanes, prime), prime) == row_det_mod(rows, prime)
+        assert _eliminate([pack_rows(lanes, prime)], prime) == [row_det_mod(rows, prime)]
 
 
 def _spy(monkeypatch, name):
@@ -929,7 +930,7 @@ def _entry_det(m, at, prime: int) -> int:
     """det mod prime of the entry residues, by the packed elimination and by the row oracle."""
     rows = m.residues(at, prime)
     entries = unpack_rows(rows, prime, m.size)
-    det = _eliminate(rows, prime)
+    (det,) = _eliminate([rows], prime)
     assert det == row_det_mod(entries, prime)
     return det
 
@@ -1067,7 +1068,8 @@ class TestSymmetricCore:
 
 
 def _norm_calls(monkeypatch, fail: bool = False) -> list:
-    """The results of _eliminate_norm, which still runs unless fail, when it raises."""
+    """The results of _eliminate_norm, one list per call and one entry per evaluation in it, which still runs
+    unless fail, when it raises."""
     results = []
 
     def spy(*args):
@@ -1116,9 +1118,14 @@ class TestNormSplit:
         assert m.size == 2 and m._core[3][0] == [0]
         prime = draw_prime(random.Random(5))
         calls = _norm_calls(monkeypatch)
-        for at in ({0: 3, 1: 5}, {0: prime - 1, 1: prime - 1}):
+        points = [{0: 3, 1: 5}, {0: prime - 1, 1: prime - 1}]
+        for at in points:
             assert m.det_residue(at, prime) == _entry_det(m, at, prime) == (1 - at[0] * at[1]) % prime
-        assert calls == [(1 - 15) % prime, None]
+        assert calls == [[(1 - 15) % prime], [None]]
+        # in one group, the evaluations at w = 1 alone fall back, each in its place
+        calls.clear()
+        assert m.det_residues(points[::-1] * 2, prime) == [0, (1 - 15) % prime] * 2
+        assert calls == [[None, (1 - 15) % prime] * 2]
 
     def test_zero_divisor_tops_fall_back_to_the_core(self, monkeypatch):
         # every w_i = -1 on four planes: W(F) = 1, and every top (x, x) has norm 0
@@ -1130,7 +1137,7 @@ class TestNormSplit:
         with monkeypatch.context() as patch:
             _residue_calls(patch, fail=True)
             assert m.det_residue({}, prime) == expected
-        assert calls == [None]
+        assert calls == [[None]]
 
     def test_wiring_fibers_never_split(self, monkeypatch):
         rng = random.Random(12)
@@ -1155,7 +1162,7 @@ class TestNormSplit:
     )
     def test_fixed_columns(self, a, c, w, expected):
         prime, width = 7, _lane_bytes(7, 4)
-        result = _eliminate_norm([_pack(r, width) for r in a], [_pack(r, width) for r in c], w, prime)
+        (result,) = _eliminate_norm([([_pack(r, width) for r in a], [_pack(r, width) for r in c])], [w], prime)
         assert result == expected
         if expected is None:
             assert norm_det_mod(a, c, w, prime) == 6
@@ -1183,11 +1190,126 @@ class TestNormSplit:
         width = _lane_bytes(prime, 2 * h)
         xs = [_pack([x + prime * lifts[r * h + j] for j, x in enumerate(row)], width) for r, row in enumerate(a)]
         ys = [_pack([y + prime * lifts[(h + r) * h + j] for j, y in enumerate(row)], width) for r, row in enumerate(c)]
-        result = _eliminate_norm(xs, ys, w, prime)
+        (result,) = _eliminate_norm([(xs, ys)], [w], prime)
         if result is None:  # a zero divisor other than 0 needs a square w
             assert pow(w, (prime - 1) // 2, prime) in (0, 1)
         else:
             assert result == norm_det_mod(a, c, w, prime)
+
+
+class TestLockstep:
+    """Evaluations eliminated together against one at a time, and the groups that randomized verify draws."""
+
+    # column 1 is twice column 0, so this one leaves at step 1 of 4 with determinant 0
+    MIDDLE_SINGULAR = [[1, 2, 3, 4], [2, 4, 5, 6], [3, 6, 7, 9], [1, 2, 0, 1]]
+    # the first top is 0, so step 0 swaps in row 1; the determinant is 67, a unit mod the primes drawn here
+    SWAPPED = [[0, 1, 2, 3], [5, 0, 0, 1], [0, 0, 7, 2], [1, 1, 1, 1]]
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_eliminate_matches_one_matrix_at_a_time(self, data):
+        prime = data.draw(st.sampled_from(DET_MOD_PRIMES[2:]))
+        matrices = [_square(data, prime, 4) for _ in range(data.draw(st.integers(0, 4)))]
+        for fixed in (self.MIDDLE_SINGULAR, self.SWAPPED):
+            matrices.insert(data.draw(st.integers(0, len(matrices))), fixed)
+        reduced = [[[x % prime for x in row] for row in rows] for rows in matrices]
+        expected = [det_mod(rows, prime) for rows in matrices]
+        assert _eliminate([pack_rows(rows, prime) for rows in reduced], prime) == expected
+        assert expected == [row_det_mod(rows, prime) for rows in matrices]
+        assert det_mod(self.MIDDLE_SINGULAR, prime) == 0 != det_mod(self.SWAPPED, prime)
+
+    def test_eliminate_of_no_matrix(self):
+        assert _eliminate([], 101) == [] == _eliminate_norm([], [], 101)
+        assert _eliminate([[], []], 101) == [1, 1]
+
+    def test_eliminate_norm_leaves_each_pair_at_its_own_column(self):
+        # the fixed columns of TestNormSplit in one call: a pivot search, zero divisors, sC and a zero column
+        prime, width = 7, _lane_bytes(7, 4)
+        cases = [
+            ([[0, 1], [1, 0]], [[0, 0], [0, 0]], 3),
+            ([[4, 4], [4, 4]], [[4, 3], [3, 4]], 1),
+            ([[0, 0], [0, 0]], [[0, 1], [1, 0]], 3),
+            ([[0, 5], [0, 2]], [[0, 1], [0, 4]], 3),
+        ]
+        pairs = [([_pack(r, width) for r in a], [_pack(r, width) for r in c]) for a, c, _ in cases]
+        assert _eliminate_norm(pairs, [w for _, _, w in cases], prime) == [1, None, 2, 0]
+
+    def test_one_zero_divisor_evaluation_beside_units(self, monkeypatch):
+        # a_i^+ = -1, a_i^- = 1 on four planes: W(F) = 1 and every top is a zero divisor, in that evaluation only
+        f = _seeded_planes(8, 4)
+        m = build_matrix(f)
+        rng = random.Random(10)
+        prime = draw_prime(rng)
+        points = [{v: rng.randrange(prime) for v in range(m.nvars)} for _ in range(2)]
+        points.insert(1, {v: 1 if v % 2 else prime - 1 for v in range(m.nvars)})
+        expected = [_entry_det(m, at, prime) for at in points]
+        calls, eliminations = _norm_calls(monkeypatch), _spy(monkeypatch, "_eliminate")
+        with monkeypatch.context() as patch:
+            _residue_calls(patch, fail=True)
+            assert m.det_residues(points, prime) == expected
+        assert [[x is None for x in call] for call in calls] == [[False, True, False]]
+        assert [len(matrices) for matrices, _ in eliminations] == [1]
+
+    def test_core_and_entry_residues_share_one_elimination(self, monkeypatch):
+        m = build_matrix(faces(non_pappus()))
+        prime = draw_prime(random.Random(2))
+        at = {v: 3 + v for v in range(m.nvars)}
+        points = [at, at | {5: 0}, at | {0: 7}]
+        expected = [_entry_det(m, x, prime) for x in points]
+        eliminations = _spy(monkeypatch, "_eliminate")
+        with monkeypatch.context() as patch:
+            residues = _residue_calls(patch)
+            assert m.det_residues(points, prime) == expected
+        assert len(residues) == 1 and [len(matrices) for matrices, _ in eliminations] == [3]
+
+    @pytest.mark.parametrize("name", ["non-pappus", "planes"])
+    def test_verify_matches_one_evaluation_at_a_time(self, name):
+        f = faces(non_pappus()) if name == "non-pappus" else _seeded_planes(25, 6)
+        m, formula = build_matrix(f), product_formula(f)
+        prime = draw_prime(random.Random(9))
+        group = omdet.varchenko._group_size(prime, m.size)
+        for k in (1, 5, group + 1):
+            report = verify(f, mode="randomized", seed=9, evals=k)
+            assert report.prime == prime and len(report.evals) == k and report.agreement
+            for rec in report.evals:
+                at = {var_index(label): value for label, value in rec.assignment.items()}
+                assert rec.det_residue == m.det_residue(at, prime)
+            assert (report.prime, report.evals) == randomized_compare(m.entries, formula, seed=9, evals=k)
+
+    def test_groups_stay_within_the_byte_budget(self):
+        prime = draw_prime(random.Random(11))
+        group = omdet.varchenko._group_size
+        assert group(prime, 134) == 6 and group(prime, 242) == 1 == group(prime, 2081)
+        for m in (1, 16, 134, 242):
+            assert group(prime, m) * m * m * _lane_bytes(prime, m) <= omdet.varchenko._GROUP_BYTES
+
+    def test_a_huge_evals_draws_one_group_before_the_first_elimination(self, monkeypatch):
+        f = _seeded_planes(25, 6)
+        drawn = len(verify(f, mode="randomized", seed=1, evals=1).evals[0].assignment)
+        draws, batches = [], []
+
+        class Counting(random.Random):
+            def randrange(self, *args):
+                draws.append(args)
+                if len(draws) > 10**5:
+                    raise AssertionError("drew far past one group")
+                return super().randrange(*args)
+
+        class Stop(Exception):
+            pass
+
+        def first_elimination(matrices, *args):
+            batches.append((len(draws), len(matrices)))
+            raise Stop
+
+        monkeypatch.setattr(omdet.varchenko, "random", SimpleNamespace(Random=Counting))
+        monkeypatch.setattr(omdet.varchenko, "_eliminate", first_elimination)
+        monkeypatch.setattr(omdet.varchenko, "_eliminate_norm", first_elimination)
+        with pytest.raises(Stop):
+            verify(f, mode="randomized", seed=1, evals=10**9)
+        group = omdet.varchenko._group_size(draw_prime(random.Random(1)), build_matrix(f).size)
+        # one draw for the prime, then one per variable of each evaluation in the group
+        assert batches == [(1 + group * drawn, group)]
 
 
 def _constant_pair_maps(nvars, free):
