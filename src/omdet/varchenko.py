@@ -64,7 +64,8 @@ four ways: the polynomial ``entries``, which only the symbolic path builds,
 two integer readings that share one row walker (``_rows``), ``support``
 (the variables to draw and the degree bound) and ``residues`` (one
 evaluation's packed rows), and ``det_residues`` (a group of evaluations'
-determinants).  The free indices are split into the fewest balanced chunks
+determinants), the last two at each source variable's value mod p
+(``values``).  The free indices are split into the fewest balanced chunks
 whose two subset tables are no larger than the matrix, and each tope's
 masks are coded on every chunk once per matrix; per reading each image is
 tabulated over every subset of each chunk, so an entry is one lookup per
@@ -77,25 +78,28 @@ eliminates the entries with the formula's binomials as candidates.
 1 - b_v of the non-tope members as candidates where the multiplicities are
 not well defined.
 
-The randomized check eliminates the matrix's symmetric core.  With u_i,
-v_i the values of a_i^+, a_i^-, w_i = u_i v_i and P_r tope r's plus mask on
-the free set, where every tope is full, entry (r, c) is
-U(P_r - P_c) V(P_c - P_r) = U(P_r) V(P_c) / W(P_r & P_c), so
-M = D_U G D_V and det M = prod w_i^(n_i) det G, n_i counting the topes + at
-i and G_rc = W(P_r & P_c)^-1 symmetric.  Only the k separating indices,
-where the topes take both signs, count: any other one cancels as
-w_i^m w_i^-m or never appears.  Each row of G is one lookup per entry in a
-table of the 2^k subsets.  When some separating w_i is 0 mod p, or when
+The randomized check eliminates M(1, w).  With u_i, v_i the values of
+a_i^+, a_i^-, w_i = u_i v_i and P_r tope r's plus mask on the free set,
+where every tope is full, entry (r, c) is
+U(P_r - P_c) V(P_c - P_r) = U(P_r) V(P_c) / W(P_r & P_c), so M = D_U G D_V
+with G_rc = W(P_r & P_c)^-1 symmetric, and det M = prod_r W(P_r) det G
+depends on the w_i alone.  So det M(u, v) = det M(1, uv), a polynomial
+identity that holds at a zero w_i too, and entry (r, c) of M(1, w) is
+W(P_c - P_r).  Only the k separating indices, where the topes take both
+signs, count: any other one never lies in P_c - P_r.  Each row is one
+lookup per entry in the table of the w_i's 2^k subset products.  When
 2^k > m^2, the entry residues are eliminated instead.  When the codes on the
 separating indices F are closed under complement, as a central
-arrangement's are, order the topes (T, -T), h = m/2: then n_i = h, and with
-A_rc = W(P_r & P_c)^-1, C_rc = W(P_r | P_c)^-1 over T and s^2 = W(F),
+arrangement's are, order the topes (T, -T), h = m/2: then
+prod_r W(P_r) = W(F)^h, and with A_rc = W(P_r & P_c)^-1,
+C_rc = W(P_r | P_c)^-1 over T and s^2 = W(F),
 det M = (prod_{r in T} W(P_r))^2 N(det(A + sC)) over R = F_p[s]/(s^2 - W(F)),
 N(x + sy) = x^2 - W(F) y^2 being the F_p-determinant of [[A, C], [W(F) C, A]].
 No square root is taken: ``_eliminate_norm`` eliminates h rows over R, and
-G is eliminated instead when a column holds only zero divisors.  The
-formula's residue is prod (1 - prod_{i in Z} w_i)^beta_Z over the flats Z,
-from the same values.  The evaluations are drawn and eliminated in
+M(1, w) is eliminated instead when W(F) is 0 or a column holds only zero
+divisors.  The formula's residue is prod (1 - prod_{i in Z} w_i)^beta_Z
+over the flats Z, from the same values, computed once per evaluation for
+both sides.  The evaluations are drawn and eliminated in
 consecutive groups whose packed rows stay within ``_GROUP_BYTES``, so that
 one group holds a few small matrices and a matrix near the tope cap goes
 alone; the residues do not depend on the grouping.
@@ -223,9 +227,9 @@ class VarchenkoMatrix:
     identity when there is none).  The matrix is read four ways: the
     polynomial ``entries``, built on first use, two integer readings,
     ``support`` and ``residues``, that share one row walker (``_rows``), and
-    ``det_residues``, through the symmetric core G of M = D_U G D_V (module
-    docstring), or its half-size split when the topes pair up, which falls
-    back to ``residues`` at a zero w_i or past 2^k > size^2.
+    ``det_residues``, through M(1, w), whose determinant is M's (module
+    docstring), or its half-size split when the topes pair up, and through
+    ``residues`` past 2^k > size^2.
     """
 
     fiber: FiberView
@@ -275,88 +279,74 @@ class VarchenkoMatrix:
         used.update(self.images[2 * i - 1][1] for i in _ascending(used_m))
         return sorted(used - {None}), degree
 
-    def residues(self, assignment, prime: int) -> list[int]:
-        """Packed rows of the entry residues at {target variable: residue}.
+    def residues(self, values, prime: int) -> list[int]:
+        """Packed rows of the entry residues at the source variables' values (``values``).
 
         Row r is one integer whose lane c (``_lane_bytes(prime, size)``
         bytes, lane 0 highest) holds a value below prime^2 congruent to
-        entry (r, c): the rows that ``_eliminate`` takes.  Variables that no
-        nonzero entry uses may be left out of the assignment.
+        entry (r, c): the rows that ``_eliminate`` takes.
         """
         width = _lane_bytes(prime, self.size)
-        return [_pack(row, width) for row in self._rows(self._values(assignment, prime), prime)]
+        return [_pack(row, width) for row in self._rows(values, prime)]
 
     def det_residue(self, assignment, prime: int) -> int:
         """The determinant mod prime at {target variable: residue}."""
-        return self.det_residues([assignment], prime)[0]
+        return self.det_residues([self.values(assignment, prime)], prime)[0]
 
-    def det_residues(self, assignments, prime: int) -> list[int]:
-        """The determinant mod prime at each {target variable: residue}, the evaluations eliminated in lockstep.
+    def det_residues(self, values, prime: int) -> list[int]:
+        """The determinant mod prime at each evaluation's source values (``values``), eliminated in lockstep.
 
-        Each is prod w_i^(n_i) det G, or with a half the scaled norm (module
-        docstring).  W(s)^-1 is W of the complement of s over W of every
-        separating index, so an evaluation's table of inverses is its table
-        of W reversed, times one inverse; the group's totals W(F) are
-        inverted in one batch (``_inverses``), and each row of G, or of A
-        and of C, is packed from the table in one join.  One table is held
-        at a time, and rebuilt for a fallback to G.  Every pair (A, C)
-        goes to one ``_eliminate_norm`` call; every G, with those whose norm
-        met a column of zero divisors, and every matrix of entry residues,
-        taken at a zero w_i or without a core, go to one ``_eliminate`` call.
-        Every evaluation's rows are held at once, so callers keep a group
-        within ``_GROUP_BYTES`` (``_group_size``).
+        With a core, each is det M(1, w) (module docstring), whose rows are
+        packed in one join each from the table of the w_i's subset products,
+        or with a half the scaled norm.  W(s)^-1 is W of the complement of s
+        over W(F), so the half's table of inverses is its table of W
+        reversed, times one inverse, and the group's W(F) are inverted in one
+        batch (``_inverses``).  One table is held at a time.  Every pair
+        (A, C) goes to one ``_eliminate_norm`` call, and every M(1, w), with
+        those whose W(F) is 0 or whose norm met a column of zero divisors,
+        to one ``_eliminate`` call; without a core, every matrix of entry
+        residues does.  Every evaluation's rows are held at once, so callers
+        keep a group within ``_GROUP_BYTES`` (``_group_size``).
         """
-        core, width, count = self._core, _lane_bytes(prime, self.size), len(assignments)
-        dets, scales = [None] * count, [1] * count
-        rows, pairs = {}, {}  # by evaluation: its rows for _eliminate, or its rows of A and of C
-        if core is not None:
-            separating, counts, _, half = core
-            values = [self._values(assignment, prime) for assignment in assignments]
-            ws = [[x[2 * i - 2] * x[2 * i - 1] % prime for i in separating] for x in values]
+        if self._core is None:
+            return _eliminate([self.residues(x, prime) for x in values], prime)
+        separating, _, half = self._core
+        width = _lane_bytes(prime, self.size)
+        ws = [[x[2 * i - 2] * x[2 * i - 1] % prime for i in separating] for x in values]
+        dets = [None] * len(ws)
+        if half is not None:
+            doubled, a_rows, c_rows = half
             totals = [prod(w) % prime for w in ws]
             units = [j for j, total in enumerate(totals) if total]
-            inverses = dict(zip(units, _inverses([totals[j] for j in units], prime)))
-
-            def lanes(j: int) -> list[bytes]:  # the table of inverses, built for one evaluation at a time
-                table = _subset_products(ws[j], prime)
-                return [(y * inverses[j] % prime).to_bytes(width, "big") for y in reversed(table)]
-
-            def scale(j: int, exponents) -> int:
-                return prod(map(pow, ws[j], exponents, repeat(prime))) % prime
-
-            for j in units:
-                if half is None:
-                    rows[j], scales[j] = _packed_rows(self._core_getters, lanes(j)), scale(j, counts)
-                else:
-                    table = lanes(j)
-                    pairs[j] = _packed_rows(half[1], table), _packed_rows(half[2], table)
-            if pairs:
-                norms = _eliminate_norm(list(pairs.values()), [totals[j] for j in pairs], prime)
-                for j, norm in zip(pairs, norms):
-                    if norm is None:
-                        rows[j], scales[j] = _packed_rows(self._core_getters, lanes(j)), scale(j, counts)
-                    else:
-                        dets[j] = norm * scale(j, half[0]) % prime
-        for j, assignment in enumerate(assignments):
-            if dets[j] is None and j not in rows:
-                rows[j] = self.residues(assignment, prime)
-        for j, det in zip(rows, _eliminate(list(rows.values()), prime)):
-            dets[j] = det * scales[j] % prime
+            pairs = {}
+            for j, inverse in zip(units, _inverses([totals[j] for j in units], prime)):
+                table = [(y * inverse % prime).to_bytes(width, "big") for y in reversed(_subset_products(ws[j], prime))]
+                pairs[j] = _packed_rows(a_rows, table), _packed_rows(c_rows, table)
+            for j, norm in zip(pairs, _eliminate_norm(list(pairs.values()), [totals[j] for j in pairs], prime)):
+                if norm is not None:
+                    dets[j] = norm * prod(map(pow, ws[j], doubled, repeat(prime))) % prime
+        rest = [j for j, det in enumerate(dets) if det is None]
+        tables = ([y.to_bytes(width, "big") for y in _subset_products(ws[j], prime)] for j in rest)
+        for j, det in zip(rest, _eliminate([_packed_rows(self._core_getters, t) for t in tables], prime)):
+            dets[j] = det
         return dets
 
-    def _values(self, assignment, prime: int) -> list[int]:
-        """Each source variable's image mod prime at {target variable: residue}, unlisted ones at 0."""
+    def values(self, assignment, prime: int) -> list[int]:
+        """Each source variable's image mod prime at {target variable: residue}, unlisted ones at 0.
+
+        Variables that no nonzero entry uses may be left out of the assignment.
+        """
         return [(c * assignment.get(t, 0) if t is not None else c) % prime for c, t in self.images]
 
     @cached_property
     def _core(self):
-        """(separating free indices, how many topes are + at each, each tope's code, half), or None when
-        the table of 2^k subsets, k separating indices, exceeds size^2 entries.
+        """(separating free indices, each tope's code, half), or None when the table of 2^k subsets, k
+        separating indices, exceeds size^2 entries.
 
-        An index where every tope is + cancels from G and the scale alike, and
-        one where none is never appears.  Bit j of a code stands for the j-th
-        separating index, and entry (r, c) of G reads the table at
-        code_r & code_c (``_core_getters``).  ``half`` is None unless the
+        An index where every tope is + never lies in P_c - P_r, and one where
+        none is never appears.  Bit j of a code stands for the j-th
+        separating index, and entry (r, c) of M(1, w) reads the table at
+        code_c & ~code_r (``_core_getters``).  ``half`` is None unless the
         codes are closed under complement, and then (twice how many topes of
         T are + at each index, one getter per row of A, one per row of C), T
         being the topes without bit k-1.
@@ -367,22 +357,21 @@ class VarchenkoMatrix:
             return None
         bits = [1 << (i - 1) for i in separating]
         codes = [sum(1 << j for j, b in enumerate(bits) if p & b) for p in self.plus]
-        counts = [sum(1 for p in self.plus if p & b) for b in bits]
         full, half = (1 << len(bits)) - 1, None
         if full and sorted(codes) == sorted(c ^ full for c in codes):
             ids = list(range(full + 1))  # one int object per table index, shared by every row
             t = [c for c in codes if c < c ^ full]
             doubled = [2 * sum(c >> j & 1 for c in t) for j in range(len(bits))]
             half = doubled, [_getter([ids[r & c] for c in t]) for r in t], [_getter([ids[r | c] for c in t]) for r in t]
-        return separating, counts, codes, half
+        return separating, codes, half
 
     @cached_property
     def _core_getters(self) -> list:
-        """One getter per row of G's table indices, built on first use: with a half, only an evaluation
-        whose norm meets a column of zero divisors reads them."""
-        codes = self._core[2]
+        """One getter per row of M(1, w)'s table indices, built on first use: with a half, only an
+        evaluation whose W(F) is 0 or whose norm meets a column of zero divisors reads them."""
+        codes = self._core[1]
         ids = list(range(1 << len(self._core[0])))  # one int object per table index, shared by every row
-        return [_getter([ids[code & c] for c in codes]) for code in codes]
+        return [_getter([ids[c & ~code] for c in codes]) for code in codes]
 
     @cached_property
     def _chunks(self) -> tuple[tuple[list[int], list[tuple[int, int]]], ...]:
@@ -1188,18 +1177,17 @@ class VerificationReport:
 
 
 def _flat_residues(matrix: VarchenkoMatrix, betas: dict):
-    """(target variables, residue(assignment, prime)) of prod (1 - b_Z)^beta_Z over the flats {b_Z: beta_Z} under the
+    """(target variables, residue(values, prime)) of prod (1 - b_Z)^beta_Z over the flats {b_Z: beta_Z} under the
     matrix's map: the image of the monomial b_Z uses its source variables' targets unless an image coefficient is 0,
-    and its residue is the product of their values ``matrix._values(assignment, prime)``."""
+    and its residue is the product of their values ``matrix.values(assignment, prime)``."""
     flats = [(list(unpack_monomial(b.nvars, key)), beta) for b, beta in betas.items() for key in b._terms]
     images = matrix.images
     targets = {images[v][1] for vs, _ in flats if all(images[v][0] for v in vs) for v in vs}
     # b_Z has a_i^+ and a_i^- for each i in Z, so a getter of its variables always returns a tuple
     getters = [(itemgetter(*vs), beta) for vs, beta in flats]
 
-    def residue(assignment, prime: int) -> int:
-        x = matrix._values(assignment, prime)
-        return prod(pow(1 - prod(get(x)), beta, prime) for get, beta in getters) % prime
+    def residue(values, prime: int) -> int:
+        return prod(pow(1 - prod(get(values)), beta, prime) for get, beta in getters) % prime
 
     return targets - {None}, residue
 
@@ -1214,8 +1202,9 @@ def _group_size(prime: int, m: int) -> int:
     return max(1, _GROUP_BYTES // max(1, m * m * _lane_bytes(prime, m)))
 
 
-def _compare(var_order, det_residues, formula_residue, nvars: int, seed: int, evals: int, size: int):
-    """(prime, records): det_residues(assignments, prime) against formula_residue(assignment, prime) at random points.
+def _compare(var_order, residues, nvars: int, seed: int, evals: int, size: int):
+    """(prime, records): the determinant against the formula at random points, residues(assignments, prime) giving
+    each assignment's pair of residues.
 
     Deterministic for a fixed seed: one 61-bit prime, then ``evals``
     assignments of var_order's variables in order, drawn and evaluated in
@@ -1230,9 +1219,8 @@ def _compare(var_order, det_residues, formula_residue, nvars: int, seed: int, ev
     group, records = _group_size(prime, size), []
     for start in range(0, evals, group):
         assignments = [{v: rng.randrange(prime) for v in var_order} for _ in range(min(group, evals - start))]
-        for assignment, det_r in zip(assignments, det_residues(assignments, prime)):
-            readable = dict(zip(labels, assignment.values()))
-            records.append(EvalRecord(readable, det_r, formula_residue(assignment, prime)))
+        for assignment, (det_r, formula_r) in zip(assignments, residues(assignments, prime)):
+            records.append(EvalRecord(dict(zip(labels, assignment.values())), det_r, formula_r))
     return prime, tuple(records)
 
 
@@ -1252,16 +1240,16 @@ def randomized_compare(
     flat = [e for row in entries for e in row]
     m = len(entries)
 
-    def det_residues(assignments, prime):
+    def residues(assignments, prime):
         width = _lane_bytes(prime, m)
         matrices = []
         for assignment in assignments:
-            residues = residues_mod(flat, assignment, prime)
-            matrices.append([_pack(residues[r * m : (r + 1) * m], width) for r in range(m)])
-        return _eliminate(matrices, prime)
+            x = residues_mod(flat, assignment, prime)
+            matrices.append([_pack(x[r * m : (r + 1) * m], width) for r in range(m)])
+        return zip(_eliminate(matrices, prime), [formula.eval_mod(a, prime) for a in assignments])
 
     var_order = used_variables(flat + [base for base, _ in formula.factors])
-    return _compare(var_order, det_residues, formula.eval_mod, formula.nvars, seed, evals, m)
+    return _compare(var_order, residues, formula.nvars, seed, evals, m)
 
 
 def verify(
@@ -1302,7 +1290,11 @@ def verify(
     targets, formula_residue = _flat_residues(matrix, _flat_betas(f))
     var_order = sorted(targets.union(used))
 
-    prime, records = _compare(var_order, matrix.det_residues, formula_residue, matrix.nvars, seed, evals, matrix.size)
+    def residues(assignments, prime):  # each evaluation's source values, shared by both sides
+        values = [matrix.values(a, prime) for a in assignments]
+        return zip(matrix.det_residues(values, prime), [formula_residue(x, prime) for x in values])
+
+    prime, records = _compare(var_order, residues, matrix.nvars, seed, evals, matrix.size)
     return VerificationReport(
         "randomized",
         size,

@@ -815,7 +815,7 @@ class TestMaskEvaluation:
         residues = residues_mod(flat, at, prime)
         expected = [residues[r * m.size : (r + 1) * m.size] for r in range(m.size)]
         mapped = build_matrix(f, spec)
-        assert unpack_rows(mapped.residues(at, prime), prime, m.size) == expected
+        assert unpack_rows(mapped.residues(mapped.values(at, prime), prime), prime, m.size) == expected
         used, rows = mapped.support()
         assert used == used_variables(flat)
         assert rows == degree_bound(entries, FactoredPoly(formula.nvars))
@@ -856,7 +856,8 @@ class TestMaskEvaluation:
             at = {v: rng.randrange(prime) for v in range(2 * f.n if spec is None else spec.nvars)}
             residues = residues_mod([e for row in entries for e in row], at, prime)
             expected = [residues[r * m.size : (r + 1) * m.size] for r in range(m.size)]
-            assert unpack_rows(build_matrix(f, spec).residues(at, prime), prime, m.size) == expected, spec
+            mapped = build_matrix(f, spec)
+            assert unpack_rows(mapped.residues(mapped.values(at, prime), prime), prime, m.size) == expected, spec
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(data=st.data())
@@ -919,7 +920,7 @@ def _residue_calls(monkeypatch, fail: bool = False) -> list:
     def spy(self, *args):
         calls.append(args)
         if fail:
-            raise AssertionError("the symmetric core fell back to the entry residues")
+            raise AssertionError("the core fell back to the entry residues")
         return real(self, *args)
 
     monkeypatch.setattr(VarchenkoMatrix, "residues", spy)
@@ -928,7 +929,7 @@ def _residue_calls(monkeypatch, fail: bool = False) -> list:
 
 def _entry_det(m, at, prime: int) -> int:
     """det mod prime of the entry residues, by the packed elimination and by the row oracle."""
-    rows = m.residues(at, prime)
+    rows = m.residues(m.values(at, prime), prime)
     entries = unpack_rows(rows, prime, m.size)
     (det,) = _eliminate([rows], prime)
     assert det == row_det_mod(entries, prime)
@@ -953,7 +954,7 @@ def _seeded_planes(seed: int, count: int) -> FiberView:
 
 
 class TestSymmetricCore:
-    """det_residue through the symmetric core against the elimination of the entry residues."""
+    """det_residue through M(1, w) against the elimination of the entry residues, and the identities behind it."""
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(data=st.data())
@@ -982,16 +983,18 @@ class TestSymmetricCore:
         assert len(calls) == fallback
 
     def test_zero_image(self, monkeypatch):
+        # w_1 = 0, so W(F) = 0 and the half-size split goes to M(1, w), which takes the zero
         f = whole_fiber(concurrent_lines())
         m = build_matrix(f, Specialization.of(6, {0: 0}))
         prime = draw_prime(random.Random(1))
-        self._check(monkeypatch, m, {v: 2 + v for v in range(6)}, prime, fallback=True)
+        self._check(monkeypatch, m, {v: 2 + v for v in range(6)}, prime, fallback=False)
 
     def test_drawn_zero(self, monkeypatch):
         m = build_matrix(faces(non_pappus()))
         prime = draw_prime(random.Random(2))
         at = {v: 3 + v for v in range(m.nvars)}
-        self._check(monkeypatch, m, at | {5: 0}, prime, fallback=True)
+        # a3m = 0 makes w_3 = 0, an entry W(P_c - P_r) of M(1, w) like any other
+        self._check(monkeypatch, m, at | {5: 0}, prime, fallback=False)
         self._check(monkeypatch, m, at, prime, fallback=False)
 
     def test_index_every_tope_agrees_on_is_dropped(self, monkeypatch):
@@ -1039,9 +1042,32 @@ class TestSymmetricCore:
         g = sympy.Matrix(m.size, m.size, lambda r, c: 1 / sympy.Mul(*[u[i] * v[i] for i in plus[r] & plus[c]]))
         assert g == g.T
         assert (d_u * g * d_v - entries).applyfunc(sympy.cancel) == sympy.zeros(m.size)
-        # so det = det(D_U) det(D_V) det(G), and det(D_U) det(D_V) is the scale prod w_i^(n_i)
+        # so det = det(D_U) det(D_V) det(G), and det(D_U) det(D_V) = prod w_i^(n_i), n_i counting the topes + at i
         scale = sympy.Mul(*[(u[i] * v[i]) ** sum(i in p for p in plus) for i in m.fiber.free])
         assert d_u.det() * d_v.det() == scale
+
+    @pytest.mark.parametrize("name", ["concurrent_lines", "reversal-3"])
+    def test_determinant_depends_on_the_products_alone(self, name):
+        # M(1, w) = G diag(W(P_c)), so det M(u, v) = prod_r W(P_r) det G = det M(1, uv), the topes paired or not
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        m = build_matrix(whole_fiber(concurrent_lines()) if name == "concurrent_lines" else faces(_reversal(3)))
+        assert (_half(m) is not None) == (name == "concurrent_lines")
+        free = sorted(m.fiber.free)
+        u, v, w = ({i: sympy.Symbol(f"a{i}{side}") for i in free} for side in ("p", "m", "w"))
+        plus = [{i for i in free if t.sign(i) > 0} for t in m.tope_order]
+        entries = sympy.Matrix([[sympy.sympify(poly_str(e).replace("^", "**")) for e in row] for row in m.entries])
+        at_one = entries.subs({**{u[i]: 1 for i in free}, **{v[i]: w[i] for i in free}})
+        # entry (r, c) of M(1, w) is W(P_c - P_r)
+        assert at_one == sympy.Matrix(m.size, m.size, lambda r, c: sympy.Mul(*[w[i] for i in plus[c] - plus[r]]))
+        g = sympy.Matrix(m.size, m.size, lambda r, c: 1 / sympy.Mul(*[w[i] for i in plus[r] & plus[c]]))
+        d_w = sympy.diag(*[sympy.Mul(*[w[i] for i in p]) for p in plus])
+        assert (g * d_w - at_one).applyfunc(sympy.cancel) == sympy.zeros(m.size)
+        # fraction-free determinants over the polynomial ring, which sympy's default method is slow to expand
+        dets = [DomainMatrix.from_Matrix(x) for x in (entries, at_one)]
+        det, det_at_one = (x.domain.to_sympy(x.det()) for x in dets)
+        assert sympy.expand(det - det_at_one.subs({w[i]: u[i] * v[i] for i in free})) == 0
 
     def test_negation_closed_core_splits_by_a_norm(self):
         # det M = (prod_{r in T} W(P_r))^2 det(A + sC) det(A - sC) with s^2 = W(F), T one tope of each pair
@@ -1090,7 +1116,7 @@ def _split_corpus() -> list[str]:
 
 def _half(m):
     """The matrix's half-size split, or None."""
-    return m._core and m._core[3]
+    return m._core and m._core[2]
 
 
 class TestNormSplit:
@@ -1113,9 +1139,9 @@ class TestNormSplit:
         assert m.det_residue(at, prime) == _entry_det(m, at, prime)
 
     def test_one_pair_fiber(self, monkeypatch):
-        # h = 1: A = C = [[1]], so det = N(1 + s) = 1 - w, and 0 through G when w = 1
+        # h = 1: A = C = [[1]], so det = N(1 + s) = 1 - w, and 0 through M(1, w) when w = 1
         m = build_matrix(whole_fiber(one_line()))
-        assert m.size == 2 and m._core[3][0] == [0]
+        assert m.size == 2 and m._core[2][0] == [0]
         prime = draw_prime(random.Random(5))
         calls = _norm_calls(monkeypatch)
         points = [{0: 3, 1: 5}, {0: prime - 1, 1: prime - 1}]
@@ -1124,7 +1150,7 @@ class TestNormSplit:
         assert calls == [[(1 - 15) % prime], [None]]
         # in one group, the evaluations at w = 1 alone fall back, each in its place
         calls.clear()
-        assert m.det_residues(points[::-1] * 2, prime) == [0, (1 - 15) % prime] * 2
+        assert m.det_residues([m.values(at, prime) for at in points[::-1] * 2], prime) == [0, (1 - 15) % prime] * 2
         assert calls == [[None, (1 - 15) % prime] * 2]
 
     def test_zero_divisor_tops_fall_back_to_the_core(self, monkeypatch):
@@ -1246,21 +1272,24 @@ class TestLockstep:
         calls, eliminations = _norm_calls(monkeypatch), _spy(monkeypatch, "_eliminate")
         with monkeypatch.context() as patch:
             _residue_calls(patch, fail=True)
-            assert m.det_residues(points, prime) == expected
+            assert m.det_residues([m.values(at, prime) for at in points], prime) == expected
         assert [[x is None for x in call] for call in calls] == [[False, True, False]]
         assert [len(matrices) for matrices, _ in eliminations] == [1]
 
     def test_core_and_entry_residues_share_one_elimination(self, monkeypatch):
-        m = build_matrix(faces(non_pappus()))
+        # a zero w_i stays on M(1, w) beside the unit evaluations; only a matrix past the one-table bound, which has
+        # no core, takes the entry residues, and then for every evaluation
         prime = draw_prime(random.Random(2))
-        at = {v: 3 + v for v in range(m.nvars)}
-        points = [at, at | {5: 0}, at | {0: 7}]
-        expected = [_entry_det(m, x, prime) for x in points]
-        eliminations = _spy(monkeypatch, "_eliminate")
-        with monkeypatch.context() as patch:
-            residues = _residue_calls(patch)
-            assert m.det_residues(points, prime) == expected
-        assert len(residues) == 1 and [len(matrices) for matrices, _ in eliminations] == [3]
+        for f, fallback in ((faces(non_pappus()), False), (_chunked_fibers()["wires-17"], True)):
+            m = build_matrix(f)
+            assert (m._core is None) == fallback
+            at = {v: 3 + v for v in range(m.nvars)}
+            points = [at, at | {5: 0}, at | {0: 7}]
+            expected = [_entry_det(m, x, prime) for x in points]
+            with monkeypatch.context() as patch:
+                eliminations, residues = _spy(patch, "_eliminate"), _residue_calls(patch)
+                assert m.det_residues([m.values(x, prime) for x in points], prime) == expected
+            assert len(residues) == 3 * fallback and [len(matrices) for matrices, _ in eliminations] == [3]
 
     @pytest.mark.parametrize("name", ["non-pappus", "planes"])
     def test_verify_matches_one_evaluation_at_a_time(self, name):
@@ -1346,7 +1375,7 @@ class TestFlats:
         for _ in range(3):
             # 0 and 1 make zero images and bases 1 - 1 at drawn points too
             at = {v: rng.choice([0, 1, prime - 1, rng.randrange(prime), rng.randrange(prime)]) for v in range(m.nvars)}
-            assert residue(at, prime) == formula.eval_mod(at, prime)
+            assert residue(m.values(at, prime), prime) == formula.eval_mod(at, prime)
         # verify draws the variables of the nonzero entries and of the formula, in sorted order
         report = verify(f, mode="randomized", seed=data.draw(st.integers(0, 99)), evals=1, specialize=spec)
         order = sorted(set(m.support()[0]).union(used_variables(bases)))
