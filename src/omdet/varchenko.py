@@ -73,7 +73,12 @@ chunk and sign.  A face weight depends only on the face's zero set, its
 flat: ``face_multiplicities`` (cached on the fiber) builds one weight per
 flat, and ``product_formula`` one base per flat.  A symbolic ``verify``
 checks the size guard, builds its one matrix and its one closed form and
-eliminates the entries with the formula's binomials as candidates.
+eliminates the entries with the formula's binomials as candidates
+(``_bareiss``).  It decides agreement without expanding the formula
+(``_agrees``): with one variable by the values of both sides at 2^K, K wide
+enough for the coefficients of either; with several by comparing the
+elimination's factored result with the formula, and only where those differ
+(a map with constants) by expanding the formula.
 ``determinant`` does the same without the report, and takes the distinct
 1 - b_v of the non-tope members as candidates where the multiplicities are
 not well defined.
@@ -202,6 +207,13 @@ def _getter(indices: list[int]):
     return itemgetter(*indices) if len(indices) > 1 else lambda items: (items[indices[0]],)
 
 
+def _positions(rows: list[list[int]]):
+    """(getter of the distinct indices that rows read, one getter per row of their positions in what it returns)."""
+    used = sorted(set().union(*rows))
+    position = dict(zip(used, range(len(used))))  # one int object per position, shared by every row
+    return _getter(used), [_getter(list(map(position.__getitem__, row))) for row in rows]
+
+
 def _packed_rows(getters, lanes: list[bytes]) -> list[int]:
     """One packed row per getter, its lanes picked from lanes and joined."""
     return [int.from_bytes(b"".join(row(lanes)), "big") for row in getters]
@@ -298,15 +310,17 @@ class VarchenkoMatrix:
 
         With a core, each is det M(1, w) (module docstring), whose rows are
         packed in one join each from the table of the w_i's subset products,
-        or with a half the scaled norm.  W(s)^-1 is W of the complement of s
-        over W(F), so the half's table of inverses is its table of W
-        reversed, times one inverse, and the group's W(F) are inverted in one
-        batch (``_inverses``).  One table is held at a time.  Every pair
-        (A, C) goes to one ``_eliminate_norm`` call, and every M(1, w), with
-        those whose W(F) is 0 or whose norm met a column of zero divisors,
-        to one ``_eliminate`` call; without a core, every matrix of entry
-        residues does.  Every evaluation's rows are held at once, so callers
-        keep a group within ``_GROUP_BYTES`` (``_group_size``).
+        or with a half the scaled norm.  Only the table entries that the rows
+        read are converted to lane bytes (``_positions``).  W(s)^-1 is W of
+        the complement of s over W(F), so the half's inverses are its table
+        of W at the complements, times one inverse, and the group's W(F) are
+        inverted in one batch (``_inverses``).  One table is held at a
+        time.  Every pair (A, C) goes to one ``_eliminate_norm`` call, and
+        every M(1, w), with those whose W(F) is 0 or whose norm met a column
+        of zero divisors, to one ``_eliminate`` call; without a core, every
+        matrix of entry residues does.  Every evaluation's rows are held at
+        once, so callers keep a group within ``_GROUP_BYTES``
+        (``_group_size``).
         """
         if self._core is None:
             return _eliminate([self.residues(x, prime) for x in values], prime)
@@ -315,20 +329,22 @@ class VarchenkoMatrix:
         ws = [[x[2 * i - 2] * x[2 * i - 1] % prime for i in separating] for x in values]
         dets = [None] * len(ws)
         if half is not None:
-            doubled, a_rows, c_rows = half
+            doubled, used, a_rows, c_rows = half
             totals = [prod(w) % prime for w in ws]
             units = [j for j, total in enumerate(totals) if total]
             pairs = {}
             for j, inverse in zip(units, _inverses([totals[j] for j in units], prime)):
-                table = [(y * inverse % prime).to_bytes(width, "big") for y in reversed(_subset_products(ws[j], prime))]
+                table = [(y * inverse % prime).to_bytes(width, "big") for y in used(_subset_products(ws[j], prime))]
                 pairs[j] = _packed_rows(a_rows, table), _packed_rows(c_rows, table)
             for j, norm in zip(pairs, _eliminate_norm(list(pairs.values()), [totals[j] for j in pairs], prime)):
                 if norm is not None:
                     dets[j] = norm * prod(map(pow, ws[j], doubled, repeat(prime))) % prime
         rest = [j for j, det in enumerate(dets) if det is None]
-        tables = ([y.to_bytes(width, "big") for y in _subset_products(ws[j], prime)] for j in rest)
-        for j, det in zip(rest, _eliminate([_packed_rows(self._core_getters, t) for t in tables], prime)):
-            dets[j] = det
+        if rest:
+            used, getters = self._core_getters
+            tables = ([y.to_bytes(width, "big") for y in used(_subset_products(ws[j], prime))] for j in rest)
+            for j, det in zip(rest, _eliminate([_packed_rows(getters, t) for t in tables], prime)):
+                dets[j] = det
         return dets
 
     def values(self, assignment, prime: int) -> list[int]:
@@ -348,8 +364,9 @@ class VarchenkoMatrix:
         separating index, and entry (r, c) of M(1, w) reads the table at
         code_c & ~code_r (``_core_getters``).  ``half`` is None unless the
         codes are closed under complement, and then (twice how many topes of
-        T are + at each index, one getter per row of A, one per row of C), T
-        being the topes without bit k-1.
+        T are + at each index, the getter of the table indices that A and C
+        read, one getter per row of A and one per row of C over their
+        positions), T being the topes without bit k-1.
         """
         every, some = reduce(and_, self.plus), reduce(or_, self.plus)
         separating = _ascending(some & ~every)
@@ -359,19 +376,19 @@ class VarchenkoMatrix:
         codes = [sum(1 << j for j, b in enumerate(bits) if p & b) for p in self.plus]
         full, half = (1 << len(bits)) - 1, None
         if full and sorted(codes) == sorted(c ^ full for c in codes):
-            ids = list(range(full + 1))  # one int object per table index, shared by every row
             t = [c for c in codes if c < c ^ full]
             doubled = [2 * sum(c >> j & 1 for c in t) for j in range(len(bits))]
-            half = doubled, [_getter([ids[r & c] for c in t]) for r in t], [_getter([ids[r | c] for c in t]) for r in t]
+            # W(s)^-1 is W(F - s) / W(F): the rows of A and C read the table of W at the complements
+            used, rows = _positions([[full ^ (r & c) for c in t] for r in t] + [[full ^ (r | c) for c in t] for r in t])
+            half = doubled, used, rows[: len(t)], rows[len(t) :]
         return separating, codes, half
 
     @cached_property
-    def _core_getters(self) -> list:
-        """One getter per row of M(1, w)'s table indices, built on first use: with a half, only an
+    def _core_getters(self) -> tuple:
+        """``_positions`` of M(1, w)'s table indices, built on first use: with a half, only an
         evaluation whose W(F) is 0 or whose norm meets a column of zero divisors reads them."""
         codes = self._core[1]
-        ids = list(range(1 << len(self._core[0])))  # one int object per table index, shared by every row
-        return [_getter([ids[c & ~code] for c in codes]) for code in codes]
+        return _positions([[c & ~code for c in codes] for code in codes])
 
     @cached_property
     def _chunks(self) -> tuple[tuple[list[int], list[tuple[int, int]]], ...]:
@@ -810,14 +827,39 @@ def factored_bareiss(rows: list[list[IntPolynomial]], nvars: int, bases=()) -> F
     return FactoredPoly(nvars, factors + [(IntPolynomial(nvars, lo), 1)])
 
 
-def bareiss_determinant(rows: list[list[IntPolynomial]], nvars: int, bases=()) -> IntPolynomial:
-    """Exact determinant by factored fraction-free elimination: on integers L(2^K), the balanced
-    base-2^K digits of its value, else the factored result expanded."""
+def _bareiss(rows: list[list[IntPolynomial]], nvars: int, bases) -> tuple[IntPolynomial, FactoredPoly | None]:
+    """(determinant, its factored form) by factored fraction-free elimination: on integers L(2^K), the
+    balanced base-2^K digits of its value and no factored form, else the factored result and its expansion."""
     width = _kronecker_width(rows, nvars)
     if width is None:
-        return factored_bareiss(rows, nvars, bases).expand()
+        factored = factored_bareiss(rows, nvars, bases)
+        return factored.expand(), factored
     x, binomials = _eliminated(rows, nvars, bases, width)
-    return IntPolynomial(1, _digits(x * prod(_value_at({0: 1, b: -c}, width) ** e for (b, c), e in binomials), width))
+    value = x * prod(_value_at({0: 1, b: -c}, width) ** e for (b, c), e in binomials)
+    return IntPolynomial(1, _digits(value, width)), None
+
+
+def bareiss_determinant(rows: list[list[IntPolynomial]], nvars: int, bases=()) -> IntPolynomial:
+    """Exact determinant by factored fraction-free elimination (``_bareiss``)."""
+    return _bareiss(rows, nvars, bases)[0]
+
+
+def _agrees(det: IntPolynomial, factored: FactoredPoly | None, formula: FactoredPoly) -> bool:
+    """det == formula.expand(), decided without expanding the formula where possible.
+
+    With one variable: equal values at 2^K, K the bit length of the larger
+    of det's largest |coefficient| and prod ||base||_1^beta, plus 2.  Every
+    coefficient of either side is then below 2^(K-2), and balanced base-2^K
+    digits are unique.  With several: the elimination's factored form equals
+    the formula, which suffices, and with no map is also necessary; failing
+    that, the expansion decides.
+    """
+    if det.nvars == 1:
+        norms = prod(sum(map(abs, base._terms.values())) ** e for base, e in formula.factors)
+        width = max(max(map(abs, det._terms.values()), default=0), norms).bit_length() + 2
+        value = prod(_value_at(base._terms, width) ** e for base, e in formula.factors)
+        return _value_at(det._terms, width) == value
+    return factored == formula or det == formula.expand()
 
 
 def face_multiplicities(f: FiberView) -> tuple:
@@ -1266,7 +1308,8 @@ def verify(
     ``mode`` is "symbolic", "randomized", or "auto" (symbolic up to the
     tope-count guard, randomized beyond it).  Disagreement is report
     content, not an exception.  The report's face weights and formula are
-    under the specialization, as is the determinant.
+    under the specialization, as is the determinant.  A symbolic verdict is
+    det == formula.expand(), decided from its one elimination (``_agrees``).
     """
     if mode not in ("auto", "symbolic", "randomized"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -1284,8 +1327,8 @@ def verify(
     formula = product_formula(f, specialize)
 
     if mode == "symbolic":
-        det = bareiss_determinant(matrix.entries, matrix.nvars, [base for base, _ in formula.factors])
-        return VerificationReport("symbolic", size, faces, formula, det == formula.expand(), det)
+        det, factored = _bareiss(matrix.entries, matrix.nvars, [base for base, _ in formula.factors])
+        return VerificationReport("symbolic", size, faces, formula, _agrees(det, factored, formula), det)
     used, row_degree = matrix.support()
     targets, formula_residue = _flat_residues(matrix, _flat_betas(f))
     var_order = sorted(targets.union(used))

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import omdet.cli
 import omdet.varchenko
 from omdet.cli import main
-from omdet.polyring import ExponentOverflowError
+from omdet.polyring import ExponentOverflowError, FactoredPoly
 from omdet.realizable import RationalArrangement
 from omdet.signvec import format_cov, parse_cov
 from omdet.wiring import faces, non_pappus
@@ -249,8 +249,8 @@ class TestLimits:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        # verify eliminates through bareiss_determinant, det through determinant
-        monkeypatch.setattr(omdet.varchenko, "bareiss_determinant", exhausted)
+        # verify eliminates through _bareiss, det through determinant
+        monkeypatch.setattr(omdet.varchenko, "_bareiss", exhausted)
         monkeypatch.setattr(omdet.cli, "determinant", exhausted)
         for argv in (["verify", "--mode", "symbolic"], ["det"]):
             code, out, err = run(capsys, *argv, nonpappus_cov, "--force-symbolic")
@@ -573,6 +573,25 @@ def test_disagreement_exits_one_with_the_report(capsys, monkeypatch, one_line_co
         assert out.splitlines()[-1] == "agreement: false"
     else:
         assert json.loads(out)["agreement"] is False
+
+
+@pytest.mark.parametrize("spec", [None, "all=a"])
+def test_symbolic_disagreement_exits_one(capsys, monkeypatch, three_lines_json, tmp_path, spec):
+    # the formula that verify builds, with one exponent raised, no longer matches the determinant
+    real = omdet.varchenko.product_formula
+
+    def raised(*args):
+        formula = real(*args)
+        (base, e), *rest = formula.factors
+        return FactoredPoly(formula.nvars, [(base, e + 1), *rest])
+
+    cov = str(tmp_path / "three.cov")
+    assert run(capsys, "from-arrangement", three_lines_json, "-o", cov)[0] == 0
+    monkeypatch.setattr(omdet.varchenko, "product_formula", raised)
+    args = ["verify", cov, "--mode", "symbolic"] + ([] if spec is None else ["--specialize", spec])
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == "agreement: false"
 
 
 @pytest.mark.parametrize("flag", ["--anchor", "--anch"])

@@ -41,6 +41,7 @@ from omdet.varchenko import (
     EvalRecord,
     SizeGuardError,
     VarchenkoMatrix,
+    _agrees,
     _eliminate,
     _eliminate_norm,
     _flat_betas,
@@ -53,6 +54,7 @@ from omdet.varchenko import (
     _mirror,
     _pack,
     _update,
+    _value_at,
     bareiss_determinant,
     build_matrix,
     determinant,
@@ -525,7 +527,7 @@ class TestVerify:
         # one matrix, one closed form and one elimination per symbolic verdict, with or without a map
         f = whole_fiber(concurrent_lines())
         for spec in (None, Specialization.collapse_all(2 * f.n)):
-            spies = [_spy(monkeypatch, name) for name in ("build_matrix", "product_formula", "bareiss_determinant")]
+            spies = [_spy(monkeypatch, name) for name in ("build_matrix", "product_formula", "_bareiss")]
             assert verify(f, mode="symbolic", specialize=spec).agreement
             assert [len(calls) for calls in spies] == [1, 1, 1]
             monkeypatch.undo()
@@ -1646,7 +1648,7 @@ class TestFactoredBareissEdges:
                 assert residue_oracle(det, at, prime) == row_det_mod(values, prime)
 
     def test_ill_defined_multiplicity_fails_verify_before_the_elimination(self, monkeypatch):
-        calls = _spy(monkeypatch, "bareiss_determinant")
+        calls = _spy(monkeypatch, "_bareiss")
         with pytest.raises(FiberError, match="depends on the index choice"):
             verify(_index_dependent_fiber(), mode="symbolic")
         assert calls == []
@@ -2070,3 +2072,127 @@ class TestKroneckerLeftovers:
         assert width == 165 and degree * width <= _KRONECKER_BITS
         m = build_matrix(whole_fiber(concurrent_lines()))
         assert _kronecker_width([list(row) for row in m.entries], m.nvars) is None
+
+
+def _univariate(terms) -> IntPolynomial:
+    return sum((P.monomial(1, {0: degree}, c) for degree, c in terms), P.zero(1))
+
+
+def _map(text, nvars: int):
+    """The map a --specialize value names: None for no map, False when it names a variable past nvars."""
+    if text is None:
+        return None
+    if text == "all=a":
+        return Specialization.collapse_all(nvars)
+    values = {var_index(k): v if v == "a" else int(v) for k, v in (item.split("=") for item in text.split(","))}
+    return Specialization.of(nvars, values) if max(values) < nvars else False
+
+
+def _tampered(formula: FactoredPoly, kind: str, j: int) -> FactoredPoly:
+    """The formula with factor j's exponent raised or lowered by 1, or factor j dropped."""
+    factors = list(formula.factors)
+    base, e = factors[j]
+    if kind == "drop":
+        del factors[j]
+    else:
+        factors[j] = (base, e + (1 if kind == "raise" else -1))
+    return FactoredPoly(formula.nvars, factors)
+
+
+_coefficients = st.one_of(st.integers(-3, 3), st.sampled_from([2**40, -(2**64) - 1]))
+_terms = st.lists(st.tuples(st.integers(0, 6), _coefficients), max_size=4)
+_SWEEP_MAPS = (None, "all=a", "a1p=0", "a1p=0,a2m=-3", "a1p=2,a1m=2,a2p=-1,a2m=-1", "a1p=1,a1m=1")
+
+
+class TestSymbolicAgreement:
+    """Symbolic verify's agreement, decided without expanding the formula, against det == formula.expand()."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        p_terms=_terms,
+        factors=st.lists(st.tuples(_terms, st.integers(0, 3)), max_size=3),
+        constant=st.sampled_from([None, 0, 1, -1, 2, -3]),
+        relation=st.sampled_from(["random", "equal", "off by one", "alias"]),
+        shift=st.tuples(st.integers(0, 6), st.sampled_from([-1, 1])),
+    )
+    def test_one_variable_rule(self, p_terms, factors, constant, relation, shift):
+        # constant and zero factors, the empty product, and coefficients past P's
+        factors = [(_univariate(t), e) for t, e in factors]
+        formula = FactoredPoly(1, factors + ([] if constant is None else [(P.monomial(1, {}, constant), 1)]))
+        p = _univariate(p_terms)
+        if relation == "equal":
+            p = formula.expand()
+        elif relation == "off by one":
+            p = formula.expand() + P.monomial(1, {0: shift[0]}, shift[1])
+        elif relation == "alias":
+            # a base equal to P at 2^K, K the width P alone gives: only the formula's norms tell them apart
+            width = max(map(abs, p._terms.values()), default=0).bit_length() + 2
+            base = p + (P.monomial(1, {}, 2**width) - P.monomial(1, {0: 1})) * P.monomial(1, {0: shift[0]})
+            assert _value_at(base._terms, width) == _value_at(p._terms, width)
+            formula = FactoredPoly(1, [(base, 1)])
+        expected = p == formula.expand()
+        assert _agrees(p, None, formula) == expected
+        assert expected == (relation == "equal") or relation == "random"
+
+    @pytest.mark.parametrize(
+        "det, factors, expected",
+        [
+            ("1", [], True),
+            ("0", [], False),
+            ("0", [("0", 2), ("1 - a", 1)], True),
+            ("-8 + 8*a", [("2", 3), ("a - 1", 1)], True),
+            ("0", [("4 - a", 1)], False),  # both vanish at a = 4, the width det alone gives
+            ("1 - 2*a + a^2", [("1 - a", 2)], True),
+            ("1 - 2*a + a^2", [("1 - a", 3)], False),
+        ],
+    )
+    def test_one_variable_edges(self, det, factors, expected):
+        formula = FactoredPoly(1, [(parse_poly(b, 1), e) for b, e in factors])
+        assert _agrees(parse_poly(det, 1), None, formula) == expected == (parse_poly(det, 1) == formula.expand())
+
+    def test_sweep_against_expansion(self, monkeypatch):
+        # the formula is expanded only for several variables whose factored forms differ: under the
+        # maps that send a_i^+ a_i^- to a constant other than 1, the leftover keeps the constants
+        expand = FactoredPoly.expand
+        expanded = []
+        monkeypatch.setattr(FactoredPoly, "expand", lambda self: expanded.append(self) or expand(self))
+        fibers = dict(corpus_fibers(), **{str(i): f for i, f in enumerate(_seeded_fibers())})
+        fell_back = {}
+        for name, f in fibers.items():
+            for text in _SWEEP_MAPS:
+                spec = _map(text, 2 * f.n)
+                if spec is False:
+                    continue
+                expanded.clear()
+                report = verify(f, mode="symbolic", specialize=spec, force_symbolic=True)
+                assert report.agreement and report.determinant == expand(report.formula), (name, text)
+                if any(x is report.formula for x in expanded):
+                    assert report.determinant.nvars > 1, (name, text)
+                    fell_back[text] = fell_back.get(text, 0) + 1
+        assert set(fell_back) == {"a1p=2,a1m=2,a2p=-1,a2m=-1", "a1p=1,a1m=1"}
+
+    @pytest.mark.parametrize("spec", [None, "a1p=2,a1m=2", "all=a", "a1p=2,a1m=a,a2p=a,a2m=a,a3p=a,a3m=a"])
+    def test_tampered_formula(self, monkeypatch, spec):
+        # several variables with no map, the same under a constant map that falls back to the
+        # expansion, and two one-variable maps
+        f = whole_fiber(concurrent_lines())
+        fallback = spec == "a1p=2,a1m=2"
+        spec = _map(spec, 2 * f.n)
+        honest = product_formula(f, spec)
+        calls = _spy(monkeypatch, "product_formula")
+        expand = FactoredPoly.expand
+        expanded = []
+        monkeypatch.setattr(FactoredPoly, "expand", lambda self: expanded.append(self) or expand(self))
+        report = verify(f, mode="symbolic", specialize=spec)
+        assert report.agreement and len(calls) == 1
+        assert any(x is report.formula for x in expanded) == fallback
+        monkeypatch.undo()
+        cases = [("raise", j) for j in range(len(honest.factors))] + [("lower", j) for j in range(len(honest.factors))]
+        cases += [("drop", j) for j, (base, _) in enumerate(honest.factors) if base.total_degree()]
+        for kind, j in cases:
+            tampered = lambda *args: _tampered(product_formula(*args), kind, j)  # noqa: E731
+            monkeypatch.setattr(omdet.varchenko, "product_formula", tampered)
+            report = verify(f, mode="symbolic", specialize=spec)
+            assert report.formula == _tampered(honest, kind, j)
+            assert report.agreement == (report.determinant == report.formula.expand()), (kind, j)
+            assert not report.agreement, (kind, j)
