@@ -26,33 +26,13 @@ from functools import cache
 from typing import NamedTuple
 
 from .polyring import (
-    ExactDivisionError,
-    ExponentOverflowError,
-    Specialization,
-    factored_str,
-    poly_str,
-    var_index,
-    var_label,
+    ExactDivisionError, ExponentOverflowError, Specialization, factored_str, poly_str, var_index, var_label
 )
 from .signvec import (
-    CovectorSet,
-    FiberError,
-    FiberView,
-    SignVector,
-    _loop_free,
-    as_int,
-    check_covector_axioms,
-    parse_cov,
-    format_cov,
-    topal_fiber,
-    validate_fiber,
+    CovectorSet, FiberError, FiberView, SignVector, _loop_free, as_int, check_covector_axioms, parse_cov, format_cov,
+    topal_fiber, validate_fiber
 )
-from .varchenko import (
-    SizeGuardError,
-    determinant,
-    product_formula,
-    verify,
-)
+from .varchenko import SizeGuardError, determinant, product_formula, verify
 from .realizable import RationalArrangement, arrangement_fiber, enumerate_covectors
 from .wiring import WiringDiagram, face_census, faces as wiring_faces, validate as wiring_validate
 

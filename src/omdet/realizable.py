@@ -18,13 +18,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from typing import NamedTuple
 
 from .signvec import (
-    CovectorSet, FiberView, SignVector, _json_field, _json_int, _json_kind, _json_list, check_covector_axioms,
-    composition_closure, loops, topal_fiber
+    CovectorSet, FiberView, SignVector, _cocircuit_pairs, _json_field, _json_int, _json_kind, _json_list,
+    composition_closure, topal_fiber
 )
 
 
@@ -153,7 +152,12 @@ def _cocircuits(arr: RationalArrangement) -> set[tuple[int, int]]:
     rows of S from every row (a Bareiss step, each division exact) leaves
     row i one nonzero column, holding det(S, row_i) times a factor common
     to all rows; a zero head row means S is dependent.  The signs, and their
-    negatives, are the two cocircuits that vanish on the hyperplane.
+    negatives, are the two cocircuits that vanish on the hyperplane.  The
+    subsets are walked depth first: a prefix's reduced rows and their sums
+    are built once for all its extensions, and a dependent prefix prunes
+    its branch.  The last step keeps only the signs of the row sums, read
+    before the exact division by the previous head: a negative head would
+    flip every sign, which only swaps the two cocircuits.
     """
     rows = _integer_rows(arr)
     columns = _pivot_columns(rows)
@@ -164,26 +168,29 @@ def _cocircuits(arr: RationalArrangement) -> set[tuple[int, int]]:
     for i, row in enumerate(rows):
         g = gcd(*row) if next(filter(None, row)) > 0 else -gcd(*row)
         lines.setdefault(tuple(c // g for c in row), i)
+    lines = list(lines.values())
     found = set()
-    for subset in combinations(lines.values(), len(columns) - 1):
-        reduced, previous = rows, 1
-        for s in subset:
-            head = reduced[s]
+
+    def extend(reduced, sums, previous, start, left):
+        if not left:
+            plus = sum(1 << i for i, value in enumerate(sums) if value > 0)
+            minus = sum(1 << i for i, value in enumerate(sums) if value < 0)
+            found.update(((plus, minus), (minus, plus)))
+            return
+        for p in range(start, len(lines) - left + 1):
+            head = reduced[lines[p]]
             j = next((j for j, c in enumerate(head) if c), None)
             if j is None:
-                break
-            reduced = [[(head[j] * a - row[j] * b) // previous for a, b in zip(row, head)] for row in reduced]
-            previous = head[j]
-        else:
-            plus = minus = 0
-            for i, row in enumerate(reduced):
-                value = sum(row)
-                if value > 0:
-                    plus |= 1 << i
-                elif value < 0:
-                    minus |= 1 << i
-            found.add((plus, minus))
-            found.add((minus, plus))
+                continue
+            h, s = head[j], sums[lines[p]]
+            if left > 1:
+                child = [[(h * a - row[j] * b) // previous for a, b in zip(row, head)] for row in reduced]
+                extend(child, [(h * t - row[j] * s) // previous for t, row in zip(sums, reduced)], h, p + 1, left - 1)
+            else:
+                # the last step's row sums give only signs, so it builds no reduced rows and skips the division
+                extend(None, [h * t - row[j] * s for t, row in zip(sums, reduced)], 1, p + 1, 0)
+
+    extend(rows, list(map(sum, rows)), 1, 0, len(columns) - 1)
     return found
 
 
@@ -192,8 +199,7 @@ def sign_feasible(arr: RationalArrangement, sigma: SignVector) -> bool:
 
     Every covector is the composition of the cocircuits conformal to it, so
     sigma is attainable exactly when the cocircuits below it cover its
-    support.  Each call computes every cocircuit afresh: one elimination of
-    r - 1 rows from all n rows for each (r-1)-subset of the distinct lines.
+    support.  Each call computes every cocircuit afresh (``_cocircuits``).
     """
     if arr.affine:
         raise ValueError("sign_feasible expects a central (or homogenized) arrangement")
@@ -207,30 +213,28 @@ def sign_feasible(arr: RationalArrangement, sigma: SignVector) -> bool:
 
 
 def enumerate_covectors(arr: RationalArrangement) -> CovectorSet:
-    """All attainable sign vectors of a central arrangement.
+    """All attainable sign vectors of a central arrangement, as a verified set.
 
     The covectors are the closure of the zero vector under composition with
-    the cocircuits (``composition_closure``).  The result must pass the
-    covector axioms, which are checked before it is returned.
+    the cocircuits (``composition_closure``).  Composing never shrinks a
+    support, so when the cocircuits' zero sets are pairwise incomparable,
+    they are the closure's minimal-support members, and ``_cocircuit_check``
+    of the result comes down to ``_cocircuit_pairs`` of the cocircuits.
+    That guard runs on every call, and the set is returned verified.
     """
     if arr.affine:
         raise ValueError("enumerate_covectors expects a central arrangement; homogenize first")
     if arr.n == 0:
         raise ValueError("cannot enumerate covectors of an empty arrangement")
     n = arr.n
+    cocircuits = _cocircuits(arr)
+    # every zero set is kept as maximal, with its one pair, exactly when the counts agree
+    if len(_cocircuit_pairs(n, cocircuits) or ()) * 2 != len(cocircuits):
+        raise AssertionError("the cocircuits fail the covector axioms; this is a bug in the enumeration")
     full = (1 << n) - 1
-    seen = composition_closure(n, [plus | minus << n for plus, minus in _cocircuits(arr)])
-    out = CovectorSet.of([SignVector(n, code & full, code >> n) for code in seen], n=n)
-    found = loops(out)
-    if found:
-        raise ValueError(f"arrangement has loops at indices {sorted(found)}")
-    report = check_covector_axioms(out)
-    if not report.ok:
-        raise AssertionError(
-            "enumerated sign vectors fail the covector axioms; "
-            "this is a bug in the enumeration:\n" + "\n".join(report.lines())
-        )
-    return out
+    seen = composition_closure(n, [plus | minus << n for plus, minus in cocircuits])
+    members = sorted((SignVector(n, code & full, code >> n) for code in seen), key=SignVector.sort_key)
+    return CovectorSet(n, tuple(members), verified=True)
 
 
 class Homogenized(NamedTuple):

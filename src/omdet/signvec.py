@@ -15,7 +15,8 @@ Conventions used throughout the package:
 A covector set becomes "verified" once it passes the four axioms (zero
 vector present, closure under negation, closure under composition,
 elimination).  ``check_covector_axioms`` sets ``verified`` on the set it is
-given; that flag is the one exception to "immutable after construction".
+given, as ``enumerate_covectors`` does on the set it builds; that flag is the
+one exception to "immutable after construction".
 A topal fiber is the subset of covectors agreeing with an anchor outside a
 free index set I; fibers produced by generators that never materialize the
 ambient covector set (wiring diagrams, fiber-format files) are validated
@@ -433,32 +434,41 @@ def _cocircuit_check(s: CovectorSet) -> bool:
     covectors, and the covectors are their compositions (Bjorner, Las
     Vergnas, Sturmfels, White and Ziegler, *Oriented Matroids*, ch. 3).
     So s is a covector set exactly when its minimal-support nonzero members
-    come as one pair X, -X per support, pass modular elimination, and
-    compose to the whole set; a composition closure of such pairs holds 0
-    and is closed under negation and composition, so True certifies all
-    four axioms.  Modular elimination runs over pairs whose zero sets meet
-    in a coline, a maximal pairwise intersection of zero sets.  An element
-    outside a coline lies in at most one zero set of the coline's pencil,
-    so each (X, Y, e) has one candidate pair +-Z, or none and the check
-    fails.
+    pass ``_cocircuit_pairs`` and compose to the whole set; a composition
+    closure of such pairs holds 0 and is closed under negation and
+    composition, so True certifies all four axioms.
     """
     n = s.n
+    cocircuits = _cocircuit_pairs(n, [(m.plus, m.minus) for m in s.members])
+    if cocircuits is None:
+        return False
+    codes = [code for p, m in cocircuits for code in (p | m << n, m | p << n)]
+    members = {m.plus | m.minus << n for m in s.members}
+    return composition_closure(n, codes, members) == members
+
+
+def _cocircuit_pairs(n: int, vectors) -> list[tuple[int, int]] | None:
+    """One of each pair X, -X of the minimal-support nonzero (plus, minus) vectors, or None.
+
+    None unless those vectors come as one pair X, -X per support and pass
+    modular elimination.  Modular elimination runs over pairs whose zero
+    sets meet in a coline, a maximal pairwise intersection of zero sets.
+    An element outside a coline lies in at most one zero set of the
+    coline's pencil, so each (X, Y, e) has one candidate pair +-Z, or none
+    and the check fails.
+    """
     full = (1 << n) - 1
     by_zero: dict[int, list[tuple[int, int]]] = {}
-    for m in s.members:
-        if m.plus | m.minus:
-            by_zero.setdefault(full & ~(m.plus | m.minus), []).append((m.plus, m.minus))
+    for p, m in vectors:
+        if p | m:
+            by_zero.setdefault(full & ~(p | m), []).append((p, m))
     zeros = _maximal(by_zero)
     cocircuits = []
     for zero in zeros:
         pair = by_zero[zero]
         if len(pair) != 2 or pair[0] != pair[1][::-1]:
-            return False
+            return None
         cocircuits.append(pair[0])
-    codes = [code for p, m in cocircuits for code in (p | m << n, m | p << n)]
-    members = {m.plus | m.minus << n for m in s.members}
-    if composition_closure(n, codes, members) != members:
-        return False
 
     common = full
     for zero in zeros:
@@ -488,13 +498,13 @@ def _cocircuit_check(s: CovectorSet) -> bool:
                     while sep:
                         h = owner.get(sep & -sep)
                         if h is None:
-                            return False
+                            return None
                         # Z or -Z must have its + within X+ | Y+ and its - within X- | Y-
                         zp, zm, rest = pencil[h]
                         if (zp & no_plus or zm & no_minus) and (zm & no_plus or zp & no_minus):
-                            return False
+                            return None
                         sep &= ~rest
-    return True
+    return cocircuits
 
 
 def _elimination_witness(s: CovectorSet) -> tuple[SignVector, SignVector, int] | None:

@@ -24,8 +24,11 @@ variables off the masks one interpreted step per tope pair, the
 modular determinant oracle eliminates on lists of residues, one
 interpreted step per entry, and so does the norm oracle on the regular
 representation of a matrix over F_p[s]/(s^2 - w), the primality oracle is
-Miller-Rabin on the 12 prime witnesses up to 37, and the closed-form oracle builds one base
-per face from that face's own weight monomial.
+Miller-Rabin on the 12 prime witnesses up to 37, the closed-form oracle builds one base
+per face from that face's own weight monomial, and the cocircuit oracle runs
+one Bareiss elimination per (r-1)-subset of the distinct lines, sharing no
+prefix.  The line-sweep converter turns seeded affine line arrangements into
+wiring diagrams, so that the two generators can check each other.
 
 The polynomial helpers the tests need but the package does not (the text
 parser, exact division and the constant term) live here as well, and so
@@ -39,7 +42,7 @@ import random
 import re
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 
 from omdet.polyring import (
@@ -52,11 +55,16 @@ from omdet.polyring import (
     var_index,
     var_label,
 )
-from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors, sign_feasible
+from omdet.realizable import (
+    RationalArrangement, _integer_rows, _pivot_columns, arrangement_fiber, enumerate_covectors, sign_feasible
+)
 from omdet.signvec import (
     CovectorSet,
     FiberError,
+    FiberView,
     SignVector,
+    _cocircuit_check,
+    check_covector_axioms,
     compose,
     leq,
     multiplicity,
@@ -449,6 +457,130 @@ def random_wiring(rng: random.Random, max_wires: int = 6) -> WiringDiagram:
         events.append((k, k + 1))
         perm[k], perm[k + 1] = perm[k + 1], perm[k]
     return WiringDiagram.of(n, events)
+
+
+def checked_covectors(arr: RationalArrangement) -> CovectorSet:
+    """enumerate_covectors(arr), whose guard passed, checked in full on a fresh copy of its members.
+
+    The guard checks only the cocircuits, so its passing verdict must equal
+    _cocircuit_check's on the whole set, and the four axioms must pass.
+    """
+    out = enumerate_covectors(arr)
+    fresh = CovectorSet.of(out.members, n=out.n)
+    assert out.verified and _cocircuit_check(fresh) and check_covector_axioms(fresh).ok
+    return out
+
+
+def checked_fiber(arr: RationalArrangement) -> FiberView:
+    """arrangement_fiber(arr) of a central arrangement, whose covectors checked_covectors checks first."""
+    checked_covectors(arr)
+    return arrangement_fiber(arr)
+
+
+def cocircuits_per_subset(arr: RationalArrangement) -> set[tuple[int, int]]:
+    """The cocircuits as (plus, minus) masks, by one elimination of r - 1 rows from all rows per
+    (r-1)-subset of the distinct lines: each subset reduces every row from the start, and the last
+    step builds its reduced rows and divides exactly before the row sums are read."""
+    rows = _integer_rows(arr)
+    columns = _pivot_columns(rows)
+    rows = [[row[j] for j in columns] for row in rows]
+    lines = {}
+    for i, row in enumerate(rows):
+        g = gcd(*row) if next(filter(None, row)) > 0 else -gcd(*row)
+        lines.setdefault(tuple(c // g for c in row), i)
+    found = set()
+    for subset in combinations(lines.values(), len(columns) - 1):
+        reduced, previous = rows, 1
+        for s in subset:
+            head = reduced[s]
+            j = next((j for j, c in enumerate(head) if c), None)
+            if j is None:
+                break
+            reduced = [[(head[j] * a - row[j] * b) // previous for a, b in zip(row, head)] for row in reduced]
+            previous = head[j]
+        else:
+            plus = minus = 0
+            for i, row in enumerate(reduced):
+                value = sum(row)
+                if value > 0:
+                    plus |= 1 << i
+                elif value < 0:
+                    minus |= 1 << i
+            found.add((plus, minus))
+            found.add((minus, plus))
+    return found
+
+
+def random_affine_lines(rng: random.Random) -> RationalArrangement:
+    """3 to 7 distinct affine lines a x + b y = c in R^2, none vertical, as a sweep can draw them.
+
+    Each line after the second is, about a third of the time each, drawn
+    through the crossing of two earlier lines (a multiple point) or parallel
+    to an earlier line; b is a nonzero fraction of either sign, so the
+    normals have mixed denominators and some lines are reoriented against
+    the sweep's "+ above" convention.
+    """
+    drawn: list[tuple[Fraction, Fraction]] = []  # (slope, intercept) of y = m x + k
+    n = rng.randint(3, 7)
+    while len(drawn) < n:
+        m, k = Fraction(rng.randint(-3, 3), rng.randint(1, 2)), Fraction(rng.randint(-3, 3))
+        roll = rng.random() if len(drawn) >= 2 else 1
+        crossing = [(p, q) for p, q in combinations(drawn, 2) if p[0] != q[0]]
+        if roll < 1 / 3 and crossing:
+            (m1, k1), (m2, k2) = rng.choice(crossing)
+            x = (k2 - k1) / (m1 - m2)
+            k = m1 * x + k1 - m * x
+        elif roll < 2 / 3:
+            m = rng.choice(drawn)[0]
+        if (m, k) not in drawn:
+            drawn.append((m, k))
+    normals, offsets = [], []
+    for m, k in drawn:
+        b = Fraction(rng.choice((1, 2, 3, -1, -2)), rng.choice((1, 2, 5)))
+        normals.append([-m * b, b])
+        offsets.append(k * b)
+    return RationalArrangement.of(normals, offsets, affine=True)
+
+
+def lines_to_wiring(arr: RationalArrangement) -> tuple[WiringDiagram, list[int], list[bool]]:
+    """(the wiring diagram of the affine lines swept left to right, each line's wire, whether each line is reoriented).
+
+    Far to the left the lines lie bottom to top by falling slope, parallel
+    ones by rising intercept, and that order numbers the wires; each
+    crossing is one block event (``sweep_events``).  A line a x + b y = c is
+    positive above itself exactly when b > 0.
+    """
+    lines = [(-normal[0] / normal[1], offset / normal[1]) for normal, offset in arr.hyperplanes]
+    order = sorted(range(arr.n), key=lambda i: (-lines[i][0], lines[i][1]))
+    points: dict[tuple[Fraction, Fraction], set[int]] = {}
+    for i, j in combinations(range(arr.n), 2):
+        (m1, k1), (m2, k2) = lines[i], lines[j]
+        if m1 != m2:
+            x = (k2 - k1) / (m1 - m2)
+            points.setdefault((x, m1 * x + k1), set()).update((i, j))
+    wire = [0] * arr.n
+    for position, i in enumerate(order):
+        wire[i] = position + 1
+    flipped = [normal[1] < 0 for normal, _ in arr.hyperplanes]
+    return WiringDiagram.of(arr.n, sweep_events(order, points)), wire, flipped
+
+
+def sweep_events(order, points) -> list[tuple[int, int]]:
+    """The block events of a left-to-right sweep of curves that cross at most once.
+
+    order lists the curves bottom to top far to the left, and points maps
+    each crossing (x, y) to the curves through it.  The crossings are
+    visited by x, then y; the curves through one are adjacent just before
+    it and reverse their order there.
+    """
+    perm, events = list(order), []
+    for point in sorted(points):
+        positions = sorted(perm.index(c) for c in points[point])
+        lo, hi = positions[0], positions[-1]
+        assert positions == list(range(lo, hi + 1)), (point, points[point])
+        events.append((lo, hi))
+        perm[lo : hi + 1] = reversed(perm[lo : hi + 1])
+    return events
 
 
 def exhaustive_covectors(arr: RationalArrangement, feasible=sign_feasible) -> tuple[SignVector, ...]:

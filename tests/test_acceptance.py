@@ -27,6 +27,7 @@ from omdet.wiring import face_census, faces, non_pappus, validate
 from oracle import (
     bmax_table,
     cfd_check,
+    checked_covectors,
     corpus_fibers,
     corpus_sets,
     permutation_determinant,
@@ -145,7 +146,7 @@ def test_criterion_3_theorem_property_suite():
 
     while arrangement_runs < 50:
         arr = random_central_arrangement(rng)
-        s = enumerate_covectors(arr)
+        s = checked_covectors(arr)
         fiber = topal_fiber(s, range(1, s.n + 1), s.members[0])
         if not fiber.topes:
             continue

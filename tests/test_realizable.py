@@ -6,18 +6,24 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omdet import realizable
 from omdet.realizable import (
     RationalArrangement,
+    _cocircuits,
+    _integer_rows,
     arrangement_fiber,
     enumerate_covectors,
     homogenize,
     sign_feasible,
 )
-from omdet.signvec import SignVector, topes
+from omdet.signvec import CovectorSet, SignVector, _cocircuit_check, _maximal, composition_closure, topes
 from omdet.varchenko import determinant, product_formula
 from omdet.polyring import IntPolynomial
 
-from oracle import exhaustive_covectors, fm_covectors, fraction_feasible, random_central_arrangement
+from oracle import (
+    checked_covectors, cocircuits_per_subset, exhaustive_covectors, fm_covectors, fraction_feasible,
+    random_central_arrangement
+)
 
 sv = SignVector.from_string
 P = IntPolynomial
@@ -93,8 +99,7 @@ class TestEnumerate:
         rng = random.Random(101)
         for _ in range(8):
             arr = random_central_arrangement(rng)
-            s = enumerate_covectors(arr)
-            assert s.verified
+            s = checked_covectors(arr)
             assert SignVector.zero(s.n) in s
             for m in s.members:
                 assert -m in s
@@ -115,7 +120,7 @@ class TestEnumerate:
             if not _in_general_position(normals, d):
                 continue
             arr = RationalArrangement.of(normals)
-            s = enumerate_covectors(arr)
+            s = checked_covectors(arr)
             expected = 2 * sum(comb(n - 1, k) for k in range(d))
             assert len(topes(s)) == expected, normals
             found += 1
@@ -132,7 +137,7 @@ class TestEnumerationOracle:
             arr = random_central_arrangement(rng)
             normals = [normal for normal, _ in arr.hyperplanes]
             proportional += any(_rank([a, b]) == 1 for a, b in combinations(normals, 2))
-            assert enumerate_covectors(arr).members == exhaustive_covectors(arr, fraction_feasible), normals
+            assert checked_covectors(arr).members == exhaustive_covectors(arr, fraction_feasible), normals
         assert proportional >= 20
 
     def test_four_dimensions(self):
@@ -147,7 +152,7 @@ class TestEnumerationOracle:
                 cases.append(normals)
         for normals in cases:
             arr = RationalArrangement.of(normals)
-            assert enumerate_covectors(arr).members == exhaustive_covectors(arr, fraction_feasible), normals
+            assert checked_covectors(arr).members == exhaustive_covectors(arr, fraction_feasible), normals
 
     @pytest.mark.parametrize(
         "normals, offsets",
@@ -180,7 +185,7 @@ class TestEnumerationOracle:
             arr = RationalArrangement.of(normals)
             expected = exhaustive_covectors(arr, fraction_feasible)
             assert exhaustive_covectors(arr) == expected, normals
-            assert enumerate_covectors(arr).members == expected, normals
+            assert checked_covectors(arr).members == expected, normals
         assert dependent >= 10
 
     def test_output_sensitive_twelve_planes(self):
@@ -225,7 +230,7 @@ class TestCocircuitEnumeration:
     @given(data=st.data())
     def test_matches_fraction_oracle(self, data):
         arr = _drawn_arrangement(data)
-        assert enumerate_covectors(arr).members == exhaustive_covectors(arr, fraction_feasible)
+        assert checked_covectors(arr).members == exhaustive_covectors(arr, fraction_feasible)
 
     @pytest.mark.parametrize(
         "normals",
@@ -235,6 +240,8 @@ class TestCocircuitEnumeration:
             [[1, 2, 3], [-1, -2, -3], [2, 4, 6], [1, 0, 0], [0, 0, 1]],
             [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 3], [1, -1, 0, 0], [2, 0, 0, 2]],
             [[Fraction(1, 2), Fraction(-1, 3)], [3, -2], [Fraction(-3, 7), Fraction(2, 7)], [1, 1]],
+            # rank 3 with a negative head in the first row: previous < 0 at the last step
+            [[-2, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1], [4, -2, 0]],
         ],
     )
     def test_sign_feasible_matches_fraction_oracle(self, normals):
@@ -259,7 +266,118 @@ class TestCocircuitEnumeration:
         scales = [rng.choice((1, 3, -1)) for _ in range(16)]
         cases.append(RationalArrangement.of([[k * c for c in lines[i % 6]] for i, k in enumerate(scales)]))
         for arr in cases:
-            assert enumerate_covectors(arr).members == fm_covectors(arr), arr
+            assert checked_covectors(arr).members == fm_covectors(arr), arr
+
+
+# rank 3 whose first row heads with -2, and rank 4 whose second row is reduced to a negative head:
+# previous < 0 at the last step of every subset they start
+PREVIOUS_NEGATIVE = (
+    [[-2, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1], [4, -2, 0]],
+    [[1, 0, 0, 0], [3, -1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1], [-1, 2, 0, 1]],
+)
+
+
+def _column_scaled(data, arr: RationalArrangement) -> RationalArrangement:
+    """arr with each coordinate column times a drawn positive fraction, and each row times another: the
+    same covectors, from normals with mixed denominators."""
+    fraction = st.builds(Fraction, st.integers(1, 5), st.sampled_from((1, 2, 3, 5, 7)))
+    columns = data.draw(st.lists(fraction, min_size=arr.dim, max_size=arr.dim), label="column scales")
+    rows = data.draw(st.lists(fraction, min_size=arr.n, max_size=arr.n), label="row scales")
+    normals = [normal for normal, _ in arr.hyperplanes]
+    return RationalArrangement.of([[r * c * s for c, s in zip(normal, columns)] for normal, r in zip(normals, rows)])
+
+
+class TestCocircuitOracle:
+    """_cocircuits, which shares prefixes, against one elimination per subset."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_subset_oracle(self, data):
+        # ranks 1-4, parallel and repeated normals (_drawn_arrangement), then mixed denominators
+        arr = _drawn_arrangement(data)
+        scaled = _column_scaled(data, arr)
+        assert _cocircuits(arr) == cocircuits_per_subset(arr)
+        assert _cocircuits(scaled) == cocircuits_per_subset(scaled) == _cocircuits(arr)
+
+    @pytest.mark.parametrize(
+        "normals",
+        [
+            [[2], [-1], [Fraction(1, 3)]],
+            [[1, 2, 3], [-2, -4, -6], [Fraction(1, 2), 1, Fraction(3, 2)]],
+            [[1, 0], [2, 0], [0, 1], [-1, 1], [Fraction(1, 2), Fraction(-1, 2)], [0, 1]],
+            [[0, 0, 1], [0, 1, 1], [0, 2, 2], [0, -1, 1], [0, 1, -3]],
+            [[Fraction(1, 2), 0, Fraction(-2, 3), 1], [0, 1, 1, Fraction(1, 5)], [1, 1, 0, 0],
+             [Fraction(-1, 7), 0, 1, 1], [1, -1, 1, -1], [2, 2, 0, 0]],
+            *PREVIOUS_NEGATIVE,
+        ],
+    )
+    def test_named_cases(self, normals):
+        arr = RationalArrangement.of(normals)
+        assert _cocircuits(arr) == cocircuits_per_subset(arr)
+        assert checked_covectors(arr).members == exhaustive_covectors(arr, fraction_feasible)
+
+    def test_previous_is_negative_at_the_last_step(self):
+        rank3, rank4 = (_integer_rows(RationalArrangement.of(normals)) for normals in PREVIOUS_NEGATIVE)
+        assert rank3[0][0] < 0
+        # the second row less 3 times the first, over previous = 1: its head is -1 in column 2
+        assert rank4[0][0] * rank4[1][1] - rank4[1][0] * rank4[0][1] < 0
+
+
+def _four_lines():
+    """Four lines through the origin of R^2, their cocircuits, and one vector of each pair X, -X."""
+    arr = RationalArrangement.of([[1, 0], [0, 1], [1, 1], [1, -1]])
+    cocircuits = _cocircuits(arr)
+    return arr, cocircuits, sorted(c for c in cocircuits if c[0] > c[1])
+
+
+def _flip(vector, bit):
+    plus, minus = vector
+    return plus ^ bit, minus ^ bit
+
+
+class TestEnumerationGuard:
+    """enumerate_covectors checks its own cocircuits; each way they can be wrong must raise."""
+
+    def _raises(self, monkeypatch, arr, cocircuits):
+        monkeypatch.setattr(realizable, "_cocircuits", lambda _: set(cocircuits))
+        with pytest.raises(AssertionError, match="bug in the enumeration"):
+            enumerate_covectors(arr)
+
+    def test_true_cocircuits_pass(self, monkeypatch):
+        arr, cocircuits, _ = _four_lines()
+        monkeypatch.setattr(realizable, "_cocircuits", lambda _: set(cocircuits))
+        assert enumerate_covectors(arr).members == exhaustive_covectors(arr, fraction_feasible)
+
+    def test_one_sign_flipped(self, monkeypatch):
+        arr, cocircuits, (x, *_) = _four_lines()
+        self._raises(monkeypatch, arr, cocircuits - {x} | {_flip(x, x[0] & -x[0])})
+
+    def test_extra_composite(self, monkeypatch):
+        # X o Y is a tope: its empty zero set lies inside X's, so it is no cocircuit, though it
+        # comes with its negative and the closure is unchanged
+        arr, cocircuits, (x, y, *_) = _four_lines()
+        composite = (x[0] | (y[0] & ~(x[0] | x[1])), x[1] | (y[1] & ~(x[0] | x[1])))
+        self._raises(monkeypatch, arr, cocircuits | {composite, composite[::-1]})
+
+    def test_two_pairs_on_one_zero_set(self, monkeypatch):
+        arr, cocircuits, (x, *_) = _four_lines()
+        other = _flip(x, x[0] & -x[0])
+        self._raises(monkeypatch, arr, cocircuits | {other, other[::-1]})
+
+    def test_fails_modular_elimination(self, monkeypatch):
+        # one pair per zero set, the zero sets incomparable, but X and -X both flipped at one
+        # element: no longer the cocircuits of an oriented matroid
+        arr, cocircuits, (x, *_) = _four_lines()
+        flipped = _flip(x, x[0] & -x[0])
+        mutated = cocircuits - {x, x[::-1]} | {flipped, flipped[::-1]}
+        full = (1 << arr.n) - 1
+        zeros = {full & ~(p | m) for p, m in mutated}
+        assert len(zeros) * 2 == len(mutated) and len(_maximal(zeros)) == len(zeros)
+        self._raises(monkeypatch, arr, mutated)
+        # the closure of these vectors fails the full check too, so the two verdicts agree
+        codes = composition_closure(arr.n, [p | m << arr.n for p, m in mutated])
+        closed = CovectorSet.of([SignVector(arr.n, code & full, code >> arr.n) for code in codes])
+        assert not _cocircuit_check(closed)
 
 
 def _rank(rows):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import omdet.signvec
-from omdet.realizable import RationalArrangement, _cocircuits, enumerate_covectors
+from omdet.realizable import RationalArrangement, _cocircuits
 from omdet.signvec import (
     CovectorSet,
     FiberError,
@@ -36,6 +36,7 @@ from oracle import (
     bmax_table,
     boundary_multiplicity,
     chain_ranks,
+    checked_covectors,
     closure,
     concurrent_lines,
     coord_lines,
@@ -330,7 +331,7 @@ class TestCocircuitCheck:
             assert check_covector_axioms(CovectorSet.of(s.members, n=s.n)).ok, name
         rng = random.Random(24)
         normals = [[rng.randint(-9, 9) or 1 for _ in range(3)] for _ in range(24)]
-        assert enumerate_covectors(RationalArrangement.of(normals)).verified
+        assert checked_covectors(RationalArrangement.of(normals)).verified
 
 
 class TestStructure:
@@ -616,7 +617,7 @@ def _bmax_inputs():
     for k in range(8):
         views[f"wiring:{k}"] = faces(random_wiring(rng, max_wires=6))
     for k in range(8):
-        views[f"arrangement:{k}"] = whole_fiber(enumerate_covectors(random_central_arrangement(rng)))
+        views[f"arrangement:{k}"] = whole_fiber(checked_covectors(random_central_arrangement(rng)))
     return views
 
 

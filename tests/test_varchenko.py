@@ -74,6 +74,7 @@ from oracle import (
     _lane_bits,
     bareiss_minors,
     cfd_check,
+    checked_fiber,
     concurrent_lines,
     constant_term,
     coord_lines,
@@ -872,7 +873,7 @@ class TestMaskEvaluation:
             f = _chunked_fibers()[data.draw(st.sampled_from(["affine", "fiber-subset", "wide", "wires-8", "wires-17"]))]
         else:
             rng = random.Random(data.draw(st.integers(0, 2**32)))
-            f = faces(random_wiring(rng)) if source == "wiring" else arrangement_fiber(random_central_arrangement(rng))
+            f = faces(random_wiring(rng)) if source == "wiring" else checked_fiber(random_central_arrangement(rng))
         m = build_matrix(f)
         one_zero = st.integers(0, m.nvars - 1).map(lambda v: Specialization.of(m.nvars, {v: 0}))
         maps = (_mask_specializations(m.nvars, f.free), _zero_hyperplane_maps(m.nvars, f.free), one_zero)
@@ -1363,7 +1364,7 @@ class TestFlats:
             f = _corpus()[data.draw(st.sampled_from(sorted(_corpus())))]
         else:
             rng = random.Random(data.draw(st.integers(0, 2**32)))
-            f = faces(random_wiring(rng)) if source == "wiring" else arrangement_fiber(random_central_arrangement(rng))
+            f = faces(random_wiring(rng)) if source == "wiring" else checked_fiber(random_central_arrangement(rng))
         nvars = 2 * f.n
         maps = [build(nvars, f.free) for build in (_mask_specializations, _zero_hyperplane_maps, _constant_pair_maps)]
         spec = data.draw(st.one_of(*maps))
@@ -1428,7 +1429,7 @@ class TestMaskPolynomials:
     )
     def test_seeded_fibers(self, seed, kind, data):
         rng = random.Random(seed)
-        f = faces(random_wiring(rng)) if seed % 2 else arrangement_fiber(random_central_arrangement(rng))
+        f = faces(random_wiring(rng)) if seed % 2 else checked_fiber(random_central_arrangement(rng))
         m = build_matrix(f)
         if kind == "none":
             spec = None
@@ -1469,7 +1470,7 @@ def _seeded_fibers(count=32, max_topes=10):
         if len(out) % 2:
             f = faces(random_wiring(rng))
         else:
-            f = arrangement_fiber(random_central_arrangement(rng))
+            f = checked_fiber(random_central_arrangement(rng))
         if len(f.topes) <= max_topes:
             out.append(f)
     return out
@@ -1710,7 +1711,7 @@ class TestMirroredBareiss:
     )
     def test_seeded_fibers(self, seed, kind):
         rng = random.Random(seed)
-        f = faces(random_wiring(rng, max_wires=4)) if seed % 2 else arrangement_fiber(random_central_arrangement(rng))
+        f = faces(random_wiring(rng, max_wires=4)) if seed % 2 else checked_fiber(random_central_arrangement(rng))
         assume(len(f.topes) <= 10)
         m = build_matrix(f)
         spec = _mirror_maps(m.nvars, kind, rng)

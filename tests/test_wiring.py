@@ -3,12 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from omdet.polyring import IntPolynomial
 from omdet.realizable import RationalArrangement, arrangement_fiber, enumerate_covectors
 from omdet.signvec import SignVector, compose, leq, validate_fiber
-from omdet.varchenko import build_matrix, determinant, product_formula, verify
+from omdet.varchenko import build_matrix, determinant, face_multiplicities, product_formula, verify
 from omdet.wiring import WiringDiagram, face_census, faces, non_pappus, validate
 
-from oracle import random_wiring
+from oracle import lines_to_wiring, random_affine_lines, random_wiring, substitute_factored, sweep_events
 
 sv = SignVector.from_string
 
@@ -215,14 +216,40 @@ def _transcribe_non_pappus():
         m, b = lines[nm]
         return m * far_left + b
 
-    order = sorted(list(lines) + ["L3"], key=height)
-    wire_of = {nm: k + 1 for k, nm in enumerate(order)}
-    perm = list(range(1, 10))
-    events = []
-    for (x, y), involved in sorted(points.items()):
-        positions = sorted(perm.index(wire_of[nm]) for nm in involved)
-        lo, hi = positions[0], positions[-1]
-        assert positions == list(range(lo, hi + 1)), (x, y, involved)
-        events.append((lo, hi))
-        perm[lo : hi + 1] = reversed(perm[lo : hi + 1])
-    return events
+    return sweep_events(sorted(list(lines) + ["L3"], key=height), points)
+
+
+class TestAgainstArrangements:
+    """The two generators check each other: seeded affine lines in R^2, swept into a wiring diagram."""
+
+    def test_faces_match_the_arrangement_fiber(self):
+        rng = random.Random(31)
+        concurrent = parallel = 0
+        for _ in range(60):
+            arr = random_affine_lines(rng)
+            wd, wire, flipped = lines_to_wiring(arr)
+            concurrent += any(hi - lo > 1 for lo, hi in wd.events)
+            parallel += bool(validate(wd).parallel_pairs)
+            n = arr.n
+
+            def relabeled(v):
+                plus = minus = 0
+                for i in range(n):
+                    sign = -v.sign(i + 1) if flipped[i] else v.sign(i + 1)
+                    plus |= (sign > 0) << (wire[i] - 1)
+                    minus |= (sign < 0) << (wire[i] - 1)
+                return SignVector(n, plus, minus)
+
+            lines, swept = arrangement_fiber(arr), faces(wd)
+            assert sorted(map(relabeled, lines.members), key=SignVector.sort_key) == list(swept.members)
+            assert {relabeled(u): beta for u, _, beta in face_multiplicities(lines)} == {
+                u: beta for u, _, beta in face_multiplicities(swept)
+            }
+            mapping = {
+                2 * i + side: IntPolynomial.variable(2 * n, 2 * (wire[i] - 1) + (side ^ flipped[i]))
+                for i in range(n)
+                for side in (0, 1)
+            }
+            formula = substitute_factored(product_formula(lines), mapping, 2 * n)
+            assert formula.factors == product_formula(swept).factors
+        assert concurrent >= 10 and parallel >= 10, (concurrent, parallel)
