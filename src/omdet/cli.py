@@ -34,7 +34,7 @@ from .signvec import (
 )
 from .varchenko import SizeGuardError, determinant, product_formula, verify
 from .realizable import RationalArrangement, arrangement_fiber, enumerate_covectors
-from .wiring import WiringDiagram, face_census, faces as wiring_faces, validate as wiring_validate
+from .wiring import WiringDiagram, _sweep as wiring_sweep, face_census, validate as wiring_validate
 
 
 class InputError(Exception):
@@ -244,7 +244,7 @@ def _cmd_from_wiring(args) -> int:
     report = wiring_validate(wd)
     if not report.ok:
         raise InputError("; ".join(report.problems))
-    _write_output(format_cov(wiring_faces(wd)), args.output)
+    _write_output(format_cov(wiring_sweep(wd)), args.output)
     return 0
 
 

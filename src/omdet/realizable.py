@@ -233,7 +233,7 @@ def enumerate_covectors(arr: RationalArrangement) -> CovectorSet:
         raise AssertionError("the cocircuits fail the covector axioms; this is a bug in the enumeration")
     full = (1 << n) - 1
     seen = composition_closure(n, [plus | minus << n for plus, minus in cocircuits])
-    members = sorted((SignVector(n, code & full, code >> n) for code in seen), key=SignVector.sort_key)
+    members = sorted((SignVector(n, code & full, code >> n) for code in seen), key=SignVector._ranks)
     return CovectorSet(n, tuple(members), verified=True)
 
 

@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 
 MAX_GROUND_SET = 64
 
-_SIGN_OF_CHAR = {"+": 1, "-": -1, "0": 0}
+_SIGN_CHARS = frozenset("+-0")
+_PLUS_DIGITS = str.maketrans("+-0", "100")
+_MINUS_DIGITS = str.maketrans("+-0", "010")
 _CHAR_OF_RANK = bytes.maketrans(b"\0\1\2", b"-0+")
 _ONES = int.from_bytes(b"\1" * MAX_GROUND_SET, "big")
 
@@ -98,15 +100,16 @@ class SignVector:
 
     @classmethod
     def from_string(cls, text: str) -> SignVector:
-        plus = minus = 0
-        for pos, ch in enumerate(text):
-            if ch not in _SIGN_OF_CHAR:
-                raise ValueError(f"invalid sign character {ch!r} (expected one of '+-0')")
-            if ch == "+":
-                plus |= 1 << pos
-            elif ch == "-":
-                minus |= 1 << pos
-        return cls(len(text), plus, minus)
+        """The vector written as text over "+-0", leftmost character = index 1.
+
+        Reversed, the text maps to the binary digits of its masks, so each
+        is one ``str.translate`` and one ``int(..., 2)``.
+        """
+        if not _SIGN_CHARS.issuperset(text):
+            ch = next(ch for ch in text if ch not in _SIGN_CHARS)
+            raise ValueError(f"invalid sign character {ch!r} (expected one of '+-0')")
+        digits = text[::-1] or "0"
+        return cls(len(text), int(digits.translate(_PLUS_DIGITS), 2), int(digits.translate(_MINUS_DIGITS), 2))
 
     @classmethod
     def zero(cls, n: int) -> SignVector:
@@ -124,7 +127,7 @@ class SignVector:
         return 0
 
     def to_string(self) -> str:
-        return bytes(self.sort_key()).translate(_CHAR_OF_RANK).decode()
+        return self._ranks().translate(_CHAR_OF_RANK).decode()
 
     @property
     def support_mask(self) -> int:
@@ -151,8 +154,8 @@ class SignVector:
     def __neg__(self) -> SignVector:
         return SignVector(self.n, self.minus, self.plus)
 
-    def sort_key(self) -> tuple[int, ...]:
-        """Key for the canonical order: per-index rank 0, 1, 2 for -, 0, +.
+    def _ranks(self) -> bytes:
+        """Per-index rank 0, 1, 2 for -, 0, +, one byte per index: bytes compare as the canonical order.
 
         bin(mask | 1 << n) writes one ASCII digit byte per index behind the
         same prefix "0b1", so read back as integers the prefixes cancel in
@@ -162,7 +165,11 @@ class SignVector:
         guard = 1 << self.n
         plus = int.from_bytes(bin(self.plus | guard).encode(), "big")
         minus = int.from_bytes(bin(self.minus | guard).encode(), "big")
-        return tuple((plus - minus + (_ONES >> 8 * (MAX_GROUND_SET - self.n))).to_bytes(self.n, "little"))
+        return (plus - minus + (_ONES >> 8 * (MAX_GROUND_SET - self.n))).to_bytes(self.n, "little")
+
+    def sort_key(self) -> tuple[int, ...]:
+        """Key for the canonical order: the ranks as a tuple."""
+        return tuple(self._ranks())
 
     def __str__(self):
         return self.to_string()
@@ -250,7 +257,7 @@ class CovectorSet:
             if not members:
                 raise ValueError("cannot infer ground-set size from an empty set")
             n = members[0].n
-        unique = sorted(set(members), key=SignVector.sort_key)
+        unique = sorted(set(members), key=SignVector._ranks)
         return cls(n, tuple(unique))
 
     @property

@@ -70,8 +70,12 @@ whose two subset tables are no larger than the matrix, and each tope's
 masks are coded on every chunk once per matrix; per reading each image is
 tabulated over every subset of each chunk, so an entry is one lookup per
 chunk and sign.  A face weight depends only on the face's zero set, its
-flat: ``face_multiplicities`` (cached on the fiber) builds one weight per
-flat, and ``product_formula`` one base per flat.  A symbolic ``verify``
+flat: ``_face_masks`` (cached on the fiber) holds each face's zero mask and
+multiplicity, ``face_multiplicities`` (cached too) builds one weight per
+flat on it, and ``product_formula`` one base per flat.  A randomized
+``verify`` reads the flats as zero masks alone (``_flat_residues``) and
+builds no polynomial; its report builds the weights and the formula when
+they are read.  A symbolic ``verify``
 checks the size guard, builds its one matrix and its one closed form and
 eliminates the entries with the formula's binomials as candidates
 (``_bareiss``).  It decides agreement without expanding the formula
@@ -104,10 +108,11 @@ No square root is taken: ``_eliminate_norm`` eliminates h rows over R, and
 M(1, w) is eliminated instead when W(F) is 0 or a column holds only zero
 divisors.  The formula's residue is prod (1 - prod_{i in Z} w_i)^beta_Z
 over the flats Z, from the same values, computed once per evaluation for
-both sides.  The evaluations are drawn and eliminated in
-consecutive groups whose packed rows stay within ``_GROUP_BYTES``, so that
-one group holds a few small matrices and a matrix near the tope cap goes
-alone; the residues do not depend on the grouping.
+both sides; its variables and total degree are read from the same masks.
+The evaluations are drawn and eliminated in consecutive groups whose packed
+rows stay within ``_GROUP_BYTES``, so that one group holds a few small
+matrices and a matrix near the tope cap goes alone; the residues do not
+depend on the grouping.
 
 The modular elimination works on packed rows: each row is one integer with
 a lane of w bits per column, the column to eliminate in the top lane, so a
@@ -128,7 +133,7 @@ the row-list elimination (``tests/oracle.py``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, repeat
 from math import gcd, isqrt, prod
@@ -152,7 +157,6 @@ from .polyring import (
     pack_monomial,
     poly_str,
     residues_mod,
-    unpack_monomial,
     used_variables,
     var_label,
 )
@@ -862,38 +866,53 @@ def _agrees(det: IntPolynomial, factored: FactoredPoly | None, formula: Factored
     return factored == formula or det == formula.expand()
 
 
-def face_multiplicities(f: FiberView) -> tuple:
-    """(covector, weight, multiplicity) for every non-tope member of a fiber with topes, cached on the fiber;
-    a weight depends only on the zero set, so the faces on one flat share one weight object."""
-    cached = f._cache.get("faces")
+def _face_masks(f: FiberView) -> tuple:
+    """(covector, zero mask, multiplicity) for every non-tope member of a fiber with topes, cached on the fiber;
+    a face's weight depends only on its zero mask, its flat."""
+    cached = f._cache.get("masks")
     if cached is not None:
         return cached
     _valid_topes(f)
-    nvars, free, weights, faces = 2 * f.n, f.free_mask, {}, []
+    free, faces = f.free_mask, []
     for u in f.members:
         mask = u.zero_mask
         if mask:  # not a tope
-            if mask not in weights:
-                weights[mask] = weight_monomial(u, nvars)
-            faces.append((u, weights[mask], _multiplicity(f, u, _ascending(mask & free))))
+            faces.append((u, mask, _multiplicity(f, u, _ascending(mask & free))))
+    f._cache["masks"] = faces = tuple(faces)
+    return faces
+
+
+def face_multiplicities(f: FiberView) -> tuple:
+    """(covector, weight, multiplicity) for every non-tope member of a fiber with topes, cached on the fiber;
+    the faces on one flat share one weight object."""
+    cached = f._cache.get("faces")
+    if cached is not None:
+        return cached
+    nvars, weights, faces = 2 * f.n, {}, []
+    for u, mask, beta in _face_masks(f):
+        weight = weights.get(mask)
+        if weight is None:
+            weight = weights[mask] = weight_monomial(u, nvars)
+        faces.append((u, weight, beta))
     f._cache["faces"] = faces = tuple(faces)
     return faces
 
 
-def _flat_betas(f: FiberView) -> dict:
-    """{b_Z: the summed beta of the faces on flat Z} over the flats whose sum is positive."""
-    betas: dict[IntPolynomial, int] = {}
-    for _, weight, beta in face_multiplicities(f):
+def _flat_betas(f: FiberView) -> dict[int, int]:
+    """{zero mask Z: the summed beta of the faces on flat Z} over the flats whose sum is positive."""
+    betas: dict[int, int] = {}
+    for _, mask, beta in _face_masks(f):
         if beta:
-            betas[weight] = betas.get(weight, 0) + beta
+            betas[mask] = betas.get(mask, 0) + beta
     return betas
 
 
 def product_formula(f: FiberView, specialize: Specialization | None = None) -> FactoredPoly:
     """The determinant's closed form prod (1 - b_v)^(beta_v), beta_v > 0, optionally specialized; the betas of the
     faces on one flat, which share b_v, are summed first, so each flat gives one base."""
+    weights = {mask: weight for (_, mask, _), (_, weight, _) in zip(_face_masks(f), face_multiplicities(f))}
     one = IntPolynomial.one(2 * f.n)
-    formula = FactoredPoly(2 * f.n, [(one - weight, beta) for weight, beta in _flat_betas(f).items()])
+    formula = FactoredPoly(2 * f.n, [(one - weights[mask], beta) for mask, beta in _flat_betas(f).items()])
     return formula if specialize is None else specialize.apply_factored(formula)
 
 
@@ -1158,17 +1177,36 @@ class EvalRecord:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Comparison of the matrix determinant against its factored form."""
+    """Comparison of the matrix determinant against its factored form.
+
+    ``faces`` and ``formula``, the fiber's under the map ``specialize``, are
+    built on first read unless verify passed in the formula it eliminated
+    with (``_formula``): a caller that reads only the verdict builds neither.
+    """
 
     mode: str
     tope_count: int
-    faces: tuple  # (SignVector, weight IntPolynomial, beta)
-    formula: FactoredPoly
     agreement: bool
+    fiber: FiberView = field(repr=False)
+    specialize: Specialization | None = None
     determinant: IntPolynomial | None = None
     prime: int | None = None
     degree_bound: int | None = None
     evals: tuple[EvalRecord, ...] = ()
+    _formula: FactoredPoly | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def faces(self) -> tuple:
+        """(covector, weight under the map, beta) for every non-tope member."""
+        faces = face_multiplicities(self.fiber)
+        if self.specialize is None:
+            return faces
+        images = {w: self.specialize.apply_poly(w) for w in {w for _, w, _ in faces}}  # one per flat
+        return tuple((u, images[w], beta) for u, w, beta in faces)
+
+    @cached_property
+    def formula(self) -> FactoredPoly:
+        return product_formula(self.fiber, self.specialize) if self._formula is None else self._formula
 
     def lines(self) -> list[str]:
         out = [f"mode: {self.mode}", f"topes: {self.tope_count}", f"formula: {factored_str(self.formula)}"]
@@ -1218,20 +1256,29 @@ class VerificationReport:
         return doc
 
 
-def _flat_residues(matrix: VarchenkoMatrix, betas: dict):
-    """(target variables, residue(values, prime)) of prod (1 - b_Z)^beta_Z over the flats {b_Z: beta_Z} under the
-    matrix's map: the image of the monomial b_Z uses its source variables' targets unless an image coefficient is 0,
-    and its residue is the product of their values ``matrix.values(assignment, prime)``."""
-    flats = [(list(unpack_monomial(b.nvars, key)), beta) for b, beta in betas.items() for key in b._terms]
+def _flat_residues(matrix: VarchenkoMatrix, flats: dict[int, int]):
+    """(target variables, residue(values, prime), total degree) of prod (1 - b_Z)^beta_Z over the flats
+    {zero mask Z: beta_Z} under the matrix's map, b_Z being the product of a_i^+ a_i^- over i in Z.
+
+    The image of b_Z is 0 if an image coefficient is, and the base 1 - 0
+    drops out; else it has one degree per source variable sent to a target.
+    Its residue is the product of their values ``matrix.values(assignment, prime)``.
+    """
     images = matrix.images
-    targets = {images[v][1] for vs, _ in flats if all(images[v][0] for v in vs) for v in vs}
-    # b_Z has a_i^+ and a_i^- for each i in Z, so a getter of its variables always returns a tuple
-    getters = [(itemgetter(*vs), beta) for vs, beta in flats]
+    targets, degree, getters = set(), 0, []
+    for mask, beta in flats.items():
+        vs = [v for i in _ascending(mask) for v in (2 * i - 2, 2 * i - 1)]
+        if all(images[v][0] for v in vs):
+            mapped = [images[v][1] for v in vs if images[v][1] is not None]
+            targets.update(mapped)
+            degree += beta * len(mapped)
+        # a flat has at least one index, so a getter of its variables always returns a tuple
+        getters.append((itemgetter(*vs), beta))
 
     def residue(values, prime: int) -> int:
         return prod(pow(1 - prod(get(values)), beta, prime) for get, beta in getters) % prime
 
-    return targets - {None}, residue
+    return targets, residue, degree
 
 
 # One group of evaluations keeps its packed rows within this many bytes: at a 61-bit prime, 6 evaluations of
@@ -1310,6 +1357,9 @@ def verify(
     content, not an exception.  The report's face weights and formula are
     under the specialization, as is the determinant.  A symbolic verdict is
     det == formula.expand(), decided from its one elimination (``_agrees``).
+    A randomized one reads the flats as zero masks (``_flat_residues``) and
+    builds no weight or formula polynomial; its report builds them on first
+    read.
     """
     if mode not in ("auto", "symbolic", "randomized"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -1320,17 +1370,13 @@ def verify(
     if mode == "symbolic":
         _check_size_guard(size, force_symbolic)
     matrix = build_matrix(f, specialize)
-    faces = face_multiplicities(f)
-    if specialize is not None:
-        images = {w: specialize.apply_poly(w) for w in {w for _, w, _ in faces}}  # one per flat
-        faces = tuple((u, images[w], beta) for u, w, beta in faces)
-    formula = product_formula(f, specialize)
-
     if mode == "symbolic":
+        formula = product_formula(f, specialize)
         det, factored = _bareiss(matrix.entries, matrix.nvars, [base for base, _ in formula.factors])
-        return VerificationReport("symbolic", size, faces, formula, _agrees(det, factored, formula), det)
+        agreement = _agrees(det, factored, formula)
+        return VerificationReport("symbolic", size, agreement, f, specialize, det, _formula=formula)
+    targets, formula_residue, formula_degree = _flat_residues(matrix, _flat_betas(f))
     used, row_degree = matrix.support()
-    targets, formula_residue = _flat_residues(matrix, _flat_betas(f))
     var_order = sorted(targets.union(used))
 
     def residues(assignments, prime):  # each evaluation's source values, shared by both sides
@@ -1341,11 +1387,11 @@ def verify(
     return VerificationReport(
         "randomized",
         size,
-        faces,
-        formula,
         all(r.match for r in records),
+        f,
+        specialize,
         prime=prime,
         # the Schwartz-Zippel bound: the sum of the row maxima bounds the determinant's degree
-        degree_bound=max(row_degree, formula.total_degree()),
+        degree_bound=max(row_degree, formula_degree),
         evals=records,
     )

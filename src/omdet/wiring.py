@@ -8,13 +8,14 @@ wires may cross at most once; pairs that never cross are parallel
 pseudolines and are allowed.
 
 The face sweep assigns sign vectors with the convention "+ above wire i,
-- below it".  Per sweep column it emits one vector per cell (the n+1 open
-strips, including the unbounded ones), one per wire segment, and one vector
-per event vertex; cells and segments spanning several columns deduplicate by
-their sign vector.  The result is packaged as a fiber with free set I = [n],
-which is exactly what the determinant machinery consumes; wiring diagrams
-can encode non-realizable pseudoline arrangements, so no ambient covector
-set is ever built.
+- below it".  Its faces are the cells (the n+1 open strips of a sweep
+column, including the unbounded ones), the wire segments and the event
+vertices.  It collects each as a code of its two masks, the first column's
+in full and then, per event, the vertex and the faces the event changes,
+and builds one sign vector per distinct code.  The result is packaged as a
+fiber with free set I = [n], which is exactly what the determinant
+machinery consumes; wiring diagrams can encode non-realizable pseudoline
+arrangements, so no ambient covector set is ever built.
 """
 
 from __future__ import annotations
@@ -96,45 +97,43 @@ def validate(wd: WiringDiagram) -> WiringReport:
     return WiringReport(not problems, tuple(problems), parallel)
 
 
-def _column_faces(n: int, perm: list[int], members: set[SignVector]):
-    # cell c sits above the wires at positions < c (sign +) and below the
-    # rest (sign -); the segment at position k is zero on its own wire
-    total = 0
-    for w in perm:
-        total |= 1 << (w - 1)
-    passed = 0  # wires at positions already below the sweep point
-    members.add(SignVector(n, 0, total))
-    for w in perm:
-        bit = 1 << (w - 1)
-        members.add(SignVector(n, passed, total & ~passed & ~bit))
-        passed |= bit
-        members.add(SignVector(n, passed, total & ~passed))
-
-
 def faces(wd: WiringDiagram) -> FiberView:
     """Sweep the diagram into its face covector set, packaged as a fiber."""
     report = validate(wd)
     if not report.ok:
         raise ValueError("invalid wiring diagram: " + "; ".join(report.problems))
+    return _sweep(wd)
+
+
+def _sweep(wd: WiringDiagram) -> FiberView:
+    """The face fiber of a diagram that passes ``validate``, one SignVector per distinct face.
+
+    Faces are collected as codes plus | minus << n.  Cell c sits above the
+    wires at positions < c (sign +) and below the rest (sign -); the
+    segment at position k is zero on its own wire.  An event changes only
+    the faces at its block's positions, so after the first column it adds
+    its vertex and, once the block is reversed, the segments at positions
+    lo..hi and the cells above them.
+    """
     n = wd.wires
-    perm = list(range(1, n + 1))
-    members: set[SignVector] = set()
-    _column_faces(n, perm, members)
+    full = (1 << n) - 1
+    bits = [1 << i for i in range(n)]  # bits[k]: the wire at position k; wire i starts at position i - 1
+    codes = {full << n}  # the cell below every wire
+
+    def column(lo: int, hi: int, below: int):  # below: the wires at positions < lo
+        for bit in bits[lo : hi + 1]:
+            codes.add(below | (full & ~below & ~bit) << n)
+            below |= bit
+            codes.add(below | (full & ~below) << n)
+
+    column(0, n - 1, 0)
     for lo, hi in wd.events:
-        block = perm[lo : hi + 1]
-        zero = 0
-        for w in block:
-            zero |= 1 << (w - 1)
-        plus = 0
-        for w in perm[:lo]:
-            plus |= 1 << (w - 1)
-        minus = 0
-        for w in perm[hi + 1 :]:
-            minus |= 1 << (w - 1)
-        members.add(SignVector(n, plus, minus))
-        perm[lo : hi + 1] = reversed(perm[lo : hi + 1])
-        _column_faces(n, perm, members)
-    return fiber_of(members, range(1, n + 1))
+        below = sum(bits[:lo])
+        block = sum(bits[lo : hi + 1])
+        codes.add(below | (full & ~below & ~block) << n)
+        bits[lo : hi + 1] = reversed(bits[lo : hi + 1])
+        column(lo, hi, below)
+    return fiber_of([SignVector(n, code & full, code >> n) for code in codes], range(1, n + 1))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,11 @@ representation of a matrix over F_p[s]/(s^2 - w), the primality oracle is
 Miller-Rabin on the 12 prime witnesses up to 37, the closed-form oracle builds one base
 per face from that face's own weight monomial, and the cocircuit oracle runs
 one Bareiss elimination per (r-1)-subset of the distinct lines, sharing no
-prefix.  The line-sweep converter turns seeded affine line arrangements into
-wiring diagrams, so that the two generators can check each other.
+prefix.  The sign-text oracle reads a string one character at a time, and
+the wiring oracle builds one SignVector per cell, segment and vertex in
+every sweep column.  The line-sweep converter turns seeded affine line
+arrangements into wiring diagrams, so that the two generators can check
+each other.
 
 The polynomial helpers the tests need but the package does not (the text
 parser, exact division and the constant term) live here as well, and so
@@ -457,6 +460,70 @@ def random_wiring(rng: random.Random, max_wires: int = 6) -> WiringDiagram:
         events.append((k, k + 1))
         perm[k], perm[k + 1] = perm[k + 1], perm[k]
     return WiringDiagram.of(n, events)
+
+
+def sign_text_loop(text: str) -> SignVector:
+    """SignVector.from_string by one step per character, the first invalid one named."""
+    plus = minus = 0
+    for pos, ch in enumerate(text):
+        if ch not in "+-0":
+            raise ValueError(f"invalid sign character {ch!r} (expected one of '+-0')")
+        if ch == "+":
+            plus |= 1 << pos
+        elif ch == "-":
+            minus |= 1 << pos
+    return SignVector(len(text), plus, minus)
+
+
+def column_sweep(wd: WiringDiagram) -> set[SignVector]:
+    """The faces of a valid diagram: every sweep column's cells and segments, and each event's vertex, each
+    built as a SignVector."""
+    n = wd.wires
+    perm = list(range(1, n + 1))
+    members: set[SignVector] = set()
+
+    def column():
+        # cell c lies above the wires at positions < c and below the rest; the segment at position k
+        # is zero on its own wire
+        total = sum(1 << (w - 1) for w in perm)
+        passed = 0
+        members.add(SignVector(n, 0, total))
+        for w in perm:
+            bit = 1 << (w - 1)
+            members.add(SignVector(n, passed, total & ~passed & ~bit))
+            passed |= bit
+            members.add(SignVector(n, passed, total & ~passed))
+
+    column()
+    for lo, hi in wd.events:
+        plus = sum(1 << (w - 1) for w in perm[:lo])
+        minus = sum(1 << (w - 1) for w in perm[hi + 1 :])
+        members.add(SignVector(n, plus, minus))
+        perm[lo : hi + 1] = reversed(perm[lo : hi + 1])
+        column()
+    return members
+
+
+def random_blocks_wiring(rng: random.Random, wires: int, events: int) -> WiringDiagram:
+    """Up to ``events`` blocks of 2 to 4 adjacent wires that have not crossed yet; pairs never drawn stay
+    parallel."""
+    crossed: set[tuple[int, int]] = set()
+    perm = list(range(1, wires + 1))
+    out: list[tuple[int, int]] = []
+    for _ in range(20 * events):
+        if len(out) == events:
+            break
+        size = rng.choice((2, 2, 3, 4))
+        if size > wires:
+            continue
+        lo = rng.randrange(wires - size + 1)
+        pairs = set(combinations(sorted(perm[lo : lo + size]), 2))
+        if pairs & crossed:
+            continue
+        crossed |= pairs
+        out.append((lo, lo + size - 1))
+        perm[lo : lo + size] = reversed(perm[lo : lo + size])
+    return WiringDiagram.of(wires, out)
 
 
 def checked_covectors(arr: RationalArrangement) -> CovectorSet:

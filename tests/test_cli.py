@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import omdet.cli
 import omdet.varchenko
+import omdet.wiring
 from omdet.cli import main
 from omdet.polyring import ExponentOverflowError, FactoredPoly
 from omdet.realizable import RationalArrangement
@@ -121,6 +122,19 @@ class TestPipelines:
         assert format_cov(reparsed) == open(out_path).read()
         code, out, _ = run(capsys, "check", out_path)
         assert code == 0
+
+    def test_from_wiring_validates_once(self, capsys, monkeypatch, tmp_path):
+        # the CLI's own check, then the sweep that faces() runs after its check
+        calls = []
+        real = omdet.wiring.validate
+        spy = lambda wd: calls.append(wd) or real(wd)  # noqa: E731
+        monkeypatch.setattr(omdet.wiring, "validate", spy)
+        monkeypatch.setattr(omdet.cli, "wiring_validate", spy)
+        wd_path = tmp_path / "np.json"
+        wd_path.write_text(non_pappus().dumps())
+        code, out, err = run(capsys, "from-wiring", str(wd_path))
+        assert (code, err) == (0, "") and len(calls) == 1
+        assert out == format_cov(faces(non_pappus())) and len(calls) == 2
 
     def test_topes(self, capsys, one_line_cov):
         code, out, _ = run(capsys, "topes", one_line_cov)

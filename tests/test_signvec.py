@@ -48,6 +48,7 @@ from oracle import (
     one_line,
     random_central_arrangement,
     random_wiring,
+    sign_text_loop,
     whole_fiber,
 )
 
@@ -89,6 +90,34 @@ class TestSignVector:
         u = sv(text)
         assert u.sort_key() == tuple(1 + u.sign(i) for i in range(1, u.n + 1))
         assert u.to_string() == "".join("-0+"[1 + u.sign(i)] for i in range(1, u.n + 1)) == text
+
+    @settings(derandomize=True, max_examples=400)
+    @given(
+        text=st.one_of(
+            st.just(""),
+            st.text("+-0", min_size=1, max_size=64),
+            st.text("+-0", min_size=65, max_size=90),
+            st.text("+-0x1_ \t", max_size=70),
+            st.text(max_size=8),
+        )
+    )
+    def test_from_string_matches_the_loop(self, text):
+        # the same vector, or the same ValueError text: the first invalid character, else the size
+        try:
+            expected = sign_text_loop(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                SignVector.from_string(text)
+            assert str(caught.value) == str(exc)
+        else:
+            assert SignVector.from_string(text) == expected
+
+    @settings(derandomize=True, max_examples=200)
+    @given(texts=st.integers(1, 64).flatmap(lambda n: st.lists(st.text("+-0", min_size=n, max_size=n), min_size=1)))
+    def test_rank_bytes_sort_as_the_sort_key(self, texts):
+        vectors = [sv(t) for t in texts]
+        assert sorted(vectors, key=SignVector._ranks) == sorted(vectors, key=SignVector.sort_key)
+        assert CovectorSet.of(vectors).members == tuple(sorted(set(vectors), key=SignVector.sort_key))
 
 
 class TestOperations:

@@ -1371,8 +1371,9 @@ class TestFlats:
         m = build_matrix(f, spec)
         formula = product_formula(f, spec)
         bases = [base for base, _ in formula.factors]
-        targets, residue = _flat_residues(m, _flat_betas(f))
+        targets, residue, degree = _flat_residues(m, _flat_betas(f))
         assert targets == set(used_variables(bases))
+        assert degree == formula.total_degree()
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         prime = draw_prime(rng)
         for _ in range(3):
@@ -1408,6 +1409,41 @@ class TestFlats:
         for f in fibers:
             for spec in (None, Specialization.of(2 * f.n, {0: 0, 3: -3}), Specialization.collapse_all(2 * f.n)):
                 assert verify(f, mode="randomized", seed=5, evals=3, specialize=spec).agreement
+
+
+class TestLazyReport:
+    """A randomized report builds its weights and formula only when a polynomial field is read."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_polynomials_are_built_when_read(self, data):
+        name = data.draw(st.sampled_from(sorted(_corpus())))
+        f = _corpus()[name]
+        family = data.draw(st.sampled_from([_mask_specializations, _zero_hyperplane_maps, _constant_pair_maps]))
+        spec = data.draw(family(2 * f.n, f.free))
+        read = data.draw(st.sampled_from(["faces", "formula", "lines", "to_json"]))
+        fresh = FiberView(f.base, f.free, f.anchor, f.members)  # nothing cached
+        with pytest.MonkeyPatch.context() as mp:
+            calls = [_spy(mp, "weight_monomial"), _spy(mp, "product_formula")]
+            report = verify(fresh, mode="randomized", seed=data.draw(st.integers(0, 99)), evals=2, specialize=spec)
+            assert report.agreement and calls == [[], []], name
+            value = getattr(report, read)
+            if callable(value):
+                value()
+            assert calls[0] and bool(calls[1]) == (read != "faces"), (name, read)
+        faces = face_multiplicities(f)
+        if spec is not None:
+            faces = tuple((u, spec.apply_poly(w), beta) for u, w, beta in faces)
+        assert report.faces == faces, name
+        assert report.formula == product_formula(f, spec), name
+
+    def test_replace_keeps_the_fields(self):
+        f = faces(non_pappus())
+        spec = Specialization.of(2 * f.n, {0: 0, 3: -3})
+        report = verify(f, mode="randomized", seed=2, evals=2, specialize=spec)
+        copy = dataclasses.replace(report, agreement=False)
+        assert copy.formula == report.formula and copy.faces == report.faces
+        assert copy.to_json() == dict(report.to_json(), agreement=False)
 
 
 def _distance_rows(m, spec):
@@ -1653,6 +1689,12 @@ class TestFactoredBareissEdges:
         with pytest.raises(FiberError, match="depends on the index choice"):
             verify(_index_dependent_fiber(), mode="symbolic")
         assert calls == []
+
+    def test_ill_defined_multiplicity_fails_randomized_verify_before_the_elimination(self, monkeypatch):
+        calls = [_spy(monkeypatch, name) for name in ("_eliminate", "_eliminate_norm")]
+        with pytest.raises(FiberError, match="depends on the index choice"):
+            verify(_index_dependent_fiber(), mode="randomized")
+        assert calls == [[], []]
 
     def test_ill_defined_multiplicity_keeps_the_determinant(self):
         # closed under composition, so the determinant exists, but the

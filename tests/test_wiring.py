@@ -9,7 +9,10 @@ from omdet.signvec import SignVector, compose, leq, validate_fiber
 from omdet.varchenko import build_matrix, determinant, face_multiplicities, product_formula, verify
 from omdet.wiring import WiringDiagram, face_census, faces, non_pappus, validate
 
-from oracle import lines_to_wiring, random_affine_lines, random_wiring, substitute_factored, sweep_events
+from oracle import (
+    column_sweep, lines_to_wiring, random_affine_lines, random_blocks_wiring, random_wiring, substitute_factored,
+    sweep_events
+)
 
 sv = SignVector.from_string
 
@@ -106,6 +109,20 @@ class TestFaces:
             # each event splits one more cell than the block has wires minus one
             cells = 1 + wd.wires + sum(hi - lo for lo, hi in wd.events)
             assert len(f.topes) == cells
+
+
+class TestSweep:
+    def test_code_sweep_matches_the_column_sweep(self):
+        # one SignVector per distinct face code, against one per cell, segment and vertex of every column
+        rng = random.Random(32)
+        diagrams = [non_pappus(), WiringDiagram.of(1, []), WiringDiagram.of(64, [(0, 63)])]
+        diagrams += [random_blocks_wiring(rng, rng.randint(2, 9), rng.randint(0, 16)) for _ in range(60)]
+        diagrams += [random_wiring(rng) for _ in range(20)]
+        for wd in diagrams:
+            assert faces(wd).members == tuple(sorted(column_sweep(wd), key=SignVector.sort_key)), wd
+        assert sum(any(hi - lo >= 2 for lo, hi in wd.events) for wd in diagrams) >= 20
+        assert sum(any(hi - lo >= 3 for lo, hi in wd.events) for wd in diagrams) >= 10
+        assert sum(bool(validate(wd).parallel_pairs) for wd in diagrams) >= 20
 
 
 class TestCensus:
