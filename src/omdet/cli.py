@@ -29,8 +29,8 @@ from .polyring import (
     ExactDivisionError, ExponentOverflowError, Specialization, factored_str, poly_str, var_index, var_label
 )
 from .signvec import (
-    CovectorSet, FiberError, FiberView, SignVector, _loop_free, as_int, check_covector_axioms, parse_cov, format_cov,
-    topal_fiber, validate_fiber
+    CovectorSet, FiberError, FiberView, SignVector, _json_text, _loop_free, as_int, check_covector_axioms, parse_cov,
+    format_cov, topal_fiber, validate_fiber
 )
 from .varchenko import SizeGuardError, determinant, product_formula, verify
 from .realizable import RationalArrangement, arrangement_fiber, enumerate_covectors
@@ -121,8 +121,9 @@ class _ReportedFailure(Exception):
 
 
 def _print_report(report, fmt: str, ok: bool = True) -> int:
-    """Print check's, faces' or verify's report as JSON or as text lines; return 0, or 1 when not ok."""
-    print(json.dumps(report.to_json(), indent=2) if fmt == "json" else "\n".join(report.lines()))
+    """Print check's, faces' or verify's report as JSON, written in one pass (``_json_text``), or as text lines;
+    return 0, or 1 when not ok."""
+    print(_json_text(report.to_json()) if fmt == "json" else "\n".join(report.lines()))
     return 0 if ok else 1
 
 

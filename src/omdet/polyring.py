@@ -38,8 +38,9 @@ class ExponentOverflowError(OverflowError):
     """A packed exponent lane exceeded MAX_EXPONENT."""
 
 
+@lru_cache(maxsize=None)
 def var_label(index: int, nvars: int) -> str:
-    """Printed name of a flat variable index in a universe of nvars variables.
+    """Printed name of a flat variable index in a universe of nvars variables, built once per pair.
 
     A one-variable universe (the image of a collapsing specialization) has
     the single variable "a"; otherwise index 2(i-1) is "a<i>p" (a_i^+) and
@@ -428,29 +429,26 @@ def used_variables(polys) -> list[int]:
     return sorted(unpack_monomial(nvars, keys))
 
 
+def monomial_str(exponents, nvars: int) -> str:
+    """The '*'-joined factors of (variable, exponent) pairs in the given order, '^' before an exponent above 1."""
+    return "*".join(var_label(v, nvars) if e == 1 else f"{var_label(v, nvars)}^{e}" for v, e in exponents)
+
+
+def term_str(coeff: int, mon: str, first: bool = True) -> str:
+    """A nonzero term coeff*mon as ``poly_str`` prints it: signed when first, else after ' + ' or ' - '."""
+    mag = abs(coeff)
+    body = str(mag) if not mon else mon if mag == 1 else f"{mag}*{mon}"
+    if first:
+        return f"-{body}" if coeff < 0 else body
+    return f" - {body}" if coeff < 0 else f" + {body}"
+
+
 def poly_str(p: IntPolynomial) -> str:
     """Canonical text form: terms ascending in graded lex, '*' and '^' syntax."""
     if p.is_zero:
         return "0"
-    parts = []
-    for exps, coeff in p.monomial_exponents():
-        factors = []
-        for v, e in exps.items():
-            name = var_label(v, p.nvars)
-            factors.append(name if e == 1 else f"{name}^{e}")
-        mon = "*".join(factors)
-        mag = abs(coeff)
-        if not mon:
-            body = str(mag)
-        elif mag == 1:
-            body = mon
-        else:
-            body = f"{mag}*{mon}"
-        if not parts:
-            parts.append(f"-{body}" if coeff < 0 else body)
-        else:
-            parts.append(f" - {body}" if coeff < 0 else f" + {body}")
-    return "".join(parts)
+    terms = enumerate(p.monomial_exponents())
+    return "".join(term_str(coeff, monomial_str(exps.items(), p.nvars), j == 0) for j, (exps, coeff) in terms)
 
 
 class FactoredPoly:
@@ -507,14 +505,13 @@ class FactoredPoly:
         return f"FactoredPoly({self.nvars}, {factored_str(self)!r})"
 
 
+def product_str(factors) -> str:
+    """The ' * '-joined (base)^exp of (base text, exponent) pairs, '^1' left out; "1" for none."""
+    return " * ".join(f"({text})" if exp == 1 else f"({text})^{exp}" for text, exp in factors) or "1"
+
+
 def factored_str(f: FactoredPoly) -> str:
-    if not f.factors:
-        return "1"
-    parts = []
-    for base, exp in f.factors:
-        body = f"({poly_str(base)})"
-        parts.append(body if exp == 1 else f"{body}^{exp}")
-    return " * ".join(parts)
+    return product_str((poly_str(base), exp) for base, exp in f.factors)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .signvec import (
-    CovectorSet, FiberView, SignVector, _cocircuit_pairs, _json_field, _json_int, _json_kind, _json_list,
+    CovectorSet, FiberView, SignVector, _cocircuit_pairs, _json_field, _json_int, _json_kind, _json_list, _json_text,
     composition_closure, topal_fiber
 )
 
@@ -107,7 +107,7 @@ class RationalArrangement:
         return cls.of(normals, offsets, affine=bool(doc.get("affine", False)), dim=dim)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2) + "\n"
+        return _json_text(self.to_json()) + "\n"
 
     @classmethod
     def loads(cls, text: str) -> RationalArrangement:

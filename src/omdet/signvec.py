@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 MAX_GROUND_SET = 64
 
@@ -75,6 +76,43 @@ def _json_field(doc, key: str, read, where: str = ""):
     if key not in doc:
         raise ValueError(f"{name}: required field missing")
     return read(doc[key], name)
+
+
+def _json_parts(value, out: list, pad: str):
+    """Append the text of a JSON value at the indent pad to out, as ``_json_text`` writes it."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True or value is False:
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner, sep = pad + "  ", "{\n"
+        for key, item in value.items():
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")  # a key that is no str raises TypeError
+            _json_parts(item, out, inner)
+            sep = ",\n"
+        out.append(f"\n{pad}}}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner, sep = pad + "  ", "[\n"
+        for item in value:
+            out.append(sep + inner)
+            _json_parts(item, out, inner)
+            sep = ",\n"
+        out.append(f"\n{pad}]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(doc) -> str:
+    """doc, made of dicts with str keys, lists, tuples, strs, ints, bools and None, as JSON with an indent of 2,
+    byte for byte as the json module's pure-Python encoder writes it, in one pass that leaves only the strings to
+    the C escaper."""
+    out: list[str] = []
+    _json_parts(doc, out, "")
+    return "".join(out)
 
 
 class FiberError(ValueError):

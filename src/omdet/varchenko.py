@@ -74,15 +74,17 @@ flat: ``_face_masks`` (cached on the fiber) holds each face's zero mask and
 multiplicity, ``face_multiplicities`` (cached too) builds one weight per
 flat on it, and ``product_formula`` one base per flat.  A randomized
 ``verify`` reads the flats as zero masks alone (``_flat_residues``) and
-builds no polynomial; its report builds the weights and the formula when
-they are read.  A symbolic ``verify``
+builds no polynomial; its report builds the weights and the formula only
+when they are read, and prints both, in either mode, from the zero masks
+under the map (``_FlatText``).  A symbolic ``verify``
 checks the size guard, builds its one matrix and its one closed form and
 eliminates the entries with the formula's binomials as candidates
 (``_bareiss``).  It decides agreement without expanding the formula
 (``_agrees``): with one variable by the values of both sides at 2^K, K wide
 enough for the coefficients of either; with several by comparing the
-elimination's factored result with the formula, and only where those differ
-(a map with constants) by expanding the formula.
+elimination's factored result with the formula, their non-constant factors
+and their constants' products where a map leaves constants, and only where
+the non-constant factors differ by expanding the formula.
 ``determinant`` does the same without the report, and takes the distinct
 1 - b_v of the non-tope members as candidates where the multiplicities are
 not well defined.
@@ -153,10 +155,12 @@ from .polyring import (
     _lanes,
     _strip_and_check,
     divide_binomial,
-    factored_str,
+    monomial_str,
     pack_monomial,
     poly_str,
+    product_str,
     residues_mod,
+    term_str,
     used_variables,
     var_label,
 )
@@ -471,9 +475,7 @@ def build_matrix(f: FiberView, specialize: Specialization | None = None) -> Varc
     ts = _valid_topes(f)
     free = f.free_mask
     plus, minus = tuple(t.plus & free for t in ts), tuple(t.minus & free for t in ts)
-    if specialize is None:
-        return VarchenkoMatrix(f, ts, plus, minus, tuple((1, v) for v in range(2 * f.n)), 2 * f.n)
-    return VarchenkoMatrix(f, ts, plus, minus, specialize.images, specialize.nvars)
+    return VarchenkoMatrix(f, ts, plus, minus, *_map_of(f.n, specialize))
 
 
 def _binomial(base: IntPolynomial):
@@ -855,15 +857,33 @@ def _agrees(det: IntPolynomial, factored: FactoredPoly | None, formula: Factored
     of det's largest |coefficient| and prod ||base||_1^beta, plus 2.  Every
     coefficient of either side is then below 2^(K-2), and balanced base-2^K
     digits are unique.  With several: the elimination's factored form equals
-    the formula, which suffices, and with no map is also necessary; failing
-    that, the expansion decides.
+    the formula, which suffices, and with no map is also necessary.  A map
+    with constants can group them differently (a leftover 9 against
+    (-3)^2), so a formula with a zero base agrees exactly when det is 0, and
+    where the two have the same non-constant factors, exactly when their
+    constant factors have the same product.  Failing all that, the expansion
+    decides.
     """
     if det.nvars == 1:
         norms = prod(sum(map(abs, base._terms.values())) ** e for base, e in formula.factors)
         width = max(max(map(abs, det._terms.values()), default=0), norms).bit_length() + 2
         value = prod(_value_at(base._terms, width) ** e for base, e in formula.factors)
         return _value_at(det._terms, width) == value
-    return factored == formula or det == formula.expand()
+    if factored == formula:
+        return True
+    if any(base.is_zero for base, _ in formula.factors):
+        return det.is_zero
+    if factored is not None:
+        (rest, constant), (formula_rest, formula_constant) = map(_split_constants, (factored, formula))
+        if rest == formula_rest:
+            return constant == formula_constant
+    return det == formula.expand()
+
+
+def _split_constants(f: FactoredPoly) -> tuple[tuple, int]:
+    """(f's non-constant factors in order, the product of its constant factors)."""
+    constant = prod(base._terms.get(0, 0) ** e for base, e in f.factors if not base.total_degree())
+    return tuple((base, e) for base, e in f.factors if base.total_degree()), constant
 
 
 def _face_masks(f: FiberView) -> tuple:
@@ -914,6 +934,63 @@ def product_formula(f: FiberView, specialize: Specialization | None = None) -> F
     one = IntPolynomial.one(2 * f.n)
     formula = FactoredPoly(2 * f.n, [(one - weights[mask], beta) for mask, beta in _flat_betas(f).items()])
     return formula if specialize is None else specialize.apply_factored(formula)
+
+
+def _map_of(n: int, specialize: Specialization | None) -> tuple[tuple, int]:
+    """(images, target nvars) of the map on 2n source variables, as in ``Specialization``; the identity for None."""
+    if specialize is None:
+        return tuple((1, v) for v in range(2 * n)), 2 * n
+    return specialize.images, specialize.nvars
+
+
+class _FlatText:
+    """The text of the flats' weights and of the closed form under a map, read from zero masks alone.
+
+    ``weight(Z)`` is what ``poly_str`` prints for the image of b_Z, the
+    product of a_i^+ a_i^- over i in the zero mask Z, and ``formula(betas)``
+    what ``factored_str`` prints for the image of prod (1 - b_Z)^beta_Z over
+    {Z: beta_Z}: ``product_formula`` under the map.  The image of b_Z is one
+    term c*x^K.  A base 1 - c*x^K is 1 at c = 0 and dropped, a constant
+    1 - c when K is 0, and merged with the bases of equal image; the bases
+    are ordered by ``IntPolynomial.sort_key``, which this reads off c and the
+    packed K.
+    """
+
+    def __init__(self, images, nvars: int):
+        self.images, self.nvars = images, nvars
+        self._terms: dict[int, tuple[int, str, dict]] = {}
+
+    def _term(self, mask: int) -> tuple[int, str, dict]:
+        """(c, the text of x^K, {target: exponent}) of the image c*x^K of b_Z, Z = mask."""
+        term = self._terms.get(mask)
+        if term is None:
+            coeff, exps = 1, {}
+            for i in _ascending(mask):
+                for c, t in self.images[2 * i - 2 : 2 * i]:
+                    coeff *= c
+                    if t is not None:
+                        exps[t] = exps.get(t, 0) + 1
+            term = self._terms[mask] = coeff, monomial_str(sorted(exps.items()), self.nvars), exps
+        return term
+
+    def weight(self, mask: int) -> str:
+        coeff, mon, _ = self._term(mask)
+        return term_str(coeff, mon) if coeff else "0"
+
+    def formula(self, betas: dict[int, int]) -> str:
+        bases: dict[tuple, list] = {}  # IntPolynomial.sort_key of each base: [its text, its exponent]
+        for mask, beta in betas.items():
+            coeff, mon, exps = self._term(mask)
+            if not coeff:
+                continue
+            if exps:
+                key = pack_monomial(self.nvars, exps)
+                sort_key, text = (sum(exps.values()), ((-key, -coeff), (0, 1))), "1" + term_str(-coeff, mon, False)
+            else:
+                sort_key, text = (0, ((0, 1 - coeff),) if coeff != 1 else ()), str(1 - coeff)
+            base = bases.setdefault(sort_key, [text, 0])
+            base[1] += beta
+        return product_str(base for _, base in sorted(bases.items()))
 
 
 def determinant(
@@ -1182,6 +1259,9 @@ class VerificationReport:
     ``faces`` and ``formula``, the fiber's under the map ``specialize``, are
     built on first read unless verify passed in the formula it eliminated
     with (``_formula``): a caller that reads only the verdict builds neither.
+    ``lines`` and ``to_json`` build neither, in either mode: they print the
+    weights and the formula from the flats' zero masks (``_face_masks``,
+    ``_flat_betas``) through ``_FlatText``.
     """
 
     mode: str
@@ -1208,8 +1288,12 @@ class VerificationReport:
     def formula(self) -> FactoredPoly:
         return product_formula(self.fiber, self.specialize) if self._formula is None else self._formula
 
+    def _text(self) -> _FlatText:
+        return _FlatText(*_map_of(self.fiber.n, self.specialize))
+
     def lines(self) -> list[str]:
-        out = [f"mode: {self.mode}", f"topes: {self.tope_count}", f"formula: {factored_str(self.formula)}"]
+        formula = self._text().formula(_flat_betas(self.fiber))
+        out = [f"mode: {self.mode}", f"topes: {self.tope_count}", f"formula: {formula}"]
         if self.mode == "symbolic":
             out.append(f"determinant: {poly_str(self.determinant)}")
         else:
@@ -1221,19 +1305,12 @@ class VerificationReport:
         return out
 
     def to_json(self) -> dict:
-        weights = {w: poly_str(w) for w in {w for _, w, _ in self.faces}}  # one string per distinct weight
+        text, faces = self._text(), _face_masks(self.fiber)
         doc = {
             "mode": self.mode,
             "topes": self.tope_count,
-            "faces": [
-                {
-                    "covector": str(u),
-                    "weight": weights[w],
-                    "beta": beta,
-                }
-                for u, w, beta in self.faces
-            ],
-            "formula": factored_str(self.formula),
+            "faces": [{"covector": str(u), "weight": text.weight(mask), "beta": beta} for u, mask, beta in faces],
+            "formula": text.formula(_flat_betas(self.fiber)),
             "agreement": self.agreement,
         }
         if self.determinant is not None:

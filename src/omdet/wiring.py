@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 
 from .signvec import FiberView, SignVector, _json_field, _json_int, _json_kind, _json_list, as_int, fiber_of
-from .varchenko import face_multiplicities
+from .varchenko import _face_masks
 
 
 @dataclass(frozen=True)
@@ -163,10 +163,11 @@ class FaceCensus:
 
 
 def face_census(f: FiberView) -> FaceCensus:
-    """Count the non-tope faces of a fiber by weight degree and multiplicity."""
+    """Count the non-tope faces of a fiber by weight degree and multiplicity; a face's weight has two
+    variables per zero index."""
     counts: dict[tuple[int, int], int] = {}
-    for _, weight, beta in face_multiplicities(f):
-        key = (weight.total_degree(), beta)
+    for _, mask, beta in _face_masks(f):
+        key = (2 * mask.bit_count(), beta)
         counts[key] = counts.get(key, 0) + 1
     ordered = tuple(sorted(counts.items()))
     return FaceCensus(len(f.topes), ordered)

@@ -18,10 +18,47 @@ import omdet.wiring
 from omdet.cli import main
 from omdet.polyring import ExponentOverflowError, FactoredPoly
 from omdet.realizable import RationalArrangement
-from omdet.signvec import format_cov, parse_cov
+from omdet.signvec import _json_text, format_cov, parse_cov
 from omdet.wiring import faces, non_pappus
 
 from oracle import concurrent_lines, coord_lines, corpus_fibers, corpus_sets, random_wiring
+
+
+_json_chars = st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028\ud800\U0001d11e\u00e9'), st.characters())
+_json_scalars = st.one_of(
+    st.text(_json_chars, max_size=8),
+    st.integers(),
+    st.sampled_from([2**64, -(2**64) - 1, 10**40, 0, -1]),
+    st.booleans(),
+    st.none(),
+)
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(_json_chars, max_size=6), inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    """The one-pass JSON writer against json.dumps with an indent of 2."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(doc=_json_docs)
+    def test_against_json_dumps(self, doc):
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [{}, [], (), "", {"a": {}}, {"a": [[], {}]}, [None, True, False, 0, -0]])
+    def test_empty_and_scalar_edges(self, doc):
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [1.5, {1: "a"}, {"a": {None: 1}}, [set()]])
+    def test_other_values_raise(self, doc):
+        with pytest.raises(TypeError):
+            _json_text(doc)
 
 
 @pytest.fixture()
@@ -509,6 +546,26 @@ def test_symbolic_verify_golden(capsys, tmp_path, fmt, name):
 )
 def test_symbolic_verify_mirror_golden(capsys, tmp_path, fmt, spec, name):
     _check_verify_golden(capsys, tmp_path, ["--mode", "symbolic"], fmt, spec, name)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        # 56 topes under a map whose weights carry coefficients and signs, printed from the zero masks
+        (
+            ["verify", "--mode", "randomized", "--seed", "3", "--format", "json", "--specialize", "a1p=2,a2m=-3"],
+            "verify_full_reversal_10_seed3_a1p_2_a2m_neg3.json",
+        ),
+        (["faces", "--format", "json"], "faces_full_reversal_10.json"),
+    ],
+)
+def test_full_reversal_10_golden(capsys, tmp_path, args, name):
+    wires = 10
+    source, cov = tmp_path / "fr10.json", str(tmp_path / "fr10.cov")
+    events = [[k, k + 1] for i in range(wires) for k in range(wires - 1 - i)]
+    source.write_text(json.dumps({"wires": wires, "events": events}))
+    assert run(capsys, "from-wiring", str(source), "-o", cov)[0] == 0
+    assert run(capsys, args[0], cov, *args[1:]) == (0, (GOLDEN / name).read_text(), "")
 
 
 def test_det_non_pappus_all_a_golden(capsys, nonpappus_cov):

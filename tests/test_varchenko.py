@@ -16,6 +16,7 @@ from omdet.polyring import (
     IntPolynomial,
     Specialization,
     _guard_mask,
+    factored_str,
     pack_monomial,
     poly_str,
     residues_mod,
@@ -44,13 +45,16 @@ from omdet.varchenko import (
     _agrees,
     _eliminate,
     _eliminate_norm,
+    _face_masks,
     _flat_betas,
+    _FlatText,
     _flat_residues,
     _kronecker_width,
     _lane_check,
     _lane_bytes,
     _lane_min,
     _lane_reducer,
+    _map_of,
     _mirror,
     _pack,
     _update,
@@ -496,11 +500,11 @@ class TestDetModPacked:
         assert _eliminate([pack_rows(lanes, prime)], prime) == [row_det_mod(rows, prime)]
 
 
-def _spy(monkeypatch, name):
-    """The calls of omdet.varchenko.<name>, which still runs, as a list of their positional arguments."""
+def _spy(monkeypatch, name, owner=omdet.varchenko):
+    """The calls of owner.<name>, which still runs, as a list of their positional arguments."""
     calls = []
-    real = getattr(omdet.varchenko, name)
-    monkeypatch.setattr(omdet.varchenko, name, lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(args) or real(*args, **kw))
     return calls
 
 
@@ -1412,7 +1416,8 @@ class TestFlats:
 
 
 class TestLazyReport:
-    """A randomized report builds its weights and formula only when a polynomial field is read."""
+    """A randomized report builds its weights and formula only when a polynomial field is read, and its text
+    builds neither."""
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(data=st.data())
@@ -1425,12 +1430,15 @@ class TestLazyReport:
         fresh = FiberView(f.base, f.free, f.anchor, f.members)  # nothing cached
         with pytest.MonkeyPatch.context() as mp:
             calls = [_spy(mp, "weight_monomial"), _spy(mp, "product_formula")]
+            calls += [_spy(mp, "apply_poly", Specialization), _spy(mp, "apply_factored", Specialization)]
             report = verify(fresh, mode="randomized", seed=data.draw(st.integers(0, 99)), evals=2, specialize=spec)
-            assert report.agreement and calls == [[], []], name
+            assert report.agreement and calls == [[], [], [], []], name
             value = getattr(report, read)
             if callable(value):
                 value()
-            assert calls[0] and bool(calls[1]) == (read != "faces"), (name, read)
+                assert calls == [[], [], [], []], (name, read)  # the text is read from the zero masks
+            else:
+                assert calls[0] and bool(calls[1]) == (read == "formula"), (name, read)
         faces = face_multiplicities(f)
         if spec is not None:
             faces = tuple((u, spec.apply_poly(w), beta) for u, w, beta in faces)
@@ -2193,9 +2201,34 @@ class TestSymbolicAgreement:
         formula = FactoredPoly(1, [(parse_poly(b, 1), e) for b, e in factors])
         assert _agrees(parse_poly(det, 1), None, formula) == expected == (parse_poly(det, 1) == formula.expand())
 
+    @pytest.mark.parametrize(
+        "factored, formula",
+        [
+            ([("9", 1), ("1 - a1p*a2m", 2)], [("-3", 2), ("1 - a1p*a2m", 2)]),
+            ([("9", 1), ("1 - a1p*a2m", 2)], [("-3", 3), ("1 - a1p*a2m", 2)]),  # a beta raised on a constant
+            ([("9", 1), ("1 - a1p*a2m", 2)], [("-3", 1), ("1 - a1p*a2m", 2)]),  # and lowered
+            ([("-8", 1), ("1 - a1p", 1)], [("2", 3), ("-1", 1), ("1 - a1p", 1)]),
+            ([("0", 1)], [("0", 2), ("1 - a1p", 1)]),
+            ([("4", 1), ("1 - a1p", 1)], [("0", 1), ("1 - a1p", 1)]),
+            ([("0", 1)], [("4", 1), ("1 - a1p", 1)]),
+            ([("4 - 4*a1p", 1)], [("4", 1), ("1 - a1p", 1)]),  # a leftover with a constant content: expanded
+            ([("3", 1), ("1 - a1p", 1)], [("3", 1), ("1 - a2m", 1)]),
+        ],
+    )
+    def test_constants_against_expansion(self, monkeypatch, factored, formula):
+        factored, formula = (FactoredPoly(4, [(parse_poly(b, 4), e) for b, e in fs]) for fs in (factored, formula))
+        expand = FactoredPoly.expand
+        expanded = []
+        monkeypatch.setattr(FactoredPoly, "expand", lambda self: expanded.append(self) or expand(self))
+        det = expand(factored)
+        assert _agrees(det, factored, formula) == (det == expand(formula))
+        # only where the non-constant factors differ
+        rest = [[(base, e) for base, e in f.factors if base.total_degree()] for f in (factored, formula)]
+        assert bool(expanded) == (rest[0] != rest[1] and all(base for base, _ in formula.factors))
+
     def test_sweep_against_expansion(self, monkeypatch):
-        # the formula is expanded only for several variables whose factored forms differ: under the
-        # maps that send a_i^+ a_i^- to a constant other than 1, the leftover keeps the constants
+        # the formula is never expanded: under the maps that send a_i^+ a_i^- to a constant other than 1,
+        # the leftover keeps the constants, whose product decides, and a zero base agrees with det == 0
         expand = FactoredPoly.expand
         expanded = []
         monkeypatch.setattr(FactoredPoly, "expand", lambda self: expanded.append(self) or expand(self))
@@ -2212,14 +2245,13 @@ class TestSymbolicAgreement:
                 if any(x is report.formula for x in expanded):
                     assert report.determinant.nvars > 1, (name, text)
                     fell_back[text] = fell_back.get(text, 0) + 1
-        assert set(fell_back) == {"a1p=2,a1m=2,a2p=-1,a2m=-1", "a1p=1,a1m=1"}
+        assert fell_back == {}
 
     @pytest.mark.parametrize("spec", [None, "a1p=2,a1m=2", "all=a", "a1p=2,a1m=a,a2p=a,a2m=a,a3p=a,a3m=a"])
     def test_tampered_formula(self, monkeypatch, spec):
-        # several variables with no map, the same under a constant map that falls back to the
-        # expansion, and two one-variable maps
+        # several variables with no map, the same under a constant map whose leftover keeps the
+        # constants, and two one-variable maps
         f = whole_fiber(concurrent_lines())
-        fallback = spec == "a1p=2,a1m=2"
         spec = _map(spec, 2 * f.n)
         honest = product_formula(f, spec)
         calls = _spy(monkeypatch, "product_formula")
@@ -2228,7 +2260,7 @@ class TestSymbolicAgreement:
         monkeypatch.setattr(FactoredPoly, "expand", lambda self: expanded.append(self) or expand(self))
         report = verify(f, mode="symbolic", specialize=spec)
         assert report.agreement and len(calls) == 1
-        assert any(x is report.formula for x in expanded) == fallback
+        assert not any(x is report.formula for x in expanded)
         monkeypatch.undo()
         cases = [("raise", j) for j in range(len(honest.factors))] + [("lower", j) for j in range(len(honest.factors))]
         cases += [("drop", j) for j, (base, _) in enumerate(honest.factors) if base.total_degree()]
@@ -2239,3 +2271,51 @@ class TestSymbolicAgreement:
             assert report.formula == _tampered(honest, kind, j)
             assert report.agreement == (report.determinant == report.formula.expand()), (kind, j)
             assert not report.agreement, (kind, j)
+
+
+def _named_maps(nvars, free):
+    """The maps of the symbolic sweep that fit nvars variables."""
+    return st.sampled_from([spec for spec in (_map(text, nvars) for text in _SWEEP_MAPS) if spec is not False])
+
+
+@cache
+def _text_fibers():
+    return dict(_corpus(), non_pappus=faces(non_pappus()), **{str(i): f for i, f in enumerate(_seeded_fibers())})
+
+
+class TestFlatText:
+    """The weight and formula text read from the zero masks against poly_str and factored_str of the polynomials."""
+
+    @staticmethod
+    def _check(f, spec):
+        text = _FlatText(*_map_of(f.n, spec))
+        for (_, mask, _), (_, weight, _) in zip(_face_masks(f), face_multiplicities(f)):
+            assert text.weight(mask) == poly_str(weight if spec is None else spec.apply_poly(weight))
+        assert text.formula(_flat_betas(f)) == factored_str(product_formula(f, spec))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_against_the_polynomials(self, data):
+        # no map, all=a, zero images, coefficients and signs, constant pairs, and images c*x_v built directly
+        fibers = _text_fibers()
+        f = fibers[data.draw(st.sampled_from(sorted(fibers)))]
+        families = [_named_maps, _mask_specializations, _zero_hyperplane_maps, _constant_pair_maps]
+        family = data.draw(st.sampled_from(families))
+        self._check(f, data.draw(family(2 * f.n, f.free)))
+
+    @pytest.mark.parametrize("text", _SWEEP_MAPS)
+    def test_named_maps_on_every_fiber(self, text):
+        for f in _text_fibers().values():
+            spec = _map(text, 2 * f.n)
+            if spec is not False:
+                self._check(f, spec)
+
+    def test_images_that_merge_and_vanish(self):
+        # flats {1} and {2} both go to -a1m, and a3p -> 0 drops every base on plane 3
+        f = faces(non_pappus())
+        images = [(1, v) for v in range(2 * f.n)]
+        images[0], images[2], images[3], images[4] = (-1, None), (-1, 1), (1, None), (0, None)
+        spec = Specialization(tuple(images), 2 * f.n)
+        self._check(f, spec)
+        betas = _flat_betas(f)
+        assert str(product_formula(f, spec)).startswith(f"(1 + a1m)^{betas[1] + betas[2]} * ")
