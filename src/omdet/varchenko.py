@@ -59,20 +59,21 @@ as do multivariate eliminations and larger univariate ones.
 ``build_matrix(f, specialize)`` is the one place where a map reaches the
 matrix, and it first checks that the map's source is the fiber's 2n
 variables.  The matrix keeps the topes' sign masks on the free set, which fix
-every entry, and each source variable's image under the map, and it is read
-four ways: the polynomial ``entries``, which only the symbolic path builds,
-two integer readings that share one row walker (``_rows``), ``support``
-(the variables to draw and the degree bound) and ``residues`` (one
-evaluation's packed rows), and ``det_residues`` (a group of evaluations'
-determinants), the last two at each source variable's value mod p
-(``values``).  The free indices are split into the fewest balanced chunks
-whose two subset tables are no larger than the matrix, and each tope's
-masks are coded on every chunk once per matrix; per reading each image is
-tabulated over every subset of each chunk, so an entry is one lookup per
-chunk and sign.  A face weight depends only on the face's zero set, its
-flat: ``_face_masks`` (cached on the fiber) holds each face's zero mask and
-multiplicity, ``face_multiplicities`` (cached too) builds one weight per
-flat on it, and ``product_formula`` one base per flat.  A randomized
+every entry, and each source variable's image under the map.  Only the k
+separating indices, where the topes take both signs, enter an entry, so each
+tope is coded once as its k-bit plus mask on them, in the fewest balanced
+chunks whose subset tables hold no more products than the matrix has
+entries: one chunk exactly when 2^k <= m^2 (``_chunk_bounds``).  The matrix
+is read three ways from that coding: the polynomial ``entries``, which only
+the symbolic path builds, over each chunk's tables of the a_i^+ and the
+a_i^- images; ``support`` (the variables to draw and the degree bound), off
+the codes and the map; and ``det_residues`` (a group of evaluations'
+determinants), over each chunk's table of the w_i below, at each source
+variable's value mod p (``values``).  A face weight depends only on the
+face's zero set, its flat: ``_face_masks`` (cached on the fiber) holds each
+face's zero mask and multiplicity, ``face_multiplicities`` (cached too)
+builds one weight per flat on it, and ``product_formula`` one base per
+flat.  A randomized
 ``verify`` reads the flats as zero masks alone (``_flat_residues``) and
 builds no polynomial; its report builds the weights and the formula only
 when they are read, and prints both, in either mode, from the zero masks
@@ -96,16 +97,17 @@ U(P_r - P_c) V(P_c - P_r) = U(P_r) V(P_c) / W(P_r & P_c), so M = D_U G D_V
 with G_rc = W(P_r & P_c)^-1 symmetric, and det M = prod_r W(P_r) det G
 depends on the w_i alone.  So det M(u, v) = det M(1, uv), a polynomial
 identity that holds at a zero w_i too, and entry (r, c) of M(1, w) is
-W(P_c - P_r).  Only the k separating indices, where the topes take both
-signs, count: any other one never lies in P_c - P_r.  Each row is one
-lookup per entry in the table of the w_i's 2^k subset products.  When
-2^k > m^2, the entry residues are eliminated instead.  When the codes on the
+W(P_c - P_r): one lookup per chunk in the table of that chunk's w_i's
+subset products, each chunk's product reduced below p before the next
+multiplies it, so every lane starts below p^2; with one chunk each row is
+one join of the table's lane bytes.  When the codes on the
 separating indices F are closed under complement, as a central
 arrangement's are, order the topes (T, -T), h = m/2: then
 prod_r W(P_r) = W(F)^h, and with A_rc = W(P_r & P_c)^-1,
 C_rc = W(P_r | P_c)^-1 over T and s^2 = W(F),
 det M = (prod_{r in T} W(P_r))^2 N(det(A + sC)) over R = F_p[s]/(s^2 - W(F)),
 N(x + sy) = x^2 - W(F) y^2 being the F_p-determinant of [[A, C], [W(F) C, A]].
+A and C read the chunk tables at the complements: W(s)^-1 = W(F - s)/W(F).
 No square root is taken: ``_eliminate_norm`` eliminates h rows over R, and
 M(1, w) is eliminated instead when W(F) is 0 or a column holds only zero
 divisors.  The formula's residue is prod (1 - prod_{i in Z} w_i)^beta_Z
@@ -139,7 +141,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, repeat
 from math import gcd, isqrt, prod
-from operator import and_, itemgetter, or_
+from operator import and_, itemgetter, not_, or_
 
 from .polyring import (
     LANE_BITS,
@@ -236,6 +238,33 @@ def _subset_terms(images, nvars: int) -> list[tuple[int, int]]:
     return table
 
 
+def _chunk_bounds(k: int, m: int) -> list[int]:
+    """Bounds of the fewest balanced chunks of k indices whose subset tables, sum_j 2^(k_j) products, cost no
+    more than one lookup per entry of an m x m matrix, m^2; one chunk per index if none do.
+
+    So the tables never hold more values than the matrix, and there is one
+    chunk exactly when 2^k <= m^2 (a separating index needs two topes).
+    """
+    for count in range(1, max(k, 1) + 1):
+        bounds = [j * k // count for j in range(count + 1)]
+        if sum(1 << (hi - lo) for lo, hi in zip(bounds, bounds[1:])) <= m * m:
+            break
+    return bounds
+
+
+def _product_rows(tables, codes, masks, op, prime: int, width: int) -> list[int]:
+    """Packed rows of entry (r, c) = prod_j tables[j][op(codes[j][c], masks[j][r])], lanes of width bytes; each
+    chunk's product is reduced below prime before the next multiplies it, so every lane is below prime^2."""
+    rows = []
+    for row_masks in zip(*masks):
+        row = None
+        for table, cols, mask in zip(tables, codes, row_masks):
+            picked = map(table.__getitem__, map(op, cols, repeat(mask)))
+            row = list(picked) if row is None else [a % prime * b for a, b in zip(row, picked)]
+        rows.append(_pack(row, width))
+    return rows
+
+
 @dataclass(frozen=True)
 class VarchenkoMatrix:
     """Square matrix of pairwise tope distances over the canonical order, under a variable map.
@@ -244,12 +273,11 @@ class VarchenkoMatrix:
     (bit i-1 for index i), and they fix every entry: (r, c) is the product
     of a_i^+ over plus[r] & minus[c] and of a_i^- over minus[r] & plus[c].
     ``images`` and ``nvars`` are the map's, as in ``Specialization`` (the
-    identity when there is none).  The matrix is read four ways: the
-    polynomial ``entries``, built on first use, two integer readings,
-    ``support`` and ``residues``, that share one row walker (``_rows``), and
-    ``det_residues``, through M(1, w), whose determinant is M's (module
-    docstring), or its half-size split when the topes pair up, and through
-    ``residues`` past 2^k > size^2.
+    identity when there is none).  The matrix is read three ways, all from
+    the topes' codes on the separating indices in chunks (``_core``): the
+    polynomial ``entries``, built on first use; ``support``, off the codes
+    and the images; and ``det_residues``, through M(1, w), whose determinant
+    is M's (module docstring), or its half-size split when the topes pair up.
     """
 
     fiber: FiberView
@@ -265,49 +293,50 @@ class VarchenkoMatrix:
 
     @cached_property
     def entries(self) -> tuple[tuple[IntPolynomial, ...], ...]:
-        """The polynomial entries, over tables of (coefficient, packed key) products, whose keys add."""
-        tables = self._tables(self.images, lambda images: _subset_terms(images, self.nvars))
+        """The polynomial entries: for each chunk, tables of (coefficient, packed key) products over its
+        a_i^+ and its a_i^- images, whose keys add, read at code_r & ~code_c and code_c & ~code_r."""
+        pluses, minuses = self._sides
+        tables = [
+            (_subset_terms(pluses[lo:hi], self.nvars), _subset_terms(minuses[lo:hi], self.nvars), codes)
+            for lo, hi, codes in self._core[2]
+        ]
         rows = []
         for r in range(self.size):
             row = [(1, 0)] * self.size
             for p_k, m_k, codes in tables:
-                pk, mk = codes[r]
-                lookups = [(p_k[pk & mc], m_k[mk & pc]) for pc, mc in codes]
+                code = codes[r]
+                lookups = [(p_k[code & ~c], m_k[c & ~code]) for c in codes]
                 row = [(a * x * y, k + kx + ky) for (a, k), ((x, kx), (y, ky)) in zip(row, lookups)]
             rows.append(tuple(IntPolynomial(self.nvars, {k: a}) for a, k in row))
         return tuple(rows)
 
     def support(self) -> tuple[list[int], int]:
-        """(sorted variables of the nonzero entries, sum of the rows' largest entry degrees).
+        """(sorted variables of the nonzero entries, sum of the rows' largest entry degrees), off the codes.
 
-        A source variable sent to 0 makes every entry it divides zero, and a
-        zero entry uses no variable and has degree 0.  With every variable
-        image at 2 and every other nonzero at 1, an entry is 2^degree or 0,
-        below the modulus 2^(2n+1), which it never reaches.
+        Entry (r, c) takes a_j^+ at the separating indices j where r is +
+        and c is -, and a_j^- where r is - and c is +.  Column c's code
+        doubled marks c + at bit j and c - at bit k + j; row r's masks of the
+        variable and of the zero images (a_j^- with r - at bit j, a_j^+ with
+        r + at bit k + j) pick the entry's variable factors, whose count is
+        its degree, and the factors that make it 0.  A zero entry uses no
+        variable and has degree 0; the diagonal entry is 1.
         """
-        x = [0 if c == 0 else 1 if t is None else 2 for c, t in self.images]
-        sides = (self.plus, self.minus)
-        every = [reduce(or_, masks) for masks in sides]
-        used_p = used_m = degree = 0
-        for r, row in enumerate(self._rows(x, 2 << len(x))):
-            degree += max(row).bit_length() - 1  # the diagonal entry is 1
-            # entry (r, c) uses a_i^+ over plus[r] & minus[c] and a_i^- over minus[r] & plus[c]
-            cols_p, cols_m = every if all(row) else [reduce(or_, compress(masks, row), 0) for masks in sides]
-            used_p |= self.plus[r] & cols_m
-            used_m |= self.minus[r] & cols_p
-        used = {self.images[2 * i - 2][1] for i in _ascending(used_p)}
-        used.update(self.images[2 * i - 1][1] for i in _ascending(used_m))
-        return sorted(used - {None}), degree
-
-    def residues(self, values, prime: int) -> list[int]:
-        """Packed rows of the entry residues at the source variables' values (``values``).
-
-        Row r is one integer whose lane c (``_lane_bytes(prime, size)``
-        bytes, lane 0 highest) holds a value below prime^2 congruent to
-        entry (r, c): the rows that ``_eliminate`` takes.
-        """
-        width = _lane_bytes(prime, self.size)
-        return [_pack(row, width) for row in self._rows(values, prime)]
+        separating, codes, _, _ = self._core
+        k, full = len(separating), (1 << len(separating)) - 1
+        zero = [sum(1 << j for j, (c, _) in enumerate(side) if c == 0) for side in self._sides]
+        var = [sum(1 << j for j, (c, t) in enumerate(side) if c and t is not None) for side in self._sides]
+        cols = [c | (full ^ c) << k for c in codes]
+        every, used, degree = reduce(or_, cols), 0, 0
+        for code in codes:
+            zeros = (full ^ code) & zero[1] | (code & zero[0]) << k
+            row = list(compress(cols, map(not_, map(and_, cols, repeat(zeros))))) if zeros else cols
+            mask = (full ^ code) & var[1] | (code & var[0]) << k
+            degree += max(map(int.bit_count, map(and_, row, repeat(mask))))
+            used |= (reduce(or_, row) if zeros else every) & mask
+        pluses, minuses = self._sides
+        targets = {minuses[j - 1][1] for j in _ascending(used & full)}
+        targets.update(pluses[j - 1][1] for j in _ascending(used >> k))
+        return sorted(targets), degree
 
     def det_residue(self, assignment, prime: int) -> int:
         """The determinant mod prime at {target variable: residue}."""
@@ -316,43 +345,29 @@ class VarchenkoMatrix:
     def det_residues(self, values, prime: int) -> list[int]:
         """The determinant mod prime at each evaluation's source values (``values``), eliminated in lockstep.
 
-        With a core, each is det M(1, w) (module docstring), whose rows are
-        packed in one join each from the table of the w_i's subset products,
-        or with a half the scaled norm.  Only the table entries that the rows
-        read are converted to lane bytes (``_positions``).  W(s)^-1 is W of
-        the complement of s over W(F), so the half's inverses are its table
-        of W at the complements, times one inverse, and the group's W(F) are
-        inverted in one batch (``_inverses``).  One table is held at a
-        time.  Every pair (A, C) goes to one ``_eliminate_norm`` call, and
-        every M(1, w), with those whose W(F) is 0 or whose norm met a column
-        of zero divisors, to one ``_eliminate`` call; without a core, every
-        matrix of entry residues does.  Every evaluation's rows are held at
-        once, so callers keep a group within ``_GROUP_BYTES``
-        (``_group_size``).
+        Each is det M(1, w) (module docstring), or with a half the scaled
+        norm, from one table of the w_i's subset products per chunk.  The
+        group's W(F) are inverted in one batch (``_inverses``).  The pairs
+        (A, C) go to one ``_eliminate_norm`` call, and every M(1, w), those
+        whose W(F) is 0 or whose norm met a column of zero divisors included,
+        to one ``_eliminate`` call.  All the rows are held at once, so
+        callers keep a group within ``_GROUP_BYTES`` (``_group_size``).
         """
-        if self._core is None:
-            return _eliminate([self.residues(x, prime) for x in values], prime)
-        separating, _, half = self._core
+        half = self._core[3]
         width = _lane_bytes(prime, self.size)
-        ws = [[x[2 * i - 2] * x[2 * i - 1] % prime for i in separating] for x in values]
+        ws = [[x[2 * i - 2] * x[2 * i - 1] % prime for i in self._core[0]] for x in values]
         dets = [None] * len(ws)
         if half is not None:
-            doubled, used, a_rows, c_rows = half
             totals = [prod(w) % prime for w in ws]
             units = [j for j, total in enumerate(totals) if total]
-            pairs = {}
-            for j, inverse in zip(units, _inverses([totals[j] for j in units], prime)):
-                table = [(y * inverse % prime).to_bytes(width, "big") for y in used(_subset_products(ws[j], prime))]
-                pairs[j] = _packed_rows(a_rows, table), _packed_rows(c_rows, table)
+            inverses = _inverses([totals[j] for j in units], prime)
+            pairs = {j: self._half_rows(ws[j], inverse, prime, width) for j, inverse in zip(units, inverses)}
             for j, norm in zip(pairs, _eliminate_norm(list(pairs.values()), [totals[j] for j in pairs], prime)):
                 if norm is not None:
-                    dets[j] = norm * prod(map(pow, ws[j], doubled, repeat(prime))) % prime
+                    dets[j] = norm * prod(map(pow, ws[j], half[0], repeat(prime))) % prime
         rest = [j for j, det in enumerate(dets) if det is None]
-        if rest:
-            used, getters = self._core_getters
-            tables = ([y.to_bytes(width, "big") for y in used(_subset_products(ws[j], prime))] for j in rest)
-            for j, det in zip(rest, _eliminate([_packed_rows(getters, t) for t in tables], prime)):
-                dets[j] = det
+        for j, det in zip(rest, _eliminate([self._w_rows(ws[j], prime, width) for j in rest], prime)):
+            dets[j] = det
         return dets
 
     def values(self, assignment, prime: int) -> list[int]:
@@ -362,92 +377,73 @@ class VarchenkoMatrix:
         """
         return [(c * assignment.get(t, 0) if t is not None else c) % prime for c, t in self.images]
 
+    def _w_rows(self, w: list[int], prime: int, width: int) -> list[int]:
+        """M(1, w)'s packed rows at the separating indices' w_i: entry (r, c) is W(code_c & ~code_r), one
+        lookup per chunk; with one chunk, only the table entries that the rows read become lane bytes."""
+        tables = [_subset_products(w[lo:hi], prime) for lo, hi, _ in self._core[2]]
+        if len(tables) == 1:
+            used, getters = self._core_getters
+            return _packed_rows(getters, [y.to_bytes(width, "big") for y in used(tables[0])])
+        codes = [codes for _, _, codes in self._core[2]]
+        return _product_rows(tables, codes, [[~c for c in cs] for cs in codes], and_, prime, width)
+
+    def _half_rows(self, w: list[int], inverse: int, prime: int, width: int) -> tuple[list[int], list[int]]:
+        """(A's, C's packed rows) at the w_i, inverse being W(F)^-1: A_rc = W(P_r & P_c)^-1 and
+        C_rc = W(P_r | P_c)^-1 over T, W(s)^-1 being W(F - s) times the inverse.  So each chunk's table is read
+        reversed, at the complements, and the first one's products, or the entries that one table gives, scaled."""
+        _, _, chunks, (_, t) = self._core
+        tables = [_subset_products(w[lo:hi], prime)[::-1] for lo, hi, _ in chunks]
+        if len(tables) == 1:
+            used, a_rows, c_rows = self._half_getters
+            lanes = [(y * inverse % prime).to_bytes(width, "big") for y in used(tables[0])]
+            return _packed_rows(a_rows, lanes), _packed_rows(c_rows, lanes)
+        tables[0] = [y * inverse % prime for y in tables[0]]
+        codes = [[cs[r] for r in t] for _, _, cs in chunks]
+        return tuple(_product_rows(tables, codes, codes, op, prime, width) for op in (and_, or_))
+
     @cached_property
     def _core(self):
-        """(separating free indices, each tope's code, half), or None when the table of 2^k subsets, k
-        separating indices, exceeds size^2 entries.
+        """(separating free indices, each tope's code, chunks, half).
 
         An index where every tope is + never lies in P_c - P_r, and one where
         none is never appears.  Bit j of a code stands for the j-th
-        separating index, and entry (r, c) of M(1, w) reads the table at
-        code_c & ~code_r (``_core_getters``).  ``half`` is None unless the
-        codes are closed under complement, and then (twice how many topes of
-        T are + at each index, the getter of the table indices that A and C
-        read, one getter per row of A and one per row of C over their
-        positions), T being the topes without bit k-1.
+        separating index.  ``chunks`` split them by ``_chunk_bounds``, each
+        as (lo, hi, each tope's code on separating[lo:hi]).  ``half`` is None
+        unless the codes are closed under complement, and then (twice how
+        many topes of T are + at each index, T's rows), T being the topes
+        without bit k-1.
         """
         every, some = reduce(and_, self.plus), reduce(or_, self.plus)
         separating = _ascending(some & ~every)
-        if 1 << len(separating) > self.size**2:
-            return None
         bits = [1 << (i - 1) for i in separating]
         codes = [sum(1 << j for j, b in enumerate(bits) if p & b) for p in self.plus]
+        bounds = _chunk_bounds(len(bits), self.size)
+        chunks = tuple((lo, hi, [c >> lo & (1 << hi - lo) - 1 for c in codes]) for lo, hi in zip(bounds, bounds[1:]))
         full, half = (1 << len(bits)) - 1, None
         if full and sorted(codes) == sorted(c ^ full for c in codes):
-            t = [c for c in codes if c < c ^ full]
-            doubled = [2 * sum(c >> j & 1 for c in t) for j in range(len(bits))]
-            # W(s)^-1 is W(F - s) / W(F): the rows of A and C read the table of W at the complements
-            used, rows = _positions([[full ^ (r & c) for c in t] for r in t] + [[full ^ (r | c) for c in t] for r in t])
-            half = doubled, used, rows[: len(t)], rows[len(t) :]
-        return separating, codes, half
+            t = [r for r, c in enumerate(codes) if c < c ^ full]
+            half = [2 * sum(codes[r] >> j & 1 for r in t) for j in range(len(bits))], t
+        return separating, codes, chunks, half
+
+    @cached_property
+    def _sides(self) -> tuple[list, list]:
+        """The images of the a_i^+ and of the a_i^- over the separating indices, in their order."""
+        return tuple([self.images[2 * i - 2 + side] for i in self._core[0]] for side in (0, 1))
 
     @cached_property
     def _core_getters(self) -> tuple:
-        """``_positions`` of M(1, w)'s table indices, built on first use: with a half, only an
+        """``_positions`` of M(1, w)'s table indices with one chunk, built on first use: with a half, only an
         evaluation whose W(F) is 0 or whose norm meets a column of zero divisors reads them."""
         codes = self._core[1]
         return _positions([[c & ~code for c in codes] for code in codes])
 
     @cached_property
-    def _chunks(self) -> tuple[tuple[list[int], list[tuple[int, int]]], ...]:
-        """The free indices in the fewest balanced chunks of at most s, with 2 * 2^s <= size^2.
-
-        Each chunk is (its indices, each tope's (plus, minus) code on them),
-        where bit j of a code stands for the chunk's j-th index.  The bound
-        keeps a chunk's two subset tables no larger than one pass over the
-        entries.
-        """
-        free = sorted(self.fiber.free)
-        cap = max(1, (self.size * self.size).bit_length() - 2)
-        count = -(-len(free) // cap)
-        chunks = []
-        for c in range(count):
-            idx = free[c * len(free) // count : (c + 1) * len(free) // count]
-            bits = [(j, 1 << (i - 1)) for j, i in enumerate(idx)]
-            codes = [
-                (sum(1 << j for j, b in bits if pr & b), sum(1 << j for j, b in bits if mr & b))
-                for pr, mr in zip(self.plus, self.minus)
-            ]
-            chunks.append((idx, codes))
-        return tuple(chunks)
-
-    def _tables(self, values, table) -> list:
-        """(P_k, M_k, codes) for each chunk k: table over the values of its a_i^+ and of its a_i^- in turn."""
-        return [
-            (table([values[2 * i - 2] for i in idx]), table([values[2 * i - 1] for i in idx]), codes)
-            for idx, codes in self._chunks
-        ]
-
-    def _rows(self, values, modulus: int):
-        """Each row's entries at the source variables' values, one list per row.
-
-        For each chunk k of the free indices (``_chunks``), P_k and M_k hold
-        the products mod modulus of every subset of that chunk's a_i^+ and
-        a_i^- values, so entry (r, c) is the product over k of
-        P_k[plus_k[r] & minus_k[c]] * M_k[minus_k[r] & plus_k[c]] on the tope
-        codes.  Each chunk's product is reduced before the next multiplies
-        it, and the last is left unreduced: every entry is below modulus^2.
-        """
-        tables = self._tables(values, lambda chunk: _subset_products(chunk, modulus))
-        for r in range(self.size):
-            row = None
-            for p_k, m_k, codes in tables:
-                pk, mk = codes[r]
-                if row is None:
-                    row = [p_k[pk & mc] * m_k[mk & pc] for pc, mc in codes]
-                else:
-                    row = [a % modulus * p_k[pk & mc] % modulus * m_k[mk & pc] for a, (pc, mc) in zip(row, codes)]
-            yield row or [1] * self.size
+    def _half_getters(self) -> tuple:
+        """(getter of the indices that A and C read in the table of W at the complements, one getter per row of
+        A and one per row of C over their positions) with one chunk, built on first use."""
+        t = [self._core[1][r] for r in self._core[3][1]]
+        used, rows = _positions([[r & c for c in t] for r in t] + [[r | c for c in t] for r in t])
+        return used, rows[: len(t)], rows[len(t) :]
 
 
 def _valid_topes(f: FiberView) -> tuple[SignVector, ...]:

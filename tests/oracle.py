@@ -18,7 +18,8 @@ elimination oracle is the fused Bareiss kernel that expands every
 intermediate entry (it also lists each step's minors), the side-swap
 oracle is that substitution exchanging each a_i^+ with a_i^-, the
 entry oracle builds each distance monomial from the separation set of two
-topes, the degree-bound oracle reads the row maxima off the polynomial entries
+topes and the entry-residue oracle each entry's residue from two sign masks,
+one product per variable, the degree-bound oracle reads the row maxima off the polynomial entries
 rather than the tope masks, the support oracle reads them and the used
 variables off the masks one interpreted step per tope pair, the
 modular determinant oracle eliminates on lists of residues, one
@@ -943,6 +944,28 @@ def mask_support(matrix, specialize=None) -> tuple[list[int], int]:
     return sorted(used), degree
 
 
+def entry_residues(matrix, values, prime: int) -> list[list[int]]:
+    """The entries of M(u, v) mod prime at the source values, one product per entry over its two masks.
+
+    Entry (r, c) is the product of a_i^+ (``values[2i - 2]``) over
+    plus[r] & minus[c] and of a_i^- (``values[2i - 1]``) over
+    minus[r] & plus[c], every free index included.
+    """
+    rows = []
+    for pr, mr in zip(matrix.plus, matrix.minus):
+        row = []
+        for pc, mc in zip(matrix.plus, matrix.minus):
+            x = 1
+            for mask, side in ((pr & mc, 0), (mr & pc, 1)):
+                while mask:
+                    low = mask & -mask
+                    x = x * values[2 * low.bit_length() - 2 + side] % prime
+                    mask ^= low
+            row.append(x)
+        rows.append(row)
+    return rows
+
+
 def substitute(p: IntPolynomial, mapping, nvars: int | None = None) -> IntPolynomial:
     """Homomorphic image of p under {flat variable: polynomial-or-int}.
 
@@ -1066,24 +1089,6 @@ def pack_rows(rows: list[list[int]], prime: int) -> list[int]:
         if not all(0 <= x < prime * prime for x in row):
             raise ValueError("lane outside [0, prime^2)")
     return [sum(x << (w * (m - 1 - c)) for c, x in enumerate(row)) for row in rows]
-
-
-def unpack_rows(rows: list[int], prime: int, m: int) -> list[list[int]]:
-    """Packed m-column rows mod prime as lists of their lanes, reduced mod prime.
-
-    Lane 0 is highest.  A row with bits beyond its m lanes, or a lane not
-    below prime^2, raises ValueError.
-    """
-    w = _lane_bits(prime, m)
-    out = []
-    for row in rows:
-        if not 0 <= row < 1 << (w * m):
-            raise ValueError("packed row outside its m lanes")
-        lanes = [(row >> (w * (m - 1 - c))) & ((1 << w) - 1) for c in range(m)]
-        if max(lanes, default=0) >= prime * prime:
-            raise ValueError("packed lane not below prime^2")
-        out.append([x % prime for x in lanes])
-    return out
 
 
 # polynomial helpers used by the tests only

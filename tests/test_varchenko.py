@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 from functools import cache
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -43,6 +44,7 @@ from omdet.varchenko import (
     SizeGuardError,
     VarchenkoMatrix,
     _agrees,
+    _chunk_bounds,
     _eliminate,
     _eliminate_norm,
     _face_masks,
@@ -86,6 +88,7 @@ from oracle import (
     corpus_sets,
     degree_bound,
     distance,
+    entry_residues,
     fused_bareiss,
     mask_support,
     miller_rabin_12,
@@ -104,7 +107,6 @@ from oracle import (
     substitute,
     substitute_factored,
     swap_sides,
-    unpack_rows,
     whole_fiber,
     witt_check,
 )
@@ -755,6 +757,15 @@ def _reversal(wires: int) -> WiringDiagram:
     return WiringDiagram.of(wires, [(k, k + 1) for i in range(wires) for k in range(wires - 1 - i)])
 
 
+# the chunked fibers past the one-table bound 2^k <= size^2, with 2, 3 and 7 chunks
+_PAST = ["lines-9", "lines-20", "wires-17", "wires-64"]
+
+
+def _map_values(kind: str) -> dict:
+    """{source variable: value} of a map written as on the command line, such as "a1p=0,a2m=-3"."""
+    return {var_index(v): int(x) for v, x in (item.split("=") for item in kind.split(","))}
+
+
 @cache
 def _chunked_fibers():
     """Fibers whose free sets leave out indices, or span several residue chunks."""
@@ -767,11 +778,20 @@ def _chunked_fibers():
         "wide": _wide_fiber(),
         "reversal-9": faces(_reversal(9)),
         "reversal-10": faces(_reversal(10)),
-        # 16 topes: two tables of 2^8 would hold 512 > 16^2 entries
+        # 16 topes and 8 separating indices: one table of 2^8 = 16^2 products, at the one-chunk bound
         "wires-8": faces(WiringDiagram.of(8, [(k, k + 1) for k in range(7)])),
+        # lines through the origin in R^2: negation-closed, 2n topes and n separating indices, past the bound
+        "lines-9": _central_lines(9),
+        "lines-10": _central_lines(10),
+        "lines-20": _central_lines(20),
         "wires-17": faces(WiringDiagram.of(17, [(0, 1), (15, 16)])),
         "wires-64": faces(WiringDiagram.of(64, [(0, 1), (30, 31)])),
     }
+
+
+def _central_lines(n: int) -> FiberView:
+    """The fiber of n distinct lines through the origin in R^2."""
+    return arrangement_fiber(RationalArrangement.of([[1, t] for t in range(n)]))
 
 
 @cache
@@ -822,7 +842,8 @@ class TestMaskEvaluation:
         residues = residues_mod(flat, at, prime)
         expected = [residues[r * m.size : (r + 1) * m.size] for r in range(m.size)]
         mapped = build_matrix(f, spec)
-        assert unpack_rows(mapped.residues(mapped.values(at, prime), prime), prime, m.size) == expected
+        assert entry_residues(mapped, mapped.values(at, prime), prime) == expected
+        assert mapped.det_residue(at, prime) == row_det_mod(expected, prime)
         used, rows = mapped.support()
         assert used == used_variables(flat)
         assert rows == degree_bound(entries, FactoredPoly(formula.nvars))
@@ -839,32 +860,38 @@ class TestMaskEvaluation:
             ("wide", 1),
             ("reversal-9", 1),
             ("reversal-10", 1),
-            ("wires-8", 2),
+            ("wires-8", 1),
+            ("lines-9", 2),
             ("wires-17", 3),
-            ("wires-64", 6),
+            ("lines-20", 3),
+            ("wires-64", 7),
         ],
     )
     def test_residues_over_free_chunks(self, name, chunks):
-        # non-contiguous free sets, and free sets split into balanced chunks
-        # whose two tables hold at most size^2 entries
+        # non-contiguous free sets, and their separating indices split into balanced chunks whose tables hold at
+        # most size^2 products; the determinant against the entry oracle's, whose entries residues_mod confirms
         f = _chunked_fibers()[name]
         m = build_matrix(f)
-        sizes = [len(idx) for idx, _ in m._chunks]
-        assert len(sizes) == chunks
-        assert [i for idx, _ in m._chunks for i in idx] == sorted(f.free)
+        separating, codes, parts, _ = m._core
+        assert len(parts) == chunks
+        sizes = [hi - lo for lo, hi, _ in parts]
+        assert [lo for lo, _, _ in parts] == [0, *accumulate(sizes[:-1])] and sum(sizes) == len(separating)
         assert max(sizes) - min(sizes) <= 1
-        assert 2 * 2 ** max(sizes) <= m.size**2
-        if chunks > 1:
-            assert 2 * 2 ** -(-len(f.free) // (chunks - 1)) > m.size**2
+        assert sum(2**s for s in sizes) <= m.size**2
+        assert (chunks == 1) == (2 ** len(separating) <= m.size**2)
+        for lo, hi, part in parts:
+            assert part == [c >> lo & (2 ** (hi - lo) - 1) for c in codes]
         rng = random.Random(name)
         for spec in (None, Specialization.of(m.nvars, {0: 0, 3: -3}), Specialization.collapse_all(m.nvars)):
-            entries = m.entries if spec is None else [[spec.apply_poly(e) for e in row] for row in m.entries]
-            prime = draw_prime(rng)
-            at = {v: rng.randrange(prime) for v in range(2 * f.n if spec is None else spec.nvars)}
-            residues = residues_mod([e for row in entries for e in row], at, prime)
-            expected = [residues[r * m.size : (r + 1) * m.size] for r in range(m.size)]
             mapped = build_matrix(f, spec)
-            assert unpack_rows(mapped.residues(mapped.values(at, prime), prime), prime, m.size) == expected, spec
+            prime = draw_prime(rng)
+            at = {v: rng.randrange(prime) for v in range(mapped.nvars)}
+            expected = entry_residues(mapped, mapped.values(at, prime), prime)
+            if m.size <= 20:
+                entries = m.entries if spec is None else [[spec.apply_poly(e) for e in row] for row in m.entries]
+                residues = residues_mod([e for row in entries for e in row], at, prime)
+                assert expected == [residues[r * m.size : (r + 1) * m.size] for r in range(m.size)], spec
+            assert mapped.det_residue(at, prime) == row_det_mod(expected, prime), spec
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(data=st.data())
@@ -874,7 +901,7 @@ class TestMaskEvaluation:
         if source == "corpus":
             f = _corpus()[data.draw(st.sampled_from(sorted(_corpus())))]
         elif source == "chunked":
-            f = _chunked_fibers()[data.draw(st.sampled_from(["affine", "fiber-subset", "wide", "wires-8", "wires-17"]))]
+            f = _chunked_fibers()[data.draw(st.sampled_from(["affine", "fiber-subset", "wide", "wires-8", *_PAST]))]
         else:
             rng = random.Random(data.draw(st.integers(0, 2**32)))
             f = faces(random_wiring(rng)) if source == "wiring" else checked_fiber(random_central_arrangement(rng))
@@ -883,6 +910,16 @@ class TestMaskEvaluation:
         maps = (_mask_specializations(m.nvars, f.free), _zero_hyperplane_maps(m.nvars, f.free), one_zero)
         spec = data.draw(st.one_of(*maps))
         assert build_matrix(f, spec).support() == mask_support(m, spec)
+
+    @pytest.mark.parametrize("name", _PAST)
+    def test_support_past_the_one_table_bound(self, name):
+        # under no map, the corpus maps and a map sending one hyperplane to 0
+        f = _chunked_fibers()[name]
+        m = build_matrix(f)
+        specs = [None, Specialization.collapse_all(m.nvars), Specialization.of(m.nvars, {2: 0, 3: 0})]
+        specs += [Specialization.of(m.nvars, _map_values(kind)) for kind in _MASK_MAPS if kind != "all=a"]
+        for spec in specs:
+            assert build_matrix(f, spec).support() == mask_support(m, spec), spec
 
     def test_randomized_verify_builds_no_entries(self, monkeypatch):
         f = faces(non_pappus())
@@ -919,26 +956,10 @@ def _zero_hyperplane_maps(nvars, free):
     return st.tuples(st.sampled_from(planes), st.lists(rest, min_size=nvars, max_size=nvars)).map(build)
 
 
-def _residue_calls(monkeypatch, fail: bool = False) -> list:
-    """The calls of VarchenkoMatrix.residues, which still runs unless fail, when it raises."""
-    calls = []
-    real = VarchenkoMatrix.residues
-
-    def spy(self, *args):
-        calls.append(args)
-        if fail:
-            raise AssertionError("the core fell back to the entry residues")
-        return real(self, *args)
-
-    monkeypatch.setattr(VarchenkoMatrix, "residues", spy)
-    return calls
-
-
 def _entry_det(m, at, prime: int) -> int:
-    """det mod prime of the entry residues, by the packed elimination and by the row oracle."""
-    rows = m.residues(m.values(at, prime), prime)
-    entries = unpack_rows(rows, prime, m.size)
-    (det,) = _eliminate([rows], prime)
+    """det mod prime of the entry oracle's residues, by the packed elimination and by the row oracle."""
+    entries = entry_residues(m, m.values(at, prime), prime)
+    (det,) = _eliminate([pack_rows(entries, prime)], prime)
     assert det == row_det_mod(entries, prime)
     return det
 
@@ -982,58 +1003,113 @@ class TestSymmetricCore:
         at.update(dict.fromkeys(data.draw(st.sets(st.integers(0, m.nvars - 1), max_size=2)), 0))
         assert m.det_residue(at, prime) == _entry_det(m, at, prime)
 
-    def _check(self, monkeypatch, m, at, prime: int, fallback: bool):
-        expected = _entry_det(m, at, prime)
-        with monkeypatch.context() as patch:
-            calls = _residue_calls(patch, fail=not fallback)
-            assert m.det_residue(at, prime) == expected
-        assert len(calls) == fallback
+    def _check(self, m, at, prime: int):
+        assert m.det_residue(at, prime) == _entry_det(m, at, prime)
 
-    def test_zero_image(self, monkeypatch):
+    def test_zero_image(self):
         # w_1 = 0, so W(F) = 0 and the half-size split goes to M(1, w), which takes the zero
         f = whole_fiber(concurrent_lines())
         m = build_matrix(f, Specialization.of(6, {0: 0}))
         prime = draw_prime(random.Random(1))
-        self._check(monkeypatch, m, {v: 2 + v for v in range(6)}, prime, fallback=False)
+        self._check(m, {v: 2 + v for v in range(6)}, prime)
 
-    def test_drawn_zero(self, monkeypatch):
+    def test_drawn_zero(self):
         m = build_matrix(faces(non_pappus()))
         prime = draw_prime(random.Random(2))
         at = {v: 3 + v for v in range(m.nvars)}
         # a3m = 0 makes w_3 = 0, an entry W(P_c - P_r) of M(1, w) like any other
-        self._check(monkeypatch, m, at | {5: 0}, prime, fallback=False)
-        self._check(monkeypatch, m, at, prime, fallback=False)
+        self._check(m, at | {5: 0}, prime)
+        self._check(m, at, prime)
 
-    def test_index_every_tope_agrees_on_is_dropped(self, monkeypatch):
+    def test_index_every_tope_agrees_on_is_dropped(self):
         f = _all_plus_index_fiber()
         m = build_matrix(f)
         assert m._core[0] == [1, 2, 3]
         prime = draw_prime(random.Random(3))
         at = {v: 5 + v for v in range(8)}
-        # a4p and a4m appear in no entry: a zero there needs no fallback
+        # a4p and a4m appear in no entry, so a zero there changes nothing
         for values in (at, at | {6: 0}, at | {6: 0, 7: 0}):
-            self._check(monkeypatch, m, values, prime, fallback=False)
+            self._check(m, values, prime)
 
-    @pytest.mark.parametrize("name", ["wires-17", "wires-64"])
+    @pytest.mark.parametrize("name", ["wires-8", "lines-9", "lines-10", "lines-20", "wires-17", "wires-64"])
     def test_past_the_one_table_bound(self, monkeypatch, name):
-        m = build_matrix(_chunked_fibers()[name])
-        assert m._core is None
+        # negation-closed fibers and others, under no map, zero images and all=a, with a drawn zero w_i; wires-8
+        # sits at the bound, with one table of 2^8 = 16^2 products
+        chunks = {"wires-8": 1, "lines-9": 2, "lines-10": 2, "lines-20": 3, "wires-17": 3, "wires-64": 7}[name]
+        f = _chunked_fibers()[name]
+        n2 = 2 * f.n
+        closed = name.startswith("lines")
+        rng = random.Random(name)
+        for spec in (None, Specialization.of(n2, {0: 0}), Specialization.of(n2, {0: 0, 3: -3})):
+            m = build_matrix(f, spec)
+            assert len(m._core[2]) == chunks and (_half(m) is not None) == closed
+            prime = draw_prime(rng)
+            points = [{v: rng.randrange(prime) for v in range(m.nvars)} for _ in range(2)]
+            points.append(points[0] | {2: 0})
+            expected = [_entry_det(m, at, prime) for at in points]
+            with monkeypatch.context() as patch:
+                calls = _norm_calls(patch)
+                assert m.det_residues([m.values(at, prime) for at in points], prime) == expected
+            # a zero a_1^+ makes W(F) = 0 at every point, and the drawn a_2^+ = 0 at the last: M(1, w) takes them
+            pairs = [] if spec is not None else [True, True]
+            assert [[x is not None for x in call] for call in calls] == ([pairs] if closed else [])
+        m = build_matrix(f, Specialization.collapse_all(n2))
+        prime = draw_prime(rng)
+        at = {0: rng.randrange(prime)}
+        assert m.det_residue(at, prime) == _entry_det(m, at, prime)
+
+    @pytest.mark.parametrize("name, chunks", [("lines-10", 2), ("lines-20", 3)])
+    def test_zero_divisor_column(self, monkeypatch, name, chunks):
+        # a_i^+ = -1, a_i^- = 1 at an even number of lines: W(F) = 1 and every top of A + sC is a zero divisor
+        f = _chunked_fibers()[name]
+        m = build_matrix(f)
+        assert len(m._core[2]) == chunks and len(m._core[0]) % 2 == 0
         rng = random.Random(name)
         prime = draw_prime(rng)
-        self._check(monkeypatch, m, {v: rng.randrange(prime) for v in range(m.nvars)}, prime, fallback=True)
+        points = [{v: rng.randrange(prime) for v in range(m.nvars)}]
+        points.append({v: 1 if v % 2 else prime - 1 for v in range(m.nvars)})
+        expected = [_entry_det(m, at, prime) for at in points]
+        calls = _norm_calls(monkeypatch)
+        assert m.det_residues([m.values(at, prime) for at in points], prime) == expected
+        assert [[x is None for x in call] for call in calls] == [[False, True]]
 
-    def test_one_tope_fiber(self, monkeypatch):
+    def test_one_chunk_exactly_when_the_table_fits(self):
+        for k in range(0, 50):
+            for m in [*range(2, 70), *range(70, 3000, 37)]:
+                bounds = _chunk_bounds(k, m)
+                count = len(bounds) - 1
+                assert (count == 1) == (2**k <= m * m), (k, m)
+                sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+                assert bounds[0] == 0 and bounds[-1] == k and max(sizes) - min(sizes) <= 1
+                assert sum(2**s for s in sizes) <= m * m or count == k, (k, m)
+                if count > 1:  # the fewest: one chunk less overflows
+                    fewer = [j * k // (count - 1) for j in range(count)]
+                    assert sum(2 ** (hi - lo) for lo, hi in zip(fewer, fewer[1:])) > m * m, (k, m)
+
+    def test_one_tope_fiber(self):
         s = coord_lines()
         m = build_matrix(topal_fiber(s, [], topes(s)[0]))
-        assert m.size == 1 and m._core[0] == []
-        self._check(monkeypatch, m, {}, draw_prime(random.Random(4)), fallback=False)
+        assert m.size == 1 and m._core[0] == [] and len(m._core[2]) == 1
+        self._check(m, {}, draw_prime(random.Random(4)))
 
     def test_verify_never_falls_back(self, monkeypatch):
-        fibers = [faces(non_pappus()), _seeded_planes(25, 6)]
-        _residue_calls(monkeypatch, fail=True)
-        for f in fibers:
-            report = verify(f, mode="randomized", seed=7, evals=3)
-            assert report.agreement
+        # randomized verify reads the codes alone: neither the polynomial entries nor a table of their terms
+        # is built, at one table or over chunks, and the records are those of the polynomial entries
+        def built(*args):
+            raise AssertionError("the polynomial entries or a table of their terms were built")
+
+        fibers = [faces(non_pappus()), _seeded_planes(25, 6), *map(_chunked_fibers().get, ["lines-20", "wires-64"])]
+        reports = []
+        with monkeypatch.context() as patch:
+            patch.setattr(VarchenkoMatrix, "entries", property(built))
+            patch.setattr(omdet.varchenko, "_subset_terms", built)
+            for f in fibers:
+                for values in ({}, {0: 0}, {0: 0, 3: -3}):
+                    spec = Specialization.of(2 * f.n, values)
+                    report = verify(f, mode="randomized", seed=7, evals=3, specialize=spec)
+                    assert report.agreement and report.lines() and report.to_json()
+                reports.append(verify(f, mode="randomized", seed=7, evals=3))
+        for f, report in zip(fibers, reports):
             formula = product_formula(f)
             assert (report.prime, report.evals) == randomized_compare(build_matrix(f).entries, formula, seed=7, evals=3)
 
@@ -1123,7 +1199,7 @@ def _split_corpus() -> list[str]:
 
 def _half(m):
     """The matrix's half-size split, or None."""
-    return m._core and m._core[2]
+    return m._core[3]
 
 
 class TestNormSplit:
@@ -1148,7 +1224,7 @@ class TestNormSplit:
     def test_one_pair_fiber(self, monkeypatch):
         # h = 1: A = C = [[1]], so det = N(1 + s) = 1 - w, and 0 through M(1, w) when w = 1
         m = build_matrix(whole_fiber(one_line()))
-        assert m.size == 2 and m._core[2][0] == [0]
+        assert m.size == 2 and m._core[3][0] == [0]
         prime = draw_prime(random.Random(5))
         calls = _norm_calls(monkeypatch)
         points = [{0: 3, 1: 5}, {0: prime - 1, 1: prime - 1}]
@@ -1167,9 +1243,7 @@ class TestNormSplit:
         assert len(m._core[0]) == 4
         prime = draw_prime(random.Random(6))
         calls, expected = _norm_calls(monkeypatch), _entry_det(m, {}, prime)
-        with monkeypatch.context() as patch:
-            _residue_calls(patch, fail=True)
-            assert m.det_residue({}, prime) == expected
+        assert m.det_residue({}, prime) == expected
         assert calls == [[None]]
 
     def test_wiring_fibers_never_split(self, monkeypatch):
@@ -1277,26 +1351,23 @@ class TestLockstep:
         points.insert(1, {v: 1 if v % 2 else prime - 1 for v in range(m.nvars)})
         expected = [_entry_det(m, at, prime) for at in points]
         calls, eliminations = _norm_calls(monkeypatch), _spy(monkeypatch, "_eliminate")
-        with monkeypatch.context() as patch:
-            _residue_calls(patch, fail=True)
-            assert m.det_residues([m.values(at, prime) for at in points], prime) == expected
+        assert m.det_residues([m.values(at, prime) for at in points], prime) == expected
         assert [[x is None for x in call] for call in calls] == [[False, True, False]]
         assert [len(matrices) for matrices, _ in eliminations] == [1]
 
-    def test_core_and_entry_residues_share_one_elimination(self, monkeypatch):
-        # a zero w_i stays on M(1, w) beside the unit evaluations; only a matrix past the one-table bound, which has
-        # no core, takes the entry residues, and then for every evaluation
+    def test_one_elimination_at_every_chunk_count(self, monkeypatch):
+        # a zero w_i stays on M(1, w) beside the unit evaluations, with one table or with three chunks
         prime = draw_prime(random.Random(2))
-        for f, fallback in ((faces(non_pappus()), False), (_chunked_fibers()["wires-17"], True)):
+        for f, chunks in ((faces(non_pappus()), 1), (_chunked_fibers()["wires-17"], 3)):
             m = build_matrix(f)
-            assert (m._core is None) == fallback
+            assert len(m._core[2]) == chunks
             at = {v: 3 + v for v in range(m.nvars)}
             points = [at, at | {5: 0}, at | {0: 7}]
             expected = [_entry_det(m, x, prime) for x in points]
             with monkeypatch.context() as patch:
-                eliminations, residues = _spy(patch, "_eliminate"), _residue_calls(patch)
+                eliminations = _spy(patch, "_eliminate")
                 assert m.det_residues([m.values(x, prime) for x in points], prime) == expected
-            assert len(residues) == 3 * fallback and [len(matrices) for matrices, _ in eliminations] == [3]
+            assert [len(matrices) for matrices, _ in eliminations] == [3]
 
     @pytest.mark.parametrize("name", ["non-pappus", "planes"])
     def test_verify_matches_one_evaluation_at_a_time(self, name):
@@ -1482,13 +1553,13 @@ class TestMaskPolynomials:
         elif kind == "all=a":
             spec = Specialization.collapse_all(m.nvars)
         else:
-            values = {var_index(v): int(x) for v, x in (item.split("=") for item in kind.split(","))}
+            values = _map_values(kind)
             assume(max(values) < m.nvars)
             spec = Specialization.of(m.nvars, values)
         assert build_matrix(f, spec).entries == _distance_rows(m, spec)
         assert m.entries == _distance_rows(m, None)
 
-    @pytest.mark.parametrize("name", ["affine", "fiber-subset", "wide", "wires-8", "wires-17", "wires-64"])
+    @pytest.mark.parametrize("name", ["affine", "fiber-subset", "wide", "wires-8", *_PAST])
     def test_over_free_chunks(self, name):
         m = build_matrix(_chunked_fibers()[name])
         for spec in (None, Specialization.collapse_all(m.nvars), Specialization.of(m.nvars, {0: 0, 1: 0, 3: -3})):
